@@ -511,16 +511,21 @@ pub fn traced<W: Workload>(
     let base_eps = base.events_per_s();
     let traced_eps = phase.events_per_s();
 
-    // The layers' replayed costs weighted by how often the traced phase
-    // reached each one per event; what they leave of the untraced
-    // per-event time is the unattributed remainder.
+    // The layers' replayed costs weighted by how often the untraced
+    // slices reached each one per event; what they leave of the
+    // untraced per-event time is the unattributed remainder.
     let b = &base.counts;
     let per_event = |n: u64| per(n, base.tally.events);
+    // A check misses the cache when its type was new, i.e. fetched; an
+    // accepted object is checked once more, uncounted, to bind its proxy.
     let conformance_misses = b.desc_requests;
     let conformance_hits = (b.conformance_checks + b.accepted).saturating_sub(conformance_misses);
+    // One resolve per publish; the first after a routing change misses.
+    let resolve_misses = per_event(b.route_generation).min(1.0);
     let mut weighted_ns = replayed("metamodel.instantiate_ns")
         + per_event(b.payload_encodes) * replayed("serialize.envelope_encode_ns")
-        + replayed("transport.resolve_hit_ns")
+        + resolve_misses * replayed("transport.resolve_miss_ns")
+        + (1.0 - resolve_misses) * replayed("transport.resolve_hit_ns")
         + per_event(b.batches)
             * (replayed("net.batch_encode_ns") + replayed("net.batch_decode_ns"))
         + per_event(b.objects_received) * replayed("serialize.envelope_decode_ns")
