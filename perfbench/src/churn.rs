@@ -55,7 +55,7 @@ pub struct ChurnLossy {
     retired: Counters,
     dispatch_errors: u64,
     strays: u64,
-    sample_inbox: bool,
+    /// Deepest inbox a drive found since set-up.
     peak_inbox: usize,
 }
 
@@ -79,14 +79,14 @@ impl ChurnLossy {
                 for g in &self.groups {
                     g.run().map_err(|e| format!("drive: {e}"))?;
                 }
-                let queued = self.slots.iter().map(|s| self.net.pending(s.id));
-                if self.sample_inbox {
-                    let depth = queued.max().unwrap_or(0);
-                    self.peak_inbox = self.peak_inbox.max(depth);
-                    if depth == 0 {
-                        break;
-                    }
-                } else if queued.sum::<usize>() == 0 {
+                let depth = self
+                    .slots
+                    .iter()
+                    .map(|s| self.net.pending(s.id))
+                    .max()
+                    .unwrap_or(0);
+                self.peak_inbox = self.peak_inbox.max(depth);
+                if depth == 0 {
                     break;
                 }
             }
@@ -328,7 +328,6 @@ impl Workload for ChurnLossy {
             retired: Counters::default(),
             dispatch_errors: 0,
             strays: 0,
-            sample_inbox: false,
             peak_inbox: 0,
         };
         w.settle()?;
@@ -361,6 +360,7 @@ impl Workload for ChurnLossy {
         if tally.failed > 0 {
             return Err(format!("warm-up: {:?}", tally.failures));
         }
+        w.peak_inbox = 0;
         Ok(w)
     }
 
@@ -401,27 +401,8 @@ impl Workload for ChurnLossy {
         self.sweep();
     }
 
-    fn set_pump_trace(&mut self, on: bool) {
-        // No reactor here; the traced phase samples inbox depth instead.
-        self.sample_inbox = on;
-    }
-
-    fn fixture(&mut self, phase: &Counters) -> Fixture {
-        Fixture {
-            assembly: topic_event_assembly(0),
-            event: topic_event_def(0, "pub"),
-            field: "value",
-            value: Value::from(value_of(1)),
-            interest: topic_event_def(0, "sub"),
-            routes: self.groups[0].with_swarm(|s| s.routes().clone()),
-            names: (0..TOPICS).map(|t| format!("Topic{t}Event")).collect(),
-            batch_frames: (phase.batched_frames as f64 / phase.batches.max(1) as f64).round()
-                as usize,
-            inbox_depth: self.peak_inbox,
-        }
-    }
-
-    fn simnet(&self) -> bool {
-        true
+    fn fixture(&mut self) -> Fixture {
+        let routes = self.groups[0].with_swarm(|s| s.routes().clone());
+        Fixture::topics(TOPICS, routes, Some(self.peak_inbox))
     }
 }

@@ -273,6 +273,11 @@ impl Workload for Fanout {
         let errors = self.drain_dispatch_errors();
         self.dispatch_errors += errors;
         tally.check(errors == 0, || format!("{errors} dispatch errors"));
+        // One payload encode per publish, however many subscribers.
+        let encodes = Transport::metrics(&self.host.reactor()).payload_encodes;
+        tally.check(encodes == self.next_event, || {
+            format!("{encodes} payload encodes for {} events", self.next_event)
+        });
     }
 
     fn set_pump_trace(&mut self, on: bool) {
@@ -280,23 +285,8 @@ impl Workload for Fanout {
         self.pump_trace = on;
     }
 
-    fn fixture(&mut self, phase: &Counters) -> Fixture {
-        Fixture {
-            assembly: topic_event_assembly(0),
-            event: topic_event_def(0, "pub"),
-            field: "value",
-            value: Value::from(value_of(1)),
-            interest: topic_event_def(0, "sub"),
-            routes: self.publisher_group.with_swarm(|s| s.routes().clone()),
-            names: (0..TOPICS).map(|t| format!("Topic{t}Event")).collect(),
-            batch_frames: (phase.batched_frames as f64 / phase.batches.max(1) as f64).round()
-                as usize,
-            // A subscriber's ring holds at most one burst.
-            inbox_depth: BURST,
-        }
-    }
-
-    fn simnet(&self) -> bool {
-        false
+    fn fixture(&mut self) -> Fixture {
+        let routes = self.publisher_group.with_swarm(|s| s.routes().clone());
+        Fixture::topics(TOPICS, routes, None)
     }
 }

@@ -31,13 +31,16 @@
 //! happens in set-up, set-up is repeated and reported as a median, and
 //! throughput and latency are medians over short windows pooled from
 //! several fresh fixtures, so no one fixture or slow stretch of the
-//! machine decides them.
+//! machine decides them. Every time is reported in reference time
+//! ([`speed`]): wall time scaled by how fast a fixed reference kernel
+//! ran around it, which cancels the machine's own drift in speed.
 
 pub mod churn;
 pub mod fanout;
 pub mod measure;
 pub mod novel;
 pub mod replay;
+pub mod speed;
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -46,13 +49,14 @@ use pti_core::prelude::{NetMetrics, ProtocolStats};
 
 use measure::{median, peak_rss_mb, quantile, Tally, Tracer};
 use replay::Fixture;
+use speed::Probes;
 
 /// Fixtures per end-to-end run. Each is set up afresh and timed for an
 /// equal share of the run: `setup_s` is the median set-up, and the
 /// timed metrics pool the windows of every fixture, so neither one
 /// fixture's memory layout nor one slow stretch of the machine decides
 /// a number.
-const SETUPS: usize = 5;
+const SETUPS: usize = 6;
 /// Untraced and traced slices a `--trace 1` run alternates.
 const TRACE_SLICES: usize = 4;
 /// Length of one measurement window of a timed phase, in seconds.
@@ -178,19 +182,18 @@ pub trait Workload: Sized {
     fn set_pump_trace(&mut self, _on: bool) {}
 
     /// The fixture the layer replays run on.
-    fn fixture(&mut self, phase: &Counters) -> Fixture;
-
-    /// Whether the fabric is a `SimNet` (its receive is replayed and
-    /// weighted into the unattributed remainder).
-    fn simnet(&self) -> bool;
+    fn fixture(&mut self) -> Fixture;
 }
 
-/// Throughput and latency of the events completed in one window.
+/// Throughput and latency of the events completed in one window, in
+/// reference time (see [`speed`]).
 #[derive(Debug, Clone, Copy)]
 pub struct Window {
     pub events_per_s: f64,
     pub latency_p50_us: f64,
     pub latency_p90_us: f64,
+    /// The machine's slowdown over the window.
+    pub slowdown: f64,
 }
 
 /// The result of one timed phase, or of several pooled.
@@ -199,10 +202,12 @@ pub struct Phase {
     pub tally: Tally,
     pub rounds: u64,
     pub wall_s: f64,
+    /// Wall seconds spent in rounds (the phase minus probes).
+    pub busy_s: f64,
     /// One entry per window of [`WINDOW_S`] seconds.
     pub windows: Vec<Window>,
-    /// `(events, seconds)` in the first and the second half of each
-    /// phase: a stationary phase runs both at the same rate.
+    /// `(events, reference seconds)` in the first and the second half of
+    /// each phase: a stationary phase runs both at the same rate.
     pub first_half: (u64, f64),
     pub second_half: (u64, f64),
     /// Counters accumulated over the phase.
@@ -222,6 +227,11 @@ impl Phase {
         median(&mut self.windows.iter().map(stat).collect::<Vec<_>>())
     }
 
+    /// Median slowdown of the machine over the windows.
+    pub fn slowdown(&self) -> f64 {
+        self.median_of(|w| w.slowdown)
+    }
+
     pub fn first_half_rate(&self) -> f64 {
         per_s(self.first_half)
     }
@@ -235,6 +245,7 @@ impl Phase {
         self.tally.absorb(other.tally);
         self.rounds += other.rounds;
         self.wall_s += other.wall_s;
+        self.busy_s += other.busy_s;
         self.windows.extend(other.windows);
         self.first_half = (
             self.first_half.0 + other.first_half.0,
@@ -261,7 +272,9 @@ fn per_s((events, seconds): (u64, f64)) -> f64 {
     events as f64 / seconds.max(1e-9)
 }
 
-/// Runs rounds for `seconds` of wall time and gathers the phase.
+/// Runs rounds for `seconds` of wall time and gathers the phase. The
+/// reference kernel is probed between rounds, and each window's
+/// throughput and latencies are scaled by the slowdown it measured.
 ///
 /// # Errors
 /// A round that failed hard.
@@ -272,27 +285,39 @@ pub fn run_phase<W: Workload>(w: &mut W, seconds: f64, tr: &mut Tracer) -> Resul
     let mut rounds = 0;
     let windows = ((seconds / WINDOW_S).round() as usize).max(2);
     let window_s = seconds / windows as f64;
-    // (events, elapsed seconds) at each window's end. Latencies are
-    // summarised and dropped per window, so memory does not grow with
-    // the run.
+    let mut probes = Probes::new();
+    // (events, reference seconds of rounds) at each window's end.
+    // Latencies are summarised and dropped per window, so memory does
+    // not grow with the run.
     let mut marks = vec![(0u64, 0.0f64)];
     let mut stats = Vec::with_capacity(windows);
+    // Wall seconds of rounds in the current window, and in the phase.
+    let (mut busy, mut busy_s) = (0.0, 0.0);
     let start = Instant::now();
-    while marks.len() <= windows {
+    while stats.len() < windows {
+        let round_start = Instant::now();
         w.round(tr, &mut tally)?;
+        let took = round_start.elapsed();
+        busy += took.as_secs_f64();
+        probes.due(took);
         rounds += 1;
-        let elapsed = start.elapsed().as_secs_f64();
-        if elapsed >= window_s * marks.len() as f64 {
-            let (events, since) = marks[marks.len() - 1];
-            marks.push((tally.events, elapsed));
+        if start.elapsed().as_secs_f64() >= window_s * (stats.len() + 1) as f64 {
+            let slowdown = probes.take();
+            let (events, at) = marks[marks.len() - 1];
+            let reference_s = busy / slowdown;
+            busy_s += busy;
+            busy = 0.0;
+            marks.push((tally.events, at + reference_s));
             let mut lat: Vec<f64> = tally.latencies_us.drain(..).map(f64::from).collect();
             stats.push(Window {
-                events_per_s: per_s((tally.events - events, elapsed - since)),
-                latency_p50_us: quantile(&mut lat, 0.5),
-                latency_p90_us: quantile(&mut lat, 0.9),
+                events_per_s: per_s((tally.events - events, reference_s)),
+                latency_p50_us: quantile(&mut lat, 0.5) / slowdown,
+                latency_p90_us: quantile(&mut lat, 0.9) / slowdown,
+                slowdown,
             });
         }
     }
+    let wall_s = start.elapsed().as_secs_f64();
     w.finish_phase(&mut tally);
     let heap_live_delta = w.heap_live() as i64 - heap_before as i64;
     tally.check(heap_live_delta == 0, || {
@@ -302,7 +327,8 @@ pub fn run_phase<W: Workload>(w: &mut W, seconds: f64, tr: &mut Tracer) -> Resul
     let half = windows / 2;
     Ok(Phase {
         rounds,
-        wall_s: marks[windows].1,
+        wall_s,
+        busy_s,
         first_half: span(0, half),
         second_half: span(half, windows),
         windows: stats,
@@ -398,18 +424,23 @@ fn per(n: u64, d: u64) -> f64 {
 
 /// The `--trace 0` run: [`SETUPS`] fixtures, each set up afresh and
 /// timed untraced for an equal share of `seconds`; the seven end-to-end
-/// metrics over the pooled windows.
+/// metrics over the pooled windows, in reference time.
 ///
 /// # Errors
 /// A failed set-up or round.
 pub fn end_to_end<W: Workload>(seed: u64, seconds: f64) -> Result<Report, String> {
     let mut setup_s = Vec::with_capacity(SETUPS);
+    let mut setup_wall_s = Vec::with_capacity(SETUPS);
     let mut pooled: Option<Phase> = None;
     for _ in 0..SETUPS {
         let start = Instant::now();
         let mut w = W::setup(seed)?;
-        setup_s.push(start.elapsed().as_secs_f64());
+        let wall = start.elapsed().as_secs_f64();
         let phase = run_phase(&mut w, seconds / SETUPS as f64, &mut Tracer::new(false))?;
+        // A set-up is not interleaved with probes; it is scaled by the
+        // slowdown its own timed phase measured, on the heap it built.
+        setup_wall_s.push(wall);
+        setup_s.push(wall / phase.slowdown());
         pool(&mut pooled, phase);
     }
     let phase = pooled.ok_or("no set-up ran")?;
@@ -440,7 +471,9 @@ pub fn end_to_end<W: Workload>(seed: u64, seconds: f64) -> Result<Report, String
         ("events", t.events as f64),
         ("rounds", phase.rounds as f64),
         ("wall_s", phase.wall_s),
-        ("events_per_s_overall", t.events as f64 / phase.wall_s),
+        ("busy_s", phase.busy_s),
+        ("wall_events_per_s", t.events as f64 / phase.busy_s),
+        ("slowdown", phase.slowdown()),
         ("first_half_events_per_s", phase.first_half_rate()),
         ("second_half_events_per_s", phase.second_half_rate()),
         ("latency_samples", t.latency_samples as f64),
@@ -451,6 +484,7 @@ pub fn end_to_end<W: Workload>(seed: u64, seconds: f64) -> Result<Report, String
         ("wire_bytes", phase.counts.bytes as f64),
         ("heap_live_delta", phase.heap_live_delta as f64),
         ("setups", setup_s.len() as f64),
+        ("setup_wall_s", median(&mut setup_wall_s)),
     ];
     detail.extend(
         [("setup_min_s", 0.0), ("setup_max_s", 1.0)]
@@ -469,7 +503,9 @@ pub fn end_to_end<W: Workload>(seed: u64, seconds: f64) -> Result<Report, String
 /// slices (the baseline the tracing overhead and the unattributed
 /// remainder are taken against) alternating with as many traced slices
 /// (spans and counters), so both see the same stretches of the machine;
-/// then the layer replays.
+/// then the layer replays. Span and replay times are in reference time
+/// too: spans scaled by the traced windows' slowdown, replays by the
+/// kernel's speed just before and after them.
 ///
 /// # Errors
 /// A failed set-up, round or replay.
@@ -493,8 +529,15 @@ pub fn traced<W: Workload>(
     }
     let base = base.ok_or("no untraced slice ran")?;
     let phase = traced.ok_or("no traced slice ran")?;
-    let fixture = w.fixture(&phase.counts);
-    let replays = replay::replay_layers(&fixture)?;
+    let fixture = w.fixture();
+    let batch_frames =
+        (per(phase.counts.batched_frames, phase.counts.batches).round() as usize).max(2);
+    let before = speed::calibrate();
+    let mut replays = replay::replay_layers(&fixture, batch_frames)?;
+    let replay_slowdown = (before + speed::calibrate()) / 2.0;
+    for (_, ns) in &mut replays {
+        *ns /= replay_slowdown;
+    }
     let replayed = |name: &str| {
         replays
             .iter()
@@ -505,9 +548,10 @@ pub fn traced<W: Workload>(
     let t = &phase.tally;
     let c = &phase.counts;
     let events = t.events;
-    let (_, publish_us) = tr.total("tps.publish");
-    let (_, drive_us) = tr.total("transport.drive");
-    let (_, consume_us) = tr.total("tps.consume");
+    let span_us = |name: &str| tr.total(name).1 / phase.slowdown();
+    let publish_us = span_us("tps.publish");
+    let drive_us = span_us("transport.drive");
+    let consume_us = span_us("tps.consume");
     let base_eps = base.events_per_s();
     let traced_eps = phase.events_per_s();
 
@@ -536,7 +580,7 @@ pub fn traced<W: Workload>(
         + per_event(conformance_misses)
             * (replayed("conformance.check_miss_ns") + replayed("xml.desc_doc_parse_ns"))
         + per_event(b.asm_requests) * replayed("metamodel.install_ns");
-    if w.simnet() {
+    if fixture.inbox_depth.is_some() {
         weighted_ns += per_event(b.messages) * replayed("net.simnet_recv_ns");
     }
     let unattributed_us = 1e6 / base_eps.max(1e-9) - weighted_ns / 1e3;
@@ -661,8 +705,10 @@ pub fn traced<W: Workload>(
         ("traced_events_per_s", traced_eps),
         ("traced_rounds", phase.rounds as f64),
         ("spans_dropped", tr.dropped() as f64),
-        ("inbox_depth", fixture.inbox_depth as f64),
-        ("batch_frames", fixture.batch_frames as f64),
+        ("inbox_depth", fixture.inbox_depth.unwrap_or(0) as f64),
+        ("batch_frames", batch_frames as f64),
+        ("traced_slowdown", phase.slowdown()),
+        ("replay_slowdown", replay_slowdown),
     ];
     let mut failures = base.tally.failures.clone();
     failures.extend(t.failures.iter().cloned());

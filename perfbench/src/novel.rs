@@ -223,7 +223,7 @@ impl Workload for NovelTypes {
             .with_swarm(|s| s.peer(PUBLISHER).runtime.heap.len())
     }
 
-    fn fixture(&mut self, phase: &Counters) -> Fixture {
+    fn fixture(&mut self) -> Fixture {
         let v = self
             .variants
             .iter()
@@ -232,19 +232,11 @@ impl Workload for NovelTypes {
         Fixture {
             assembly: v.assembly.clone(),
             event: v.def.clone(),
-            field: "value",
-            value: Value::from(value_of(1)),
             interest: samples::sensor_interest("subscriber"),
             routes: self.tps.with_swarm(|s| s.routes().clone()),
             names: vec!["SensorReading".into()],
-            batch_frames: (phase.batched_frames as f64 / phase.batches.max(1) as f64).round()
-                as usize,
             // One event in flight: each receive finds one message.
-            inbox_depth: 1,
+            inbox_depth: Some(1),
         }
-    }
-
-    fn simnet(&self) -> bool {
-        true
     }
 }

@@ -6,6 +6,7 @@ use std::time::Instant;
 
 use pti_core::net::FrameBatch;
 use pti_core::prelude::*;
+use pti_core::samples::{topic_event_assembly, topic_event_def};
 use pti_core::serialize::Payload as EnvelopePayload;
 use pti_core::transport::kinds;
 
@@ -18,6 +19,10 @@ const BATCH: usize = 256;
 /// Calls per timed batch for operations of several microseconds.
 const SMALL_BATCH: usize = 32;
 
+/// The field every workload sets and reads, and a typical value.
+const FIELD: &str = "value";
+const VALUE: f64 = 1.5;
+
 /// What a workload's replays run on.
 #[derive(Debug, Clone)]
 pub struct Fixture {
@@ -25,26 +30,42 @@ pub struct Fixture {
     pub assembly: Assembly,
     /// That event type.
     pub event: TypeDef,
-    /// The field the workload sets and reads, with a typical value.
-    pub field: &'static str,
-    pub value: Value,
     /// The subscriber's type of interest (conformant to `event`).
     pub interest: TypeDef,
     /// The publisher's routing table at the end of the traced run.
     pub routes: RoutingTable,
     /// Every event type name the workload publishes.
     pub names: Vec<String>,
-    /// Frames per batch message the workload produced (at least 2).
-    pub batch_frames: usize,
-    /// Peak inbox depth a receive had to search.
-    pub inbox_depth: usize,
+    /// Peak inbox depth a `SimNet` receive had to search; `None` on a
+    /// reactor fabric, where the receive is replayed at depth 1 and not
+    /// weighted into the unattributed remainder.
+    pub inbox_depth: Option<usize>,
 }
 
-/// Runs every replay and returns `(metric, median ns per call)`.
+impl Fixture {
+    /// The fixture of a workload that publishes the sample topic events
+    /// `Topic0Event`..: topic 0's types, `routes` and every topic's name.
+    pub fn topics(topics: usize, routes: RoutingTable, inbox_depth: Option<usize>) -> Fixture {
+        Fixture {
+            assembly: topic_event_assembly(0),
+            event: topic_event_def(0, "pub"),
+            interest: topic_event_def(0, "sub"),
+            routes,
+            names: (0..topics).map(|t| format!("Topic{t}Event")).collect(),
+            inbox_depth,
+        }
+    }
+}
+
+/// Runs every replay, framing `batch_frames` frames per batch, and
+/// returns `(metric, median ns per call)`.
 ///
 /// # Errors
 /// A fixture the layers reject (a bug in the workload's fixture).
-pub fn replay_layers(fx: &Fixture) -> Result<Vec<(&'static str, f64)>, String> {
+pub fn replay_layers(
+    fx: &Fixture,
+    batch_frames: usize,
+) -> Result<Vec<(&'static str, f64)>, String> {
     let err = |e: &dyn std::fmt::Display| e.to_string();
     let mut out = Vec::new();
 
@@ -57,7 +78,7 @@ pub fn replay_layers(fx: &Fixture) -> Result<Vec<(&'static str, f64)>, String> {
         .map_err(|e| err(&e))?;
     sender
         .runtime
-        .set_field(h, fx.field, fx.value.clone())
+        .set_field(h, FIELD, Value::from(VALUE))
         .map_err(|e| err(&e))?;
     let envelope = sender
         .make_envelope(&Value::Obj(h), PayloadFormat::Binary)
@@ -100,7 +121,7 @@ pub fn replay_layers(fx: &Fixture) -> Result<Vec<(&'static str, f64)>, String> {
 
     // net: batch framing and the SimNet receive at the workload's depth.
     let mut batch = FrameBatch::new();
-    for _ in 0..fx.batch_frames.max(2) {
+    for _ in 0..batch_frames.max(2) {
         batch.push(kinds::OBJECT, wire.clone());
     }
     let batch_bytes = batch.encode();
@@ -114,7 +135,7 @@ pub fn replay_layers(fx: &Fixture) -> Result<Vec<(&'static str, f64)>, String> {
             FrameBatch::decode_interned(&batch_bytes, kinds::intern).map(|b| b.len())
         }),
     ));
-    let depth = fx.inbox_depth.max(1);
+    let depth = fx.inbox_depth.unwrap_or(1).max(1);
     let mut net = SimNet::new(NetConfig::default());
     let (a, b) = (PeerId(1), PeerId(2));
     net.register(a);
@@ -180,7 +201,7 @@ pub fn replay_layers(fx: &Fixture) -> Result<Vec<(&'static str, f64)>, String> {
         .instantiate_def(&fx.event, &[])
         .map_err(|e| err(&e))?;
     receiver
-        .set_field(obj, fx.field, fx.value.clone())
+        .set_field(obj, FIELD, Value::from(VALUE))
         .map_err(|e| err(&e))?;
     out.push((
         "proxy.bind_ns",
@@ -192,7 +213,7 @@ pub fn replay_layers(fx: &Fixture) -> Result<Vec<(&'static str, f64)>, String> {
     out.push((
         "proxy.get_field_ns",
         replay_ns(SAMPLES, BATCH, |_| {
-            proxy.get_field(&receiver, fx.field).is_ok()
+            proxy.get_field(&receiver, FIELD).is_ok()
         }),
     ));
 
