@@ -83,7 +83,6 @@ impl IprContext<'_> {
 /// blocking call stalls every mounted swarm on the shard.
 const REACTOR_ROOTS: &[(&str, &str)] = &[
     ("reactor_host.rs", "pump_slot"),
-    ("reactor_host.rs", "kick_all"),
     ("reactor_host.rs", "run_until_quiescent"),
     ("reactor_host.rs", "run_for"),
     ("sharded.rs", "worker"),

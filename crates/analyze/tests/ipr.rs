@@ -95,7 +95,7 @@ fn reactor_blocking_does_not_traverse_bus() {
 fn reactor_blocking_ignores_test_code() {
     let a = run(&[(
         "crates/fx/src/reactor_host.rs",
-        "pub fn kick_all() { helper(); }\nfn helper() {}\n\
+        "pub fn run_for() { helper(); }\nfn helper() {}\n\
          #[cfg(test)]\nmod tests {\n    fn helper() { std::thread::sleep(d); }\n}\n",
     )]);
     assert!(

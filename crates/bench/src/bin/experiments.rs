@@ -974,8 +974,10 @@ fn r3_wirepath(report: &mut Report) -> (String, f64) {
 /// path and the full optimistic exchange — the same machinery as R3's
 /// LiveBus run, minus the thread-per-driver limit the reactor exists to
 /// remove. Emits `BENCH_reactor.json`; CI fails if fewer than 1k members
-/// ran on one thread or events/s fall below 0.5x the R3 LiveBus
-/// baseline.
+/// ran on one thread, events/s fall below 0.5x the R3 LiveBus
+/// baseline, or the measured burst was driven without a single wakeup
+/// off the ready queue (`wakeups` is the publisher's outbound turn plus
+/// one per subscriber the burst reached).
 fn r4_reactor(report: &mut Report, livebus_events_per_sec: f64) -> String {
     use samples::{topic_event_assembly, topic_event_def};
 

@@ -152,10 +152,12 @@ struct Core {
     ready: VecDeque<SessionId>,
     /// Guards `ready` against duplicate entries.
     enqueued: HashSet<SessionId>,
-    /// Sessions whose queue entry is an *explicit* signal (timer fire or
-    /// host mark) rather than inbound traffic. Explicit signals always
-    /// wake; traffic signals are skipped once the ring is already dry —
-    /// the burst-coalescing rule that keeps a kick-sweep drain from
+    /// Sessions whose queue entry is an *explicit* signal (timer fire,
+    /// host mark, or outbound frames noted by the session's own swarm)
+    /// rather than inbound traffic. Explicit signals always wake; traffic
+    /// signals are skipped once the ring is already dry — the
+    /// burst-coalescing rule that keeps traffic a pump already drained
+    /// (it arrived while the session was queued or being pumped) from
     /// turning into a pile of idle wakeups.
     explicit: HashSet<SessionId>,
     timers: TimerWheel,
@@ -321,8 +323,9 @@ impl ReactorNet {
     /// burst absorbed by an earlier pump of the same session) is *stale*:
     /// it is discarded without counting a wakeup, so a 1k-session burst
     /// costs each session at most one real wakeup. **Explicit** signals
-    /// ([`mark_ready`](Self::mark_ready), timer fires) always wake —
-    /// a parked session expects its turn even with an empty ring.
+    /// ([`mark_ready`](Self::mark_ready), timer fires,
+    /// [`note_outbound`](Transport::note_outbound)) always wake — a
+    /// parked session expects its turn even with an empty ring.
     pub fn next_ready(&self) -> Option<SessionId> {
         self.assert_owner_thread();
         let mut core = self.core.borrow_mut();
@@ -641,6 +644,14 @@ impl Transport for ReactorNet {
         self.core.borrow_mut().metrics.record_payload_encode();
     }
 
+    /// An explicit mark of this handle's own session: frames queued
+    /// outside a pump need one turn to ship even though no inbound
+    /// traffic will wake the session.
+    fn note_outbound(&mut self) {
+        self.assert_owner_thread();
+        self.core.borrow_mut().mark_ready_explicit(self.session);
+    }
+
     fn now_us(&self) -> u64 {
         ReactorNet::now_us(self)
     }
@@ -719,9 +730,9 @@ mod tests {
         for i in 0..3u8 {
             a.send(PeerId(1), PeerId(2), "k", vec![i].into()).unwrap();
         }
-        // ...and when the ring is drained outside a wakeup (the host's
-        // kick sweep does exactly this), the queued entry is stale:
-        // popping it must not produce an idle wakeup.
+        // ...and when the ring is drained outside a wakeup (an earlier
+        // pump of the same session absorbed the burst), the queued entry
+        // is stale: popping it must not produce an idle wakeup.
         while b.try_recv(PeerId(2)).is_some() {}
         assert_eq!(hub.next_ready(), None, "stale traffic signal skipped");
         assert_eq!(hub.stats().wakeups, 0, "no wakeup for a drained burst");

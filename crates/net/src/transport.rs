@@ -90,6 +90,19 @@ pub trait Transport {
     /// bytes across destinations. The default is a no-op.
     fn record_payload_encode(&mut self) {}
 
+    /// Readiness hook: the layer above queued outbound frames *outside*
+    /// its own pump, so nothing will ship them until the owner is
+    /// pumped again. A readiness-driven fabric ([`ReactorNet`]) marks the
+    /// handle's session ready, which is how a host learns about a
+    /// publish made through a session handle instead of by sweeping
+    /// every mounted swarm. Fabrics whose drivers pump on their own
+    /// schedule ([`SimNet`], [`SharedSimNet`], [`LiveBus`]) need no
+    /// signal — the default is a no-op.
+    ///
+    /// [`ReactorNet`]: crate::ReactorNet
+    /// [`LiveBus`]: crate::LiveBus
+    fn note_outbound(&mut self) {}
+
     /// The fabric's notion of "now" in microseconds — virtual time on
     /// the simulated fabrics, time since fabric creation on the live
     /// ones. The durability layer stamps retransmit deadlines with it.

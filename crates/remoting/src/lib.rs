@@ -437,11 +437,11 @@ impl RemotingFabric {
         let mut still_pending = Vec::new();
         for (at, rref) in std::mem::take(&mut self.pending_refs) {
             let peer = swarm.peer_mut(at);
-            let Some(desc) = peer.description_of(rref.type_guid) else {
+            let Some(matched) = peer.match_interest_of(rref.type_guid) else {
                 still_pending.push((at, rref));
                 continue;
             };
-            match peer.match_interest(&desc) {
+            match matched {
                 Some((interest, conf)) => {
                     let binding = conf.binding(&interest);
                     self.arrived.entry(at).or_default().push(RemoteProxy {

@@ -1,5 +1,6 @@
 //! A protocol peer: runtime + interests + caches + pending exchanges.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 use pti_conformance::{Conformance, ConformanceChecker, ConformanceConfig};
@@ -290,14 +291,17 @@ impl Peer {
         self.desc_cache.contains_key(&guid) || self.runtime.registry.contains(guid)
     }
 
-    /// The description for a GUID, if known.
-    pub fn description_of(&self, guid: Guid) -> Option<TypeDescription> {
-        self.desc_cache.get(&guid).cloned().or_else(|| {
-            self.runtime
+    /// The description for a GUID, if known: borrowed from the download
+    /// cache, or derived from the local registry.
+    pub fn description_of(&self, guid: Guid) -> Option<Cow<'_, TypeDescription>> {
+        match self.desc_cache.get(&guid) {
+            Some(desc) => Some(Cow::Borrowed(desc)),
+            None => self
+                .runtime
                 .registry
                 .get(guid)
-                .map(|d| TypeDescription::from_def(&d))
-        })
+                .map(|d| Cow::Owned(TypeDescription::from_def(&d))),
+        }
     }
 
     /// A name-resolving provider over the registry plus the download
@@ -312,16 +316,40 @@ impl Peer {
         &mut self,
         root: &TypeDescription,
     ) -> Option<(TypeDescription, Conformance)> {
-        // Collect into a vec first: the provider borrows `self`.
-        let interests = self.interests.clone();
-        for interest in interests {
-            self.stats.conformance_checks += 1;
-            let provider = PeerProvider { peer: self };
-            if let Ok(conf) = self.checker.check(root, &interest, &provider, &provider) {
-                return Some((interest, conf));
-            }
-        }
-        None
+        let (matched, checks) = self.first_conforming(root);
+        self.stats.conformance_checks += checks;
+        matched
+    }
+
+    /// [`match_interest`](Self::match_interest) for the type `guid`
+    /// names, checked against its known description in place. `None`
+    /// when no description of `guid` is known.
+    pub fn match_interest_of(
+        &mut self,
+        guid: Guid,
+    ) -> Option<Option<(TypeDescription, Conformance)>> {
+        let (matched, checks) = {
+            let root = self.description_of(guid)?;
+            self.first_conforming(&root)
+        };
+        self.stats.conformance_checks += checks;
+        Some(matched)
+    }
+
+    /// The first interest `root` conforms to, and how many checks it
+    /// took to find it. Only the matched interest is cloned.
+    fn first_conforming(
+        &self,
+        root: &TypeDescription,
+    ) -> (Option<(TypeDescription, Conformance)>, u64) {
+        let provider = self.provider();
+        let mut checks = 0;
+        let matched = self.interests.iter().find_map(|interest| {
+            checks += 1;
+            let conf = self.checker.check(root, interest, &provider, &provider);
+            conf.ok().map(|conf| (interest.clone(), conf))
+        });
+        (matched, checks)
     }
 
     /// Builds the Figure-3 envelope for a value rooted in this peer's

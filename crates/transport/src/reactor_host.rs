@@ -16,9 +16,26 @@
 //!    ([`run_until_quiescent`](ReactorHost::run_until_quiescent)).
 //!    There is no busy-wait and no OS sleep anywhere in the loop.
 //!
-//! The host steps *only* ready swarms: ten thousand idle members cost
-//! zero cycles between events, which is what lets the R4 experiment
-//! drive 1k+ members through the interest router on a single thread.
+//! A swarm is pumped only through the wakeup queue, and three things
+//! put its session there:
+//!
+//! - **inbound traffic** — a send to any of its endpoints (bridged
+//!   traffic included, once the injector is drained);
+//! - **a timer** — [`wake_after`](ReactorHost::wake_after), or the
+//!   retransmit deadline the host schedules after each pump;
+//! - **outbound frames queued outside a pump** — a publish made through
+//!   a session handle queues frames that only a pump ships, so the swarm
+//!   signals it with [`Transport::note_outbound`](pti_net::Transport::note_outbound).
+//!
+//! Mounting, and reading a swarm through
+//! [`with_swarm`](ReactorHost::with_swarm), mark nothing: a mutation
+//! that leaves work behind always queues a frame or sends one. So ten
+//! thousand idle members cost zero cycles between events, and one round
+//! costs O(active) swarms, not O(mounted) — which is what lets the R4
+//! experiment drive 1k+ members through the interest router on a
+//! single thread.
+
+use std::collections::HashMap;
 
 use pti_net::bridge::BridgeRx;
 use pti_net::{ReactorNet, SessionId};
@@ -68,6 +85,9 @@ pub struct ReactorHost {
     /// Tombstoned slot table: [`unmount`](Self::unmount) leaves a `None`
     /// behind so every other slot index stays stable.
     slots: Vec<Option<Slot>>,
+    /// Which slot each mounted session lives in — the ready queue names
+    /// sessions, the slot table is indexed by slot.
+    slot_by_session: HashMap<SessionId, usize>,
     budget: usize,
     /// When tracing, every pump is recorded as `(slot, handled)`.
     trace: Option<Vec<(usize, usize)>>,
@@ -99,6 +119,7 @@ impl ReactorHost {
         ReactorHost {
             hub: ReactorNet::new(),
             slots: Vec::new(),
+            slot_by_session: HashMap::new(),
             budget: DEFAULT_FAIRNESS_BUDGET,
             trace: None,
             injector: None,
@@ -114,7 +135,7 @@ impl ReactorHost {
 
     /// Mounted swarm count (tombstoned slots excluded).
     pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.slot_by_session.len()
     }
 
     /// Whether no swarm is mounted.
@@ -139,11 +160,13 @@ impl ReactorHost {
         let session = self.hub.session();
         let id = session.session_id();
         let member = Box::new(build(session));
+        let slot = self.slots.len();
         self.slots.push(Some(Slot {
             session: id,
             member,
         }));
-        self.slots.len() - 1
+        self.slot_by_session.insert(id, slot);
+        slot
     }
 
     /// Unmounts the swarm at `slot`: unregisters every endpoint its
@@ -167,6 +190,7 @@ impl ReactorHost {
             dropped += self.hub.unregister(peer);
         }
         self.hub.release_session(taken.session);
+        self.slot_by_session.remove(&taken.session);
         dropped
     }
 
@@ -270,12 +294,6 @@ impl ReactorHost {
             .session
     }
 
-    fn slot_of(&self, session: SessionId) -> Option<usize> {
-        self.slots
-            .iter()
-            .position(|s| s.as_ref().is_some_and(|s| s.session == session))
-    }
-
     /// One scheduling turn: pump the slot's swarm with the fairness
     /// budget; if backlog remains it rejoins the queue at the back.
     fn pump_slot(&mut self, idx: usize) -> Result<()> {
@@ -305,34 +323,31 @@ impl ReactorHost {
         Ok(())
     }
 
-    /// Kicks every mounted swarm once (queued wire frames flush, pending
-    /// messages get a first scheduling turn) — the way brand-new mounts
-    /// with un-flushed joins enter the readiness loop.
-    fn kick_all(&mut self) -> Result<()> {
-        for idx in 0..self.slots.len() {
-            if self.slots[idx].is_some() {
+    /// Pumps every session on the wakeup queue, including the ones the
+    /// pumps themselves make ready, until the queue is empty.
+    fn drain_ready(&mut self) -> Result<()> {
+        while let Some(session) = self.hub.next_ready() {
+            if let Some(&idx) = self.slot_by_session.get(&session) {
                 self.pump_slot(idx)?;
             }
         }
         Ok(())
     }
 
-    /// Drains the ready queue until no swarm has pending traffic: the
-    /// reactor-host counterpart of [`Swarm::run`]. Timers are *not*
-    /// serviced — a parked slot stays parked (use
+    /// Drains the ready queue until no swarm has pending work: the
+    /// reactor-host counterpart of [`Swarm::run`]. Only ready swarms are
+    /// pumped — those with inbound traffic, a fired timer, or frames
+    /// queued outside a pump (see the [module docs](self)) — so a call
+    /// costs O(active) swarms however many are mounted. Timers are *not*
+    /// serviced: a parked slot stays parked (use
     /// [`run_for`](Self::run_for) to advance the clock).
     ///
     /// # Errors
     /// Protocol violations or runtime failures inside any swarm.
     pub fn run_until_quiescent(&mut self) -> Result<()> {
         self.drain_injector();
-        self.kick_all()?;
         loop {
-            while let Some(session) = self.hub.next_ready() {
-                if let Some(idx) = self.slot_of(session) {
-                    self.pump_slot(idx)?;
-                }
-            }
+            self.drain_ready()?;
             // Bridged traffic may have landed while we pumped; a turn
             // that drains nothing new means this shard is quiescent
             // (the *fabric-wide* barrier is the sharded host's job).
@@ -346,20 +361,18 @@ impl ReactorHost {
     /// parks — jumping the clock straight to the next timer deadline in
     /// the window and pumping whoever it wakes — until the window is
     /// spent and the fabric is quiet. The reactor-host counterpart of
-    /// [`Swarm::run_for`], with clock jumps in place of idle sleeps.
+    /// [`Swarm::run_for`], with clock jumps in place of idle sleeps. The
+    /// same three readiness sources as
+    /// [`run_until_quiescent`](Self::run_until_quiescent) decide who is
+    /// pumped; a swarm that is never made ready is never pumped.
     ///
     /// # Errors
     /// Same conditions as [`run_until_quiescent`](Self::run_until_quiescent).
     pub fn run_for(&mut self, virtual_us: u64) -> Result<()> {
         let deadline = self.hub.now_us().saturating_add(virtual_us);
         self.drain_injector();
-        self.kick_all()?;
         loop {
-            while let Some(session) = self.hub.next_ready() {
-                if let Some(idx) = self.slot_of(session) {
-                    self.pump_slot(idx)?;
-                }
-            }
+            self.drain_ready()?;
             if self.drain_injector() > 0 {
                 continue;
             }

@@ -29,7 +29,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::time::{Duration, Instant};
 
-use pti_conformance::ConformanceConfig;
+use pti_conformance::{Conformance, ConformanceConfig};
 use pti_metamodel::{Assembly, Guid, TypeDescription, Value};
 use pti_net::{
     BusMessage, FrameBatch, LiveBus, NetConfig, NetError, Payload, PeerId, ReactorNet, SimNet,
@@ -185,6 +185,9 @@ pub struct Swarm<T: Transport = SimNet> {
     /// aborting on — one malformed frame must not wedge a healthy
     /// swarm. Drained by [`take_dispatch_errors`](Self::take_dispatch_errors).
     dispatch_errors: Vec<(PeerId, TransportError)>,
+    /// Set while [`pump`](Self::pump) runs: a pump ends with a flush, so
+    /// frames it queues need no readiness signal of their own.
+    pumping: bool,
 }
 
 /// The deterministic virtual-time swarm every experiment runs on.
@@ -246,6 +249,7 @@ impl<T: Transport> Swarm<T> {
             wire_format: EnvelopeWireFormat::default(),
             delivery: DeliveryEngine::default(),
             dispatch_errors: Vec::new(),
+            pumping: false,
         }
     }
 
@@ -958,6 +962,11 @@ impl<T: Transport> Swarm<T> {
     /// [`flush_wire`](Self::flush_wire) ships each link's queue as one
     /// wire message (the frame itself if alone, a
     /// [`kinds::BATCH`] otherwise).
+    ///
+    /// The first frame queued outside a [`pump`](Self::pump) tells the
+    /// fabric ([`Transport::note_outbound`]): on a reactor that makes
+    /// this swarm's session ready, so its host pumps it and the frames
+    /// ship.
     pub fn queue_frame(
         &mut self,
         from: PeerId,
@@ -965,6 +974,7 @@ impl<T: Transport> Swarm<T> {
         kind: &'static str,
         payload: impl Into<Payload>,
     ) {
+        let first = self.wire.is_empty();
         // pti-allow(unbounded-queue): the wire queue drains fully at
         // every flush; sustained growth is bounded by the credit window
         // on reliable links and by the caller's publish rate otherwise.
@@ -972,6 +982,9 @@ impl<T: Transport> Swarm<T> {
             .entry((from, to))
             .or_default()
             .push((kind, payload.into()));
+        if first && !self.pumping {
+            self.net.note_outbound();
+        }
     }
 
     /// Number of frames currently queued for the wire.
@@ -1215,6 +1228,13 @@ impl<T: Transport> Swarm<T> {
     /// Same conditions as [`run`](Self::run) — per-message failures are
     /// isolated into [`take_dispatch_errors`](Self::take_dispatch_errors).
     pub fn pump(&mut self, max: usize) -> Result<usize> {
+        self.pumping = true;
+        let handled = self.pump_messages(max);
+        self.pumping = false;
+        handled
+    }
+
+    fn pump_messages(&mut self, max: usize) -> Result<usize> {
         let mut handled = 0;
         while handled < max {
             self.flush_wire();
@@ -1251,8 +1271,7 @@ impl<T: Transport> Swarm<T> {
     /// errors.
     pub fn poll_message(&mut self) -> Result<Option<(PeerId, BusMessage)>> {
         self.check_budget()?;
-        let ids: Vec<PeerId> = self.peers.keys().copied().collect();
-        for id in ids {
+        for &id in self.peers.keys() {
             if let Some(msg) = self.net.try_recv(id) {
                 self.budget -= 1;
                 return Ok(Some((id, msg)));
@@ -1488,21 +1507,11 @@ impl<T: Transport> Swarm<T> {
             return Ok(());
         };
         // Stage 1: root type description (steps 2-3 of Figure 1).
-        let (root_known, from, desc_paths): (bool, PeerId, Vec<(String, String)>) = {
-            let peer = self
-                .peers
-                .get_mut(&at)
-                .ok_or(TransportError::UnknownPeer(at))?;
+        let (root_known, from) = {
+            let peer = self.peers.get(&at).ok_or(TransportError::UnknownPeer(at))?;
             let p = &peer.pending[idx];
-            let root_known =
-                p.envelope.type_guid.is_nil() || peer.knows_description(p.envelope.type_guid);
-            let paths = p
-                .envelope
-                .assemblies
-                .iter()
-                .map(|a| (a.description_path.clone(), a.assembly_path.clone()))
-                .collect();
-            (root_known, p.from, paths)
+            let guid = p.envelope.type_guid;
+            (guid.is_nil() || peer.knows_description(guid), p.from)
         };
 
         if !root_known {
@@ -1514,7 +1523,9 @@ impl<T: Transport> Swarm<T> {
             let all_answered = {
                 // pti-allow(panic-policy): `at` owns the pending exchange being advanced, so the peer entry exists
                 let peer = self.peers.get_mut(&at).expect("checked");
-                for (desc_path, _) in &desc_paths {
+                let p = &mut peer.pending[idx];
+                for aref in &p.envelope.assemblies {
+                    let desc_path = &aref.description_path;
                     if peer.received_descs.contains(desc_path) {
                         continue;
                     }
@@ -1522,9 +1533,9 @@ impl<T: Transport> Swarm<T> {
                         to_request.push(desc_path.clone());
                         peer.stats.desc_requests += 1;
                     }
-                    peer.pending[idx].awaiting_descs.insert(desc_path.clone());
+                    p.awaiting_descs.insert(desc_path.clone());
                 }
-                peer.pending[idx].awaiting_descs.is_empty()
+                p.awaiting_descs.is_empty()
             };
             if all_answered {
                 // Every listed description arrived earlier and still does
@@ -1548,35 +1559,29 @@ impl<T: Transport> Swarm<T> {
             return Ok(());
         }
 
-        // Stage 2: conformance check against interests (step 3).
-        let matched_needed = {
-            // pti-allow(panic-policy): `at` owns the pending exchange being advanced, so the peer entry exists
-            let peer = self.peers.get(&at).expect("checked");
-            peer.pending[idx].matched.is_none()
-        };
-        if matched_needed {
+        // Stage 2: conformance check against interests (step 3). A verdict
+        // reached here goes straight to finalize when no code has to be
+        // installed first. Primitive payloads skip conformance.
+        let mut verdict = None;
+        {
             // pti-allow(panic-policy): `at` owns the pending exchange being advanced, so the peer entry exists
             let peer = self.peers.get_mut(&at).expect("checked");
-            let guid = peer.pending[idx].envelope.type_guid;
-            if guid.is_nil() {
-                // Primitive payloads skip conformance.
-            } else {
-                let root_desc = peer
-                    .description_of(guid)
+            let p = &peer.pending[idx];
+            let guid = p.envelope.type_guid;
+            if p.matched.is_none() && !guid.is_nil() {
+                let matched = peer
+                    .match_interest_of(guid)
                     .ok_or_else(|| TransportError::Protocol("description vanished".into()))?;
-                // Already-installed types are accepted directly (we have
-                // their code; the value is exactly representable).
-                let all_installed = peer.pending[idx]
-                    .envelope
-                    .assemblies
-                    .iter()
-                    .all(|a| peer.has_assembly(a));
-                match peer.match_interest(&root_desc) {
-                    Some((interest, _conf)) => {
+                let assemblies = &peer.pending[idx].envelope.assemblies;
+                match matched {
+                    Some((interest, conf)) => {
                         peer.pending[idx].matched = Some(interest);
+                        verdict = Some(conf);
                     }
-                    None if all_installed => {
-                        // Known type, no interest: direct acceptance.
+                    None if assemblies.iter().all(|a| peer.has_assembly(a)) => {
+                        // Known type, no interest: accepted directly (we
+                        // have its code; the value is exactly
+                        // representable).
                     }
                     None => {
                         // Step 3 failed: reject, never download code.
@@ -1630,10 +1635,15 @@ impl<T: Transport> Swarm<T> {
         }
 
         // Stage 4: everything present — materialize and deliver.
-        self.finalize(at, seq)
+        self.finalize(at, seq, verdict)
     }
 
-    fn finalize(&mut self, at: PeerId, seq: u64) -> Result<()> {
+    /// Materializes a pending exchange whose code is all installed and
+    /// delivers it. `verdict` is stage 2's conformance when stage 2 ran
+    /// in the same [`advance`](Self::advance) call, so nothing was
+    /// installed since; without it (code was downloaded in between) the
+    /// matched interest is checked again.
+    fn finalize(&mut self, at: PeerId, seq: u64, verdict: Option<Conformance>) -> Result<()> {
         let Some(idx) = self.pending_idx(at, seq) else {
             return Ok(());
         };
@@ -1645,20 +1655,26 @@ impl<T: Transport> Swarm<T> {
         let value = peer.materialize(&p.envelope)?;
         let proxy = match (&p.matched, &value) {
             (Some(interest), Value::Obj(h)) => {
-                let root_desc = peer
-                    .description_of(p.envelope.type_guid)
-                    .ok_or_else(|| TransportError::Protocol("description vanished".into()))?;
-                let provider = peer.provider();
-                let conf = peer
-                    .checker
-                    .check(&root_desc, interest, &provider, &provider)
-                    .map_err(|nc| TransportError::Protocol(format!("conformance lost: {nc}")))?;
+                let conf = match verdict {
+                    Some(conf) => conf,
+                    None => {
+                        let root_desc =
+                            peer.description_of(p.envelope.type_guid).ok_or_else(|| {
+                                TransportError::Protocol("description vanished".into())
+                            })?;
+                        let provider = peer.provider();
+                        peer.checker
+                            .check(&root_desc, interest, &provider, &provider)
+                            .map_err(|nc| {
+                                TransportError::Protocol(format!("conformance lost: {nc}"))
+                            })?
+                    }
+                };
                 Some(DynamicProxy::from_conformance(interest, &conf, *h))
             }
             _ => None,
         };
-        let interest = p.matched.as_ref().map(|d| d.name.clone());
-        let interest_guid = p.matched.as_ref().map(|d| d.guid);
+        let (interest, interest_guid) = p.matched.map(|d| (d.name, d.guid)).unzip();
         peer.push_delivery(Delivery::Accepted {
             from: p.from,
             value,
@@ -1771,7 +1787,7 @@ impl<T: Transport> Swarm<T> {
         }
         ready.sort_unstable();
         for seq in ready {
-            self.finalize(at, seq)?;
+            self.finalize(at, seq, None)?;
         }
         Ok(())
     }
@@ -1816,10 +1832,8 @@ impl<T: Transport> Swarm<T> {
         let matched = if envelope.type_guid.is_nil() {
             None
         } else {
-            let desc = peer
-                .description_of(envelope.type_guid)
-                .ok_or_else(|| TransportError::Protocol("description missing".into()))?;
-            peer.match_interest(&desc)
+            peer.match_interest_of(envelope.type_guid)
+                .ok_or_else(|| TransportError::Protocol("description missing".into()))?
         };
         let proxy = match (&matched, &value) {
             (Some((interest, conf)), Value::Obj(h)) => {
@@ -1883,4 +1897,59 @@ fn descriptions_document(descs: &[pti_metamodel::TypeDescription], path: &str) -
         doc.push_child(description_to_xml(d));
     }
     doc
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pti_metamodel::{bodies, primitives, TypeDef};
+
+    /// The verdict that picks a warm delivery's interest also binds its
+    /// proxy: the checker is consulted once per delivery, not again in
+    /// `finalize`. A cold delivery, whose code arrives after its verdict,
+    /// is checked again before binding.
+    #[test]
+    fn a_warm_delivery_consults_the_checker_once() {
+        let mut swarm = Swarm::new(NetConfig::default());
+        let alice = swarm.add_peer(ConformanceConfig::pragmatic());
+        let bob = swarm.add_peer(ConformanceConfig::pragmatic());
+        let def = TypeDef::class("Reading", "a")
+            .field("value", primitives::FLOAT64)
+            .ctor(vec![])
+            .build();
+        let asm = Assembly::builder("reading")
+            .ty(def.clone())
+            .ctor_body(def.guid, 0, bodies::ctor_assign(&[]))
+            .build();
+        swarm.publish(alice, asm).unwrap();
+        let interest = TypeDef::class("Reading", "b")
+            .field("value", primitives::FLOAT64)
+            .build();
+        swarm.subscribe(bob, TypeDescription::from_def(&interest));
+        let lookups = |swarm: &SimSwarm| {
+            let c = swarm.peer(bob).checker.stats();
+            c.hits + c.misses
+        };
+        let deliver = |swarm: &mut SimSwarm| {
+            let before = lookups(swarm);
+            let h = swarm
+                .peer_mut(alice)
+                .runtime
+                .instantiate_def(&def, &[])
+                .unwrap();
+            swarm
+                .send_object(alice, bob, &Value::Obj(h), PayloadFormat::Binary)
+                .unwrap();
+            swarm.run().unwrap();
+            let ds = swarm.peer_mut(bob).take_deliveries();
+            assert!(
+                matches!(ds.as_slice(), [Delivery::Accepted { proxy: Some(_), .. }]),
+                "{ds:?}"
+            );
+            lookups(swarm) - before
+        };
+        assert_eq!(deliver(&mut swarm), 2, "cold: verdict, then a re-check");
+        assert_eq!(deliver(&mut swarm), 1, "warm: one verdict, reused");
+        assert_eq!(swarm.peer(bob).stats.conformance_checks, 2);
+    }
 }

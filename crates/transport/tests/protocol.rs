@@ -163,6 +163,57 @@ fn second_object_of_same_type_skips_all_fetches() {
     assert!(ds.iter().all(Delivery::is_accepted));
 }
 
+/// The warm path: once Bob holds Alice's description, verdict and code,
+/// a delivery costs one conformance check per interest tried — the
+/// verdict that picked the interest also binds the proxy — and the
+/// proxy reads the published values. The first delivery, whose code
+/// arrived after its verdict, binds through a fresh check and reads
+/// just the same.
+#[test]
+fn warm_delivery_checks_each_interest_once_and_its_proxy_reads_the_event() {
+    let Fixture {
+        mut swarm,
+        alice,
+        bob,
+    } = fixture();
+    // An interest the Person never conforms to, tried first.
+    let (_, alien) = alien_assembly();
+    let person = swarm.peer(bob).interests()[0].clone();
+    swarm.peer_mut(bob).unsubscribe(person.guid);
+    swarm
+        .peer_mut(bob)
+        .subscribe(TypeDescription::from_def(&alien));
+    swarm.peer_mut(bob).subscribe(person);
+
+    let mut read_back = Vec::new();
+    for name in ["cold", "warm", "warmer"] {
+        let v = make_person(&mut swarm, alice, name);
+        let checks_before = swarm.peer(bob).stats.conformance_checks;
+        swarm
+            .send_object(alice, bob, &v, PayloadFormat::Binary)
+            .unwrap();
+        swarm.run().unwrap();
+        assert_eq!(
+            swarm.peer(bob).stats.conformance_checks - checks_before,
+            2,
+            "one check per interest tried for `{name}`"
+        );
+        let ds = swarm.peer_mut(bob).take_deliveries();
+        let [Delivery::Accepted {
+            proxy: Some(proxy), ..
+        }] = ds.as_slice()
+        else {
+            panic!("expected one proxied acceptance, got {ds:?}");
+        };
+        let rt = &swarm.peer(bob).runtime;
+        read_back.push(proxy.get_field(rt, "name").unwrap());
+    }
+    let names: Vec<&str> = read_back.iter().map(|v| v.as_str().unwrap()).collect();
+    assert_eq!(names, ["cold", "warm", "warmer"]);
+    let stats = swarm.peer(bob).stats;
+    assert_eq!((stats.desc_requests, stats.asm_requests), (1, 1));
+}
+
 #[test]
 fn nonconformant_object_rejected_without_code_download() {
     let Fixture {

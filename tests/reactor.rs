@@ -58,8 +58,8 @@ fn host_drives_the_cross_swarm_protocol_to_quiescence() {
     assert!(stats.desc_requests > 0 && stats.asm_requests > 0);
 
     // Readiness means no idle stepping: every wakeup the fabric counted
-    // was a session with actual traffic (or a host kick), and nothing is
-    // left ready or backlogged afterwards.
+    // was a session with actual traffic (or frames of its own to ship),
+    // and nothing is left ready or backlogged afterwards.
     let hub = host.reactor();
     assert!(!hub.has_ready());
     assert!(hub.stats().sends > 0);
@@ -174,12 +174,11 @@ fn run_for_parks_on_the_timer_wheel_instead_of_polling() {
     host.set_pump_trace(true);
     host.run_for(50_000).unwrap();
 
-    // First three trace entries are the unconditional kick; the rest are
-    // timer wakeups, in deadline order (b, c, a), not mount order.
+    // Every pump is a timer wakeup, in deadline order (b, c, a), not
+    // mount order: idle mounts are never swept.
     let woken: Vec<usize> = host
         .take_pump_trace()
         .into_iter()
-        .skip(3)
         .map(|(slot, _)| slot)
         .collect();
     assert_eq!(woken, vec![b, c, a]);
@@ -309,17 +308,27 @@ fn unmount_drains_the_slot_and_a_remount_rejoins() {
     // the wire flush finds the peer gone and prunes the route (no
     // error, no ghost wakeups for the tombstoned slot), and the publish
     // after that routes to nobody.
+    host.set_pump_trace(true);
     host.run_until_quiescent().unwrap();
     let wakeups_before = hub.stats().wakeups;
     assert_eq!(publish(&mut host), 1, "stale route until the flush prunes");
     host.run_until_quiescent().unwrap();
     assert_eq!(
         hub.stats().wakeups,
-        wakeups_before,
-        "a tombstoned slot never wakes"
+        wakeups_before + 1,
+        "only the publisher's outbound wake, never the tombstoned slot"
     );
     assert_eq!(publish(&mut host), 0, "dead route pruned");
     host.run_until_quiescent().unwrap();
+    let pumped: Vec<usize> = host
+        .take_pump_trace()
+        .into_iter()
+        .map(|(slot, _)| slot)
+        .collect();
+    assert!(
+        !pumped.contains(&sub_slot),
+        "the tombstoned slot was pumped: {pumped:?}"
+    );
 
     // Remount: a fresh swarm joins under a fresh id (the old id's
     // membership tombstone outlives the endpoint, same as any departed
@@ -339,6 +348,161 @@ fn unmount_drains_the_slot_and_a_remount_rejoins() {
     host.run_until_quiescent().unwrap();
     let accepted = host.with_swarm(re_slot, |s| s.peer(PeerId(3)).stats.accepted);
     assert_eq!(accepted, 1);
+}
+
+/// One publisher and one subscriber on a host that also mounts `idle`
+/// members with nothing to do. Returns the pumps one routed publish
+/// costs to drive to quiescence, after the exchange is warm.
+fn pumps_per_publish_beside_idle_members(idle: usize) -> usize {
+    let mut host = ReactorHost::new();
+    let code = CodeRegistry::new();
+    let mk = |code: &CodeRegistry| {
+        let code = code.clone();
+        move |net| Swarm::with_code_registry(net, code)
+    };
+    let pub_slot = host.mount(mk(&code));
+    let sub_slot = host.mount(mk(&code));
+    let p1 = host.with_swarm(pub_slot, |s| {
+        s.add_peer_as(PeerId(1), ConformanceConfig::pragmatic())
+    });
+    host.with_swarm(sub_slot, |s| {
+        let p = s.add_peer_as(PeerId(2), ConformanceConfig::pragmatic());
+        s.subscribe(
+            p,
+            TypeDescription::from_def(&samples::sensor_interest("sub")),
+        );
+        s.join(p1).unwrap();
+    });
+    for _ in 0..idle {
+        host.mount(Swarm::over);
+    }
+    host.set_pump_trace(true);
+    host.run_until_quiescent().unwrap();
+    let event = samples::generate_population(3, 1, 1.0).remove(0);
+    let publish = |host: &mut ReactorHost| {
+        host.with_swarm(pub_slot, |s| {
+            let h = s
+                .peer_mut(p1)
+                .runtime
+                .instantiate_def(&event.def, &[])
+                .unwrap();
+            s.route_object(p1, &Value::Obj(h), PayloadFormat::Binary)
+                .unwrap()
+        })
+    };
+    host.with_swarm(pub_slot, |s| s.publish(p1, event.assembly.clone()))
+        .unwrap();
+    assert_eq!(publish(&mut host), 1);
+    host.run_until_quiescent().unwrap();
+    let warmup = host.take_pump_trace();
+    assert!(
+        warmup
+            .iter()
+            .all(|&(slot, _)| slot == pub_slot || slot == sub_slot),
+        "an idle member was pumped: {warmup:?}"
+    );
+
+    assert_eq!(publish(&mut host), 1);
+    host.run_until_quiescent().unwrap();
+    let accepted = host.with_swarm(sub_slot, |s| s.peer(PeerId(2)).stats.accepted);
+    assert_eq!(accepted, 2);
+    host.take_pump_trace().len()
+}
+
+/// Quiescence costs O(active) swarms, not O(mounted): a warm publish is
+/// driven with the same number of pumps beside 1k idle members as
+/// beside 16k — the publisher's outbound turn and the subscriber's
+/// inbound one.
+#[test]
+fn an_idle_host_drives_a_publish_in_pumps_independent_of_its_size() {
+    let small = pumps_per_publish_beside_idle_members(1_000);
+    let large = pumps_per_publish_beside_idle_members(16_000);
+    assert_eq!(small, large);
+    assert_eq!(small, 2, "publisher + subscriber");
+}
+
+/// The R4 shape on a smaller fleet: one publisher, 64 single-peer
+/// subscribers over 8 topics, a burst of events published in one go.
+/// Every session that received traffic was woken through the ready
+/// queue (the wakeup count is at least the number of receiving
+/// sessions), and no wakeup was idle (at most the receive count).
+#[test]
+fn fleet_wakeups_track_the_sessions_that_received_traffic() {
+    use pti_core::samples::{topic_event_assembly, topic_event_def};
+    const MEMBERS: usize = 64;
+    const TOPICS: usize = 8;
+    const EVENTS: usize = 32;
+    let mut host = ReactorHost::new();
+    let code = CodeRegistry::new();
+    let mk = |code: &CodeRegistry| {
+        let code = code.clone();
+        move |net| Swarm::with_code_registry(net, code)
+    };
+    let hub = host.reactor();
+    let pub_slot = host.mount(mk(&code));
+    let publisher = host.with_swarm(pub_slot, |s| {
+        let p = s.add_peer_as(PeerId(1), ConformanceConfig::pragmatic());
+        for t in 0..TOPICS {
+            s.publish(p, topic_event_assembly(t)).unwrap();
+        }
+        p
+    });
+    let mut subs = Vec::new();
+    for i in 0..MEMBERS {
+        let slot = host.mount(mk(&code));
+        let id = PeerId(2 + i as u32);
+        host.with_swarm(slot, |s| {
+            let p = s.add_peer_as(id, ConformanceConfig::pragmatic());
+            s.add_contact(publisher);
+            s.subscribe(
+                p,
+                TypeDescription::from_def(&topic_event_def(i % TOPICS, "sub")),
+            );
+        });
+        subs.push((slot, id));
+    }
+    let publish = |host: &mut ReactorHost, events: usize| {
+        host.with_swarm(pub_slot, |s| {
+            for i in 0..events {
+                let h = s
+                    .peer_mut(publisher)
+                    .runtime
+                    .instantiate_def(&topic_event_def(i % TOPICS, "pub"), &[])
+                    .unwrap();
+                s.route_object(publisher, &Value::Obj(h), PayloadFormat::Binary)
+                    .unwrap();
+            }
+        });
+        host.run_until_quiescent().unwrap();
+    };
+    // Subscription gossip, then one event per topic to warm the exchange.
+    host.run_until_quiescent().unwrap();
+    publish(&mut host, TOPICS);
+
+    let before = hub.stats();
+    let received_before: Vec<u64> = subs
+        .iter()
+        .map(|&(slot, id)| host.with_swarm(slot, |s| s.peer(id).stats.objects_received))
+        .collect();
+    publish(&mut host, EVENTS);
+    let after = hub.stats();
+    let receiving = subs
+        .iter()
+        .zip(&received_before)
+        .filter(|&(&(slot, id), &was)| {
+            host.with_swarm(slot, |s| s.peer(id).stats.objects_received) > was
+        })
+        .count();
+    let wakeups = after.wakeups - before.wakeups;
+    let recvs = after.recvs - before.recvs;
+    assert_eq!(receiving, MEMBERS, "every subscriber's topic was published");
+    assert!(wakeups as usize >= receiving, "{wakeups} < {receiving}");
+    // One wakeup beyond the receivers: the publisher's turn to ship the
+    // frames its publishes queued.
+    assert_eq!(wakeups as usize, receiving + 1);
+    // Over the whole run (gossip, warm-up and burst), as R4 reports it.
+    assert!(after.wakeups <= after.recvs, "{after:?}");
+    assert!(recvs as usize >= receiving);
 }
 
 /// The sharded host end-to-end: typed groups pinned to *different*
