@@ -173,9 +173,9 @@ fn contains_token(hay: &str, needle: &str) -> bool {
 
 // ---------------------------------------------------------------- wall-clock
 
-/// The virtual-time fabrics (`SimNet`, `SharedSimNet`, `ReactorNet`)
-/// and the codecs must be pure functions of their inputs; only
-/// `LiveBus` (bus.rs) and the bridge own real time. `crates/transport`
+/// The virtual-time fabric (`ReactorNet`, alias `SimNet`) and the
+/// codecs must be pure functions of their inputs; only `LiveBus`
+/// (bus.rs) and the bridge own real time. `crates/transport`
 /// left this file-granularity scope when the interprocedural
 /// `reactor-blocking` rule landed: `Swarm::run`/`run_for` legitimately
 /// own deadlines on the live path, and every reactor-driven path is now
@@ -472,7 +472,6 @@ fn print_discipline_check(code: &str) -> Option<String> {
 /// the heuristic is lexical, so it asks for a justification rather than
 /// failing the build.
 const UNBOUNDED_QUEUE_FILES: &[&str] = &[
-    "crates/net/src/sim.rs",
     "crates/net/src/bus.rs",
     "crates/net/src/reactor.rs",
     "crates/net/src/bridge.rs",

@@ -346,7 +346,7 @@ impl Wire {
     }
 }
 "#;
-    let f = analyze_source("crates/net/src/sim.rs", src);
+    let f = analyze_source("crates/net/src/reactor.rs", src);
     assert!(
         f.iter().all(|f| f.rule != "unbounded-queue"),
         "allowed + local scratch Vec: {f:?}"
@@ -365,7 +365,7 @@ fn unbounded_queue_scoped_to_queue_paths_and_exempts_tests() {
     );
     let in_test = "#[cfg(test)]\nmod tests {\n    fn f(q: &mut Q) { q.inner.push_back(1); }\n}\n";
     assert!(
-        analyze_source("crates/net/src/sim.rs", in_test)
+        analyze_source("crates/net/src/reactor.rs", in_test)
             .iter()
             .all(|f| f.rule != "unbounded-queue"),
         "tests exempt"

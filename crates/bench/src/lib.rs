@@ -1,7 +1,6 @@
 //! # pti-bench — benchmark fixtures
 //!
-//! Shared setup for the criterion benches and the `experiments` harness
-//! binary that regenerates every measurement of the paper's Section 7
+//! Shared setup for the `experiments` harness binary that regenerates every measurement of the paper's Section 7
 //! plus the protocol (F1) and ablation (A1–A3) experiments described in
 //! DESIGN.md.
 

@@ -15,7 +15,7 @@
 //! | implicit structural conformance | [`conformance`] | §4, Figure 2 |
 //! | type-description + object serializers | [`serialize`] | §5–6, Figure 3 |
 //! | dynamic proxies | [`proxy`] | §6, §7.1 |
-//! | transport fabrics (SimNet, LiveBus, ReactorNet) | [`net`] | testbed substitute |
+//! | transport fabrics (ReactorNet alias SimNet, LiveBus) | [`net`] | testbed substitute |
 //! | optimistic transport protocol | [`transport`] | §3, Figure 1 |
 //! | pass-by-reference remoting | [`remoting`] | §6.2 |
 //! | type-based publish/subscribe | [`tps`] | §8 |

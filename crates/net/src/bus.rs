@@ -1,7 +1,7 @@
 //! A concurrent message bus for multithreaded peer drivers.
 //!
-//! The virtual-time [`SimNet`](crate::sim::SimNet) is single-threaded by
-//! design (deterministic experiments). Integration tests and examples
+//! The virtual-time [`ReactorNet`](crate::ReactorNet) is single-threaded
+//! by design (deterministic experiments). Integration tests and examples
 //! that want *actually concurrent* peers use this std-channel bus
 //! instead: same message shape, real threads, shared traffic metrics.
 //!
@@ -156,7 +156,7 @@ impl LiveBus {
         };
         // A disconnected receiver (peer dropped concurrently) is reported
         // like an unknown peer; only a *delivered* message is recorded,
-        // so accounting matches SimNet's. The dead sender is pruned (by
+        // so accounting matches ReactorNet's. The dead sender is pruned (by
         // registration generation, so a re-joined peer under the same id
         // is untouched) so a departed peer does not accumulate queues.
         let (from, to, kind) = (msg.from, msg.to, msg.kind);

@@ -1,4 +1,4 @@
-//! Deterministic, seeded fault injection for the simulated fabrics.
+//! Deterministic, seeded fault injection for the virtual-time fabric.
 //!
 //! The durability layer (`pti-transport`'s `delivery` module) repairs
 //! losses the fabric inflicts; this module is where those losses come
@@ -9,12 +9,13 @@
 //! traffic produces the *same* faults, and the byte-identical-log
 //! determinism tests keep holding with faults switched on.
 //!
-//! Fabrics consult the plan inside their `send` path (after traffic
-//! accounting, before enqueue) via
+//! The fabric consults the plan in its one send path (after the link
+//! model, before enqueue) once a plan is installed via
 //! [`Transport::install_fault_plan`](crate::Transport::install_fault_plan);
 //! the outcome of each decision is counted in
 //! [`NetMetrics`](crate::NetMetrics) (`faults_dropped`,
-//! `faults_duplicated`, `faults_partitioned`).
+//! `faults_duplicated`, `faults_partitioned`) once the send is
+//! accepted.
 
 use std::collections::BTreeSet;
 

@@ -3,18 +3,20 @@
 //! The paper evaluates its protocol on a physical 2002 testbed; this
 //! crate replaces that hardware with two interchangeable fabrics:
 //!
-//! * [`SimNet`] — a deterministic **virtual-time** network with explicit
-//!   latency/bandwidth and per-kind byte accounting. All protocol
-//!   experiments (optimistic vs eager, Figure 1) run on it so results are
-//!   reproducible and expressed in bytes + virtual microseconds.
+//! * [`ReactorNet`] — the deterministic **virtual-time** fabric. A
+//!   [`NetConfig`] link model (latency, bandwidth, per-link
+//!   serialization) stamps every message with its delivery time, and
+//!   all protocol experiments (optimistic vs eager, Figure 1) run on it
+//!   so results are reproducible and expressed in bytes + virtual
+//!   microseconds. The same core is readiness-driven (inbound rings, a
+//!   wakeup queue and a timer wheel), which lets one thread drive
+//!   thousands of swarms; see the [`reactor`] module docs. [`SimNet`]
+//!   and [`SharedSimNet`] are its historical names. Reactors on
+//!   separate threads link up through [`BridgeLink`] channel pairs (see
+//!   the [`bridge`] module docs) — the only cross-thread surface of the
+//!   virtual-time world.
 //! * [`LiveBus`] — a std-channel bus for **actually concurrent** peers,
 //!   used by stress tests and examples that want real threads.
-//! * [`ReactorNet`] — a single-threaded, readiness-driven fabric
-//!   (inbound rings, a wakeup queue and a timer wheel) that lets one
-//!   thread drive thousands of swarms; see the [`reactor`] module docs.
-//!   Multiple reactors on separate threads link up through
-//!   [`BridgeLink`] channel pairs (see the [`bridge`] module docs) —
-//!   the only cross-thread surface in the crate.
 //!
 //! Both implement the [`Transport`] trait — the seam the protocol
 //! engine (`pti-transport`'s `Swarm<T: Transport>`) is generic over, so
@@ -35,12 +37,13 @@
 //! ## Example
 //!
 //! ```
-//! use pti_net::{NetConfig, PeerId, SimNet};
+//! use pti_net::{NetConfig, PeerId, ReactorNet, Transport};
 //!
-//! let mut net = SimNet::new(NetConfig::default());
+//! let mut net = ReactorNet::new(NetConfig::default());
 //! net.register(PeerId(1));
 //! net.register(PeerId(2));
-//! net.send(PeerId(1), PeerId(2), "object", vec![0u8; 1024]).unwrap();
+//! net.send(PeerId(1), PeerId(2), "object", vec![0u8; 1024].into())
+//!     .unwrap();
 //! let msg = net.recv(PeerId(2)).unwrap();
 //! assert_eq!(msg.kind, "object");
 //! assert!(net.now_us() > 0, "virtual time advanced");

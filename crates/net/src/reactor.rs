@@ -1,27 +1,40 @@
-//! The reactor fabric: a hand-rolled, readiness-driven event core that
-//! lets one thread drive thousands of swarms.
+//! The virtual-time fabric: one deterministic, readiness-driven core
+//! that serves a single protocol driver and a host running thousands of
+//! swarms on one thread alike.
 //!
-//! [`LiveBus`](crate::LiveBus) scales by threads — every driver parks in
-//! `recv_deadline` sleeps, so a box tops out at hundreds of members. The
-//! [`ReactorNet`] keeps the same [`Transport`] contract but replaces
-//! blocking with *readiness*: every endpoint has an inbound ring, every
-//! ring belongs to a **session** (one swarm's worth of endpoints), and a
-//! send marks the destination's session ready on a wakeup queue. A host
-//! (see `pti-transport`'s `ReactorHost`) pops ready sessions and pumps
-//! only those, with a fairness budget per wakeup, so idle swarms cost
-//! nothing — no polling, no per-endpoint thread.
+//! Every endpoint has an inbound ring, every ring belongs to a
+//! **session** (one swarm's worth of endpoints), and a send marks the
+//! destination's session ready on a wakeup queue. A host (see
+//! `pti-transport`'s `ReactorHost`) pops ready sessions and pumps only
+//! those, with a fairness budget per wakeup, so idle swarms cost
+//! nothing — no polling, no per-endpoint thread. A standalone swarm, or
+//! several swarms taking turns on clones of one handle, simply use the
+//! root session [`ReactorNet::new`] returns.
 //!
-//! Deadlines are served by a hashed **timer wheel** in virtual time:
-//! when no session is ready, the loop jumps the clock straight to the
-//! next timer deadline and fires it (idle *parking*, never a busy-wait
-//! or an OS sleep). Like [`SharedSimNet`](crate::SharedSimNet), the
-//! fabric is single-threaded by design (`Rc`, hence `!Send`) and fully
-//! deterministic: the same script of sends produces the same wakeup
-//! order, which is what lets `tests/transport_parity.rs` pin identical
-//! protocol decisions across all three fabrics.
+//! **Link model.** Every send is stamped with a `deliver_at` from the
+//! fabric's [`NetConfig`]: `latency` plus `size/bandwidth` transmission
+//! time, where a `(from, to)` link transmits one message at a time, so
+//! bursts queue behind each other. Each ring stays ordered by
+//! `(deliver_at, push order)`, and a receive pops its front and moves
+//! the clock to that message's `deliver_at`. [`NetConfig::ideal`] has
+//! no link model: every message is due the instant it is sent, so a
+//! receive never moves the clock — the configuration `ReactorHost`
+//! uses, where time moves only by idle parking.
+//!
+//! **Timers.** Deadlines are served by a hashed timer wheel in virtual
+//! time: when no session is ready, the loop jumps the clock straight to
+//! the next timer deadline and fires it (idle *parking*, never a
+//! busy-wait or an OS sleep).
+//!
+//! The fabric is single-threaded by design (`Rc`, hence `!Send`) and
+//! fully deterministic: the same script of sends produces the same
+//! delivery order, clock values and fault draws, which is what lets
+//! `tests/transport_parity.rs` pin identical protocol decisions across
+//! fabrics. Reactors on separate threads link up through
+//! [`BridgeLink`](crate::BridgeLink) proxies.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 use crate::bridge::BridgeTx;
@@ -30,7 +43,7 @@ use crate::fault::{FaultDecision, FaultPlan};
 use crate::frame::{kinds, FrameBatch};
 use crate::metrics::NetMetrics;
 use crate::payload::Payload;
-use crate::sim::{NetError, PeerId};
+use crate::sim::{Message, NetConfig, NetError, PeerId};
 use crate::transport::Transport;
 
 /// One session on a reactor: the unit of readiness and scheduling. Each
@@ -137,40 +150,66 @@ impl TimerWheel {
     }
 }
 
-#[derive(Debug)]
-struct Core {
-    /// Per-endpoint inbound rings.
-    rings: HashMap<PeerId, VecDeque<BusMessage>>,
-    /// Which session each endpoint belongs to.
-    owner: HashMap<PeerId, SessionId>,
-    /// Peers owned by *another shard*: sends to them forward over the
-    /// bridge to the shard that owns their ring.
-    proxies: HashMap<PeerId, BridgeTx>,
-    /// Undelivered messages per session (sum of its rings' lengths).
-    backlog: HashMap<SessionId, usize>,
-    /// The wakeup queue: sessions with work, in readiness order.
-    ready: VecDeque<SessionId>,
-    /// Guards `ready` against duplicate entries.
-    enqueued: HashSet<SessionId>,
-    /// Sessions whose queue entry is an *explicit* signal (timer fire,
-    /// host mark, or outbound frames noted by the session's own swarm)
-    /// rather than inbound traffic. Explicit signals always wake; traffic
+/// Scheduling state of one session; the core keeps one per session id
+/// ever handed out, indexed by the id.
+#[derive(Debug, Clone, Copy, Default)]
+struct SessionState {
+    /// Undelivered messages for its endpoints (sum of their rings'
+    /// lengths).
+    backlog: usize,
+    /// Whether it sits on the ready queue — at most one entry each.
+    enqueued: bool,
+    /// Whether its queue entry is an *explicit* signal (timer fire, host
+    /// mark, or outbound frames noted by the session's own swarm) rather
+    /// than inbound traffic. Explicit signals always wake; traffic
     /// signals are skipped once the ring is already dry — the
     /// burst-coalescing rule that keeps traffic a pump already drained
     /// (it arrived while the session was queued or being pumped) from
     /// turning into a pile of idle wakeups.
-    explicit: HashSet<SessionId>,
+    explicit: bool,
+}
+
+/// A local endpoint: the session that owns it and its inbound ring, kept
+/// in `(deliver_at, push order)` order.
+#[derive(Debug)]
+struct Mailbox {
+    session: SessionId,
+    ring: VecDeque<Message>,
+}
+
+#[derive(Debug)]
+struct Core {
+    /// The link model every send is stamped with.
+    config: NetConfig,
+    /// When each `(from, to)` link finishes its last transmission.
+    link_free: HashMap<(PeerId, PeerId), u64>,
+    /// Endpoints with a ring on this fabric.
+    mailboxes: HashMap<PeerId, Mailbox>,
+    /// Peers owned by *another shard*: sends to them forward over the
+    /// bridge to the shard that owns their ring.
+    proxies: HashMap<PeerId, BridgeTx>,
+    /// Every session handed out so far, indexed by id (the root is 0).
+    sessions: Vec<SessionState>,
+    /// The wakeup queue: sessions with work, in readiness order.
+    ready: VecDeque<SessionId>,
     timers: TimerWheel,
     now_us: u64,
-    next_session: u32,
     metrics: NetMetrics,
     stats: ReactorStats,
     fault: Option<FaultPlan>,
 }
 
 impl Core {
+    fn state(&mut self, session: SessionId) -> Option<&mut SessionState> {
+        self.sessions.get_mut(session.0 as usize)
+    }
+
     fn mark_ready(&mut self, session: SessionId) {
-        if self.enqueued.insert(session) {
+        let Some(state) = self.state(session) else {
+            return;
+        };
+        if !state.enqueued {
+            state.enqueued = true;
             // pti-allow(unbounded-queue): deduplicated by `enqueued`, so at most one entry per session
             self.ready.push_back(session);
         }
@@ -179,18 +218,134 @@ impl Core {
     /// An explicit signal: enqueue and remember that this wakeup must
     /// fire even if the session has no backlog when popped.
     fn mark_ready_explicit(&mut self, session: SessionId) {
-        self.explicit.insert(session);
+        if let Some(state) = self.state(session) {
+            state.explicit = true;
+        }
         self.mark_ready(session);
+    }
+
+    /// The one send path. Stamps the link model, lets the fault plan
+    /// adjudicate, hands the surviving copies to the destination's ring
+    /// or bridge, and records the traffic and the fault outcome only
+    /// once the send is accepted: a send that fails (a closed bridge)
+    /// leaves no trace in the counters. A dropped message is still
+    /// recorded — the bytes hit the wire and occupied the link, they
+    /// just never arrive.
+    fn send(
+        &mut self,
+        from: PeerId,
+        to: PeerId,
+        kind: &'static str,
+        payload: Payload,
+    ) -> Result<(), NetError> {
+        let local = self.mailboxes.contains_key(&to);
+        if !local && !self.proxies.contains_key(&to) {
+            return Err(NetError::UnknownPeer(to));
+        }
+        let size = payload.len();
+        let tx_us = self.config.tx_us(size);
+        let link = self.link_free.entry((from, to)).or_insert(0);
+        let start = self.now_us.max(*link);
+        *link = start + tx_us;
+        let decision = match self.fault.as_mut() {
+            Some(plan) => plan.decide(from, to),
+            None => FaultDecision::Deliver,
+        };
+        let copies = match decision {
+            FaultDecision::Deliver => 1,
+            FaultDecision::Duplicate => 2,
+            FaultDecision::Drop | FaultDecision::Partitioned => 0,
+        };
+        let batch_frames =
+            (kind == kinds::BATCH).then(|| FrameBatch::peek_count(&payload).unwrap_or(0));
+        if copies == 0 {
+            // Dropped or partitioned: nothing reaches a ring or a bridge.
+        } else if local {
+            let msg = Message {
+                from,
+                to,
+                kind,
+                payload,
+                sent_at: self.now_us,
+                deliver_at: start + self.config.latency_us + tx_us,
+            };
+            self.enqueue(msg, copies);
+        } else if let Some(bridge) = self.proxies.get(&to) {
+            // No local ring: a remote-shard proxy forwards over its
+            // bridge; the send is recorded here (origin-side accounting)
+            // and the owning shard injects it without re-counting.
+            let msg = BusMessage {
+                from,
+                to,
+                kind,
+                payload,
+            };
+            let mut woke = false;
+            for _ in 1..copies {
+                woke |= bridge.send(msg.clone())?;
+            }
+            woke |= bridge.send(msg)?;
+            self.metrics.record_bridge_crossing(size, woke);
+        }
+        self.metrics.record(kind, size);
+        if let Some(frames) = batch_frames {
+            self.metrics.record_batch(from, to, frames, size);
+        }
+        self.metrics.record_fault(decision);
+        self.stats.sends += 1;
+        Ok(())
+    }
+
+    /// Queues `copies` of `msg` on its destination's ring and signals the
+    /// owning session. Each copy goes in after every queued message due
+    /// no later than it — a stable insert from the back, so in-order
+    /// traffic (all of it under [`NetConfig::ideal`]) is a plain append.
+    /// Rings model the network; the delivery layer bounds senders via
+    /// credit. Returns `false` when no local endpoint owns `msg.to`.
+    fn enqueue(&mut self, msg: Message, copies: usize) -> bool {
+        let Some(mailbox) = self.mailboxes.get_mut(&msg.to) else {
+            return false;
+        };
+        let ring = &mut mailbox.ring;
+        let at = ring
+            .iter()
+            .rposition(|m| m.deliver_at <= msg.deliver_at)
+            .map_or(0, |i| i + 1);
+        for _ in 1..copies {
+            ring.insert(at, msg.clone());
+        }
+        ring.insert(at, msg);
+        let session = mailbox.session;
+        if let Some(state) = self.state(session) {
+            state.backlog += copies;
+        }
+        self.mark_ready(session);
+        true
+    }
+
+    /// Pops the front of `peer`'s ring, moving the clock to its delivery
+    /// time.
+    fn take(&mut self, peer: PeerId) -> Option<Message> {
+        let mailbox = self.mailboxes.get_mut(&peer)?;
+        let msg = mailbox.ring.pop_front()?;
+        let session = mailbox.session;
+        if let Some(state) = self.state(session) {
+            state.backlog = state.backlog.saturating_sub(1);
+        }
+        self.now_us = self.now_us.max(msg.deliver_at);
+        self.stats.recvs += 1;
+        Some(msg)
     }
 }
 
-/// A handle onto a shared reactor fabric, bound to one [`SessionId`].
+/// A handle onto a shared virtual-time fabric, bound to one
+/// [`SessionId`].
 ///
 /// Cloning shares both the fabric *and* the session (the shape a
-/// `Swarm` needs: its transport is moved in by value, yet the host keeps
-/// a handle to the same session). Fresh sessions come from
-/// [`session`](Self::session). Like [`SharedSimNet`](crate::SharedSimNet)
-/// the handle is `!Send`: one reactor, one thread — that is the point.
+/// `Swarm` needs: its transport is moved in by value, yet the host — or
+/// another swarm taking turns on the same fabric — keeps a handle to it).
+/// Fresh sessions come from [`session`](Self::session). The handle is
+/// `!Send`: one fabric, one thread — that is the point.
 #[derive(Debug)]
 pub struct ReactorNet {
     core: Rc<RefCell<Core>>,
@@ -217,29 +372,22 @@ impl Clone for ReactorNet {
     }
 }
 
-impl Default for ReactorNet {
-    fn default() -> ReactorNet {
-        ReactorNet::new()
-    }
-}
-
 impl ReactorNet {
-    /// Creates a fresh reactor fabric; the returned handle is the root
-    /// session (fine for a standalone swarm — a host allocates one
-    /// session per mounted swarm via [`session`](Self::session)).
-    pub fn new() -> ReactorNet {
+    /// Creates a fresh fabric with the given link model; the returned
+    /// handle is the root session (fine for a standalone swarm — a host
+    /// allocates one session per mounted swarm via
+    /// [`session`](Self::session)).
+    pub fn new(config: NetConfig) -> ReactorNet {
         ReactorNet {
             core: Rc::new(RefCell::new(Core {
-                rings: HashMap::new(),
-                owner: HashMap::new(),
+                config,
+                link_free: HashMap::new(),
+                mailboxes: HashMap::new(),
                 proxies: HashMap::new(),
-                backlog: HashMap::new(),
+                sessions: vec![SessionState::default()],
                 ready: VecDeque::new(),
-                enqueued: HashSet::new(),
-                explicit: HashSet::new(),
                 timers: TimerWheel::new(),
                 now_us: 0,
-                next_session: 1,
                 metrics: NetMetrics::default(),
                 stats: ReactorStats::default(),
                 fault: None,
@@ -279,8 +427,8 @@ impl ReactorNet {
     pub fn session(&self) -> ReactorNet {
         self.assert_owner_thread();
         let mut core = self.core.borrow_mut();
-        let id = SessionId(core.next_session);
-        core.next_session += 1;
+        let id = SessionId(core.sessions.len() as u32);
+        core.sessions.push(SessionState::default());
         ReactorNet {
             core: Rc::clone(&self.core),
             session: id,
@@ -294,9 +442,48 @@ impl ReactorNet {
         self.session
     }
 
-    /// The reactor's virtual clock, advanced only by idle parking.
+    /// The fabric's virtual clock in microseconds. It moves forward only:
+    /// to a received message's delivery time, by idle parking, and by
+    /// [`advance_clock_to`](Self::advance_clock_to).
     pub fn now_us(&self) -> u64 {
         self.core.borrow().now_us
+    }
+
+    /// Advances the virtual clock to `deadline_us` if it is ahead of the
+    /// current time — how a durable-delivery driver reaches its next
+    /// retransmit deadline when the fabric is otherwise quiet.
+    pub fn advance_clock_to(&self, deadline_us: u64) {
+        let mut core = self.core.borrow_mut();
+        core.now_us = core.now_us.max(deadline_us);
+    }
+
+    /// Installs (or replaces) a seeded fault plan on the whole fabric;
+    /// every subsequent send is adjudicated by it. Installing it after
+    /// warm-up is the usual way to fault only steady-state traffic.
+    pub fn install_fault_plan(&self, plan: FaultPlan) {
+        self.core.borrow_mut().fault = Some(plan);
+    }
+
+    /// Receives the earliest-deliverable message for `peer`, advancing
+    /// the virtual clock to its delivery time. `None` when the ring is
+    /// empty or `peer` has no ring here.
+    pub fn recv(&mut self, peer: PeerId) -> Option<Message> {
+        self.assert_owner_thread();
+        self.core.borrow_mut().take(peer)
+    }
+
+    /// Number of undelivered messages queued for `peer`.
+    pub fn pending(&self, peer: PeerId) -> usize {
+        self.core
+            .borrow()
+            .mailboxes
+            .get(&peer)
+            .map_or(0, |e| e.ring.len())
+    }
+
+    /// A snapshot of the fabric-wide traffic counters.
+    pub fn metrics(&self) -> NetMetrics {
+        self.core.borrow().metrics.clone()
     }
 
     /// Scheduling counters (wakeups, timer fires, idle jumps).
@@ -308,10 +495,9 @@ impl ReactorNet {
     pub fn backlog(&self, session: SessionId) -> usize {
         self.core
             .borrow()
-            .backlog
-            .get(&session)
-            .copied()
-            .unwrap_or(0)
+            .sessions
+            .get(session.0 as usize)
+            .map_or(0, |s| s.backlog)
     }
 
     /// Pops the next ready session off the wakeup queue. The session's
@@ -331,10 +517,12 @@ impl ReactorNet {
         let mut core = self.core.borrow_mut();
         loop {
             let session = core.ready.pop_front()?;
-            core.enqueued.remove(&session);
-            let explicit = core.explicit.remove(&session);
-            let has_backlog = core.backlog.get(&session).is_some_and(|n| *n > 0);
-            if explicit || has_backlog {
+            let Some(state) = core.state(session) else {
+                continue;
+            };
+            state.enqueued = false;
+            let explicit = std::mem::take(&mut state.explicit);
+            if explicit || state.backlog > 0 {
                 core.stats.wakeups += 1;
                 return Some(session);
             }
@@ -410,7 +598,7 @@ impl ReactorNet {
     pub fn register_proxy(&self, peer: PeerId, bridge: BridgeTx) {
         let mut core = self.core.borrow_mut();
         assert!(
-            !core.owner.contains_key(&peer),
+            !core.mailboxes.contains_key(&peer),
             "{peer} is registered locally on this shard; it cannot also be a remote proxy"
         );
         core.proxies.insert(peer, bridge);
@@ -428,24 +616,23 @@ impl ReactorNet {
     }
 
     /// Delivers a message that arrived over a bridge into the owning
-    /// ring, exactly as a local send would (backlog, readiness signal) —
-    /// but *without* re-recording traffic metrics: the origin shard
-    /// already counted the send. Returns `false` when no local ring owns
-    /// `msg.to` (the peer unmounted mid-flight; the message is dropped).
+    /// ring, due now, exactly as a local send would (backlog, readiness
+    /// signal) — but *without* re-recording traffic metrics: the origin
+    /// shard already counted the send. Returns `false` when no local
+    /// ring owns `msg.to` (the peer unmounted mid-flight; the message is
+    /// dropped).
     pub fn inject(&self, msg: BusMessage) -> bool {
         let mut core = self.core.borrow_mut();
-        let Some(owner) = core.owner.get(&msg.to).copied() else {
-            return false;
+        let now = core.now_us;
+        let msg = Message {
+            from: msg.from,
+            to: msg.to,
+            kind: msg.kind,
+            payload: msg.payload,
+            sent_at: now,
+            deliver_at: now,
         };
-        // pti-allow(unbounded-queue): inbound rings model the network; the delivery layer bounds senders via credit
-        core.rings
-            .get_mut(&msg.to)
-            // pti-allow(panic-policy): owner and rings are mutated together, so an owned peer always has a ring
-            .expect("registered peer has a ring")
-            .push_back(msg);
-        *core.backlog.entry(owner).or_insert(0) += 1;
-        core.mark_ready(owner);
-        true
+        core.enqueue(msg, 1)
     }
 
     /// Tears down `peer`'s endpoint regardless of which session owns it:
@@ -454,12 +641,12 @@ impl ReactorNet {
     /// match. The host-side half of unmounting a swarm.
     pub fn unregister(&self, peer: PeerId) -> usize {
         let mut core = self.core.borrow_mut();
-        let Some(owner) = core.owner.remove(&peer) else {
+        let Some(mailbox) = core.mailboxes.remove(&peer) else {
             return 0;
         };
-        let dropped = core.rings.remove(&peer).map_or(0, |ring| ring.len());
-        if let Some(n) = core.backlog.get_mut(&owner) {
-            *n = n.saturating_sub(dropped);
+        let dropped = mailbox.ring.len();
+        if let Some(state) = core.state(mailbox.session) {
+            state.backlog = state.backlog.saturating_sub(dropped);
         }
         dropped
     }
@@ -469,9 +656,10 @@ impl ReactorNet {
     /// [`next_ready`](Self::next_ready)). Endpoints must already be
     /// [`unregister`](Self::unregister)ed.
     pub fn release_session(&self, session: SessionId) {
-        let mut core = self.core.borrow_mut();
-        core.backlog.remove(&session);
-        core.explicit.remove(&session);
+        if let Some(state) = self.core.borrow_mut().state(session) {
+            state.backlog = 0;
+            state.explicit = false;
+        }
     }
 
     /// Every peer with a *local* ring on this fabric, sorted by id —
@@ -479,7 +667,7 @@ impl ReactorNet {
     /// peers appeared or vanished (proxies are not included).
     pub fn registered_peers(&self) -> Vec<PeerId> {
         let core = self.core.borrow();
-        let mut peers: Vec<PeerId> = core.owner.keys().copied().collect();
+        let mut peers: Vec<PeerId> = core.mailboxes.keys().copied().collect();
         peers.sort_unstable();
         peers
     }
@@ -496,8 +684,8 @@ impl Transport for ReactorNet {
     fn register(&mut self, peer: PeerId) {
         self.assert_owner_thread();
         let mut core = self.core.borrow_mut();
-        match core.owner.get(&peer) {
-            Some(owner) if *owner == self.session => return,
+        match core.mailboxes.get(&peer) {
+            Some(e) if e.session == self.session => return,
             // pti-allow(panic-policy): peer-id collision across sessions is a wiring bug, same contract as LiveBus::attach
             Some(_) => panic!("{peer} is already registered on this reactor fabric"),
             None => {}
@@ -506,8 +694,11 @@ impl Transport for ReactorNet {
             !core.proxies.contains_key(&peer),
             "{peer} is already registered on another shard of this fabric"
         );
-        core.owner.insert(peer, self.session);
-        core.rings.insert(peer, VecDeque::new());
+        let mailbox = Mailbox {
+            session: self.session,
+            ring: VecDeque::new(),
+        };
+        core.mailboxes.insert(peer, mailbox);
     }
 
     fn send(
@@ -518,108 +709,22 @@ impl Transport for ReactorNet {
         payload: Payload,
     ) -> Result<(), NetError> {
         self.assert_owner_thread();
-        let mut core = self.core.borrow_mut();
-        let local_owner = core.owner.get(&to).copied();
-        if local_owner.is_none() && !core.proxies.contains_key(&to) {
-            return Err(NetError::UnknownPeer(to));
-        }
-        // The fault plan adjudicates before delivery: a dropped message
-        // is still accounted as sent (the bytes hit the wire), it just
-        // never reaches a ring or the bridge.
-        let decision = match core.fault.as_mut() {
-            Some(plan) => plan.decide(from, to),
-            None => FaultDecision::Deliver,
-        };
-        core.metrics.record_fault(decision);
-        if matches!(decision, FaultDecision::Drop | FaultDecision::Partitioned) {
-            let size = payload.len();
-            core.metrics.record(kind, size);
-            if kind == kinds::BATCH {
-                let frames = FrameBatch::peek_count(&payload).unwrap_or(0);
-                core.metrics.record_batch(from, to, frames, size);
-            }
-            core.stats.sends += 1;
-            return Ok(());
-        }
-        let copies = if decision == FaultDecision::Duplicate {
-            2
-        } else {
-            1
-        };
-        let Some(owner) = local_owner else {
-            // No local ring: a remote-shard proxy forwards over its
-            // bridge; the send is recorded here (origin-side accounting)
-            // and the owning shard injects it without re-counting.
-            // pti-allow(panic-policy): proxy membership was checked before adjudicating the fault
-            let bridge = core.proxies.get(&to).cloned().expect("checked proxy");
-            let size = payload.len();
-            let batch_frames =
-                (kind == kinds::BATCH).then(|| FrameBatch::peek_count(&payload).unwrap_or(0));
-            let msg = BusMessage {
-                from,
-                to,
-                kind,
-                payload,
-            };
-            let mut woke = false;
-            for _ in 1..copies {
-                woke |= bridge.send(msg.clone())?;
-            }
-            woke |= bridge.send(msg)?;
-            // Recorded only after the bridge accepted it — a failed send
-            // stays uncounted, same as the local path.
-            core.metrics.record(kind, size);
-            if let Some(frames) = batch_frames {
-                core.metrics.record_batch(from, to, frames, size);
-            }
-            core.stats.sends += 1;
-            core.metrics.record_bridge_crossing(size, woke);
-            return Ok(());
-        };
-        let size = payload.len();
-        core.metrics.record(kind, size);
-        if kind == kinds::BATCH {
-            let frames = FrameBatch::peek_count(&payload).unwrap_or(0);
-            core.metrics.record_batch(from, to, frames, size);
-        }
-        let msg = BusMessage {
-            from,
-            to,
-            kind,
-            payload,
-        };
-        let ring = core
-            .rings
-            .get_mut(&to)
-            // pti-allow(panic-policy): owner and rings are mutated together, so an owned peer always has a ring
-            .expect("registered peer has a ring");
-        for _ in 1..copies {
-            // pti-allow(unbounded-queue): inbound rings model the network; the delivery layer bounds senders via credit
-            ring.push_back(msg.clone());
-        }
-        // pti-allow(unbounded-queue): inbound rings model the network; the delivery layer bounds senders via credit
-        ring.push_back(msg);
-        *core.backlog.entry(owner).or_insert(0) += copies;
-        core.stats.sends += 1;
-        core.mark_ready(owner);
-        Ok(())
+        self.core.borrow_mut().send(from, to, kind, payload)
     }
 
     fn try_recv(&mut self, peer: PeerId) -> Option<BusMessage> {
         self.assert_owner_thread();
-        let mut core = self.core.borrow_mut();
-        let msg = core.rings.get_mut(&peer)?.pop_front()?;
-        if let Some(owner) = core.owner.get(&peer).copied() {
-            if let Some(n) = core.backlog.get_mut(&owner) {
-                *n = n.saturating_sub(1);
-            }
-        }
-        core.stats.recvs += 1;
-        Some(msg)
+        let msg = self.core.borrow_mut().take(peer);
+        msg.map(|m| BusMessage {
+            from: m.from,
+            to: m.to,
+            kind: m.kind,
+            payload: m.payload,
+        })
     }
 
     fn metrics(&self) -> NetMetrics {
-        self.core.borrow().metrics.clone()
+        ReactorNet::metrics(self)
     }
 
     fn reset_metrics(&mut self) {
@@ -657,7 +762,12 @@ impl Transport for ReactorNet {
     }
 
     fn install_fault_plan(&mut self, plan: FaultPlan) {
-        self.core.borrow_mut().fault = Some(plan);
+        ReactorNet::install_fault_plan(self, plan);
+    }
+
+    fn advance_virtual_time(&mut self, deadline_us: u64) -> bool {
+        self.advance_clock_to(deadline_us);
+        true
     }
 }
 
@@ -667,7 +777,7 @@ mod tests {
 
     #[test]
     fn implements_the_transport_contract() {
-        let mut t = ReactorNet::new();
+        let mut t = ReactorNet::new(NetConfig::ideal());
         t.register(PeerId(1));
         t.register(PeerId(2));
         t.send(PeerId(1), PeerId(2), "k", vec![7].into()).unwrap();
@@ -691,7 +801,7 @@ mod tests {
 
     #[test]
     fn sends_mark_owning_sessions_ready_in_order_without_duplicates() {
-        let hub = ReactorNet::new();
+        let hub = ReactorNet::new(NetConfig::ideal());
         let mut a = hub.session();
         let mut b = hub.session();
         a.register(PeerId(1));
@@ -720,7 +830,7 @@ mod tests {
 
     #[test]
     fn a_drained_burst_does_not_resignal_its_session() {
-        let hub = ReactorNet::new();
+        let hub = ReactorNet::new(NetConfig::ideal());
         let mut a = hub.session();
         let mut b = hub.session();
         a.register(PeerId(1));
@@ -755,8 +865,8 @@ mod tests {
     fn proxied_sends_cross_the_bridge_with_origin_side_accounting() {
         use crate::bridge::BridgeLink;
 
-        let origin = ReactorNet::new();
-        let remote = ReactorNet::new();
+        let origin = ReactorNet::new(NetConfig::ideal());
+        let remote = ReactorNet::new(NetConfig::ideal());
         let mut o = origin.session();
         let mut r = remote.session();
         o.register(PeerId(1));
@@ -794,9 +904,32 @@ mod tests {
     }
 
     #[test]
+    fn a_send_the_bridge_refuses_records_no_traffic_and_no_fault() {
+        use crate::bridge::BridgeLink;
+
+        let origin = ReactorNet::new(NetConfig::ideal());
+        let mut o = origin.session();
+        o.register(PeerId(1));
+        let (tx, rx) = BridgeLink::pair();
+        origin.register_proxy(PeerId(9), tx);
+        drop(rx);
+        o.install_fault_plan(FaultPlan::new(1).with_duplication(1000));
+        assert_eq!(
+            o.send(PeerId(1), PeerId(9), "object", vec![1].into()),
+            Err(NetError::UnknownPeer(PeerId(9))),
+            "a closed bridge refuses the send"
+        );
+        let m = Transport::metrics(&o);
+        assert_eq!(m.messages, 0, "a failed send is not traffic");
+        assert_eq!(m.faults_duplicated, 0, "nor is its fault outcome");
+        assert_eq!(m.bridge_crossings, 0);
+        assert_eq!(origin.stats().sends, 0);
+    }
+
+    #[test]
     #[should_panic(expected = "already registered on another shard")]
     fn proxy_collision_panics_instead_of_shadowing_a_remote_peer() {
-        let hub = ReactorNet::new();
+        let hub = ReactorNet::new(NetConfig::ideal());
         let (tx, _rx) = crate::bridge::BridgeLink::pair();
         hub.register_proxy(PeerId(7), tx);
         let mut s = hub.session();
@@ -805,7 +938,7 @@ mod tests {
 
     #[test]
     fn unregister_drops_the_ring_and_shrinks_the_backlog() {
-        let hub = ReactorNet::new();
+        let hub = ReactorNet::new(NetConfig::ideal());
         let mut a = hub.session();
         let mut b = hub.session();
         a.register(PeerId(1));
@@ -830,7 +963,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "already registered")]
     fn cross_session_id_collision_panics_instead_of_hijacking() {
-        let hub = ReactorNet::new();
+        let hub = ReactorNet::new(NetConfig::ideal());
         let mut a = hub.session();
         let mut b = hub.session();
         a.register(PeerId(1));
@@ -851,7 +984,7 @@ mod tests {
             // the debug guard catches exactly this lie.
             unsafe impl<T> Send for ForceSend<T> {}
         }
-        let hub = ReactorNet::new();
+        let hub = ReactorNet::new(NetConfig::ideal());
         let contraband = smuggle::ForceSend(hub.clone());
         // pti-allow(thread-confinement): this test proves the ownership guard fires off-thread
         let worker = std::thread::spawn(move || {
@@ -864,7 +997,7 @@ mod tests {
 
     #[test]
     fn clone_keeps_the_session_fresh_sessions_are_distinct() {
-        let hub = ReactorNet::new();
+        let hub = ReactorNet::new(NetConfig::ideal());
         let a = hub.session();
         assert_eq!(a.clone().session_id(), a.session_id());
         assert_ne!(hub.session().session_id(), a.session_id());
@@ -873,7 +1006,7 @@ mod tests {
 
     #[test]
     fn idle_parking_jumps_to_deadlines_and_fires_in_order() {
-        let hub = ReactorNet::new();
+        let hub = ReactorNet::new(NetConfig::ideal());
         let a = hub.session();
         let b = hub.session();
         let c = hub.session();
@@ -900,7 +1033,7 @@ mod tests {
 
     #[test]
     fn far_future_timers_survive_full_wheel_laps() {
-        let hub = ReactorNet::new();
+        let hub = ReactorNet::new(NetConfig::ideal());
         let a = hub.session();
         let b = hub.session();
         let lap_us = WHEEL_SLOTS as u64 * WHEEL_TICK_US;
@@ -923,7 +1056,7 @@ mod tests {
 
     #[test]
     fn fault_plan_is_honoured_on_the_local_path() {
-        let mut t = ReactorNet::new();
+        let mut t = ReactorNet::new(NetConfig::ideal());
         t.register(PeerId(1));
         t.register(PeerId(2));
         t.install_fault_plan(FaultPlan::new(1).with_loss(1000));
@@ -946,7 +1079,7 @@ mod tests {
 
     #[test]
     fn batch_messages_count_frames_like_the_other_fabrics() {
-        let mut t = ReactorNet::new();
+        let mut t = ReactorNet::new(NetConfig::ideal());
         t.register(PeerId(1));
         t.register(PeerId(2));
         let mut batch = FrameBatch::new();

@@ -1,4 +1,4 @@
-//! Deterministic virtual-time network simulation.
+//! The link model and the vocabulary of the virtual-time fabric.
 //!
 //! The paper measured its prototype on a 2002 Windows laptop; our
 //! protocol experiments instead run on a simulated network with explicit
@@ -7,18 +7,22 @@
 //! noise, and (c) makes the optimistic-vs-eager comparison (Figure 1)
 //! crisp.
 //!
-//! The model: each message experiences `latency` plus `size/bandwidth`
-//! transmission delay; a (from, to) link transmits one message at a time,
-//! so bursts queue behind each other. Time only advances when a receiver
-//! waits for a delivery ([`SimNet::recv`]).
+//! The model ([`NetConfig`]): each message experiences `latency` plus
+//! `size/bandwidth` transmission delay; a (from, to) link transmits one
+//! message at a time, so bursts queue behind each other. Time only
+//! advances when a receiver takes a delivery. The fabric that applies
+//! it is [`ReactorNet`](crate::ReactorNet); [`SimNet`] and
+//! [`SharedSimNet`] are its historical names.
 
-use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
-use crate::fault::{FaultDecision, FaultPlan};
-use crate::frame::{kinds, FrameBatch};
-use crate::metrics::NetMetrics;
 use crate::payload::Payload;
+
+/// The virtual-time fabric, named for a single protocol driver.
+pub type SimNet = crate::ReactorNet;
+
+/// The virtual-time fabric, named for several drivers sharing clones.
+pub type SharedSimNet = crate::ReactorNet;
 
 /// Identifies a peer on the simulated network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -35,7 +39,7 @@ impl fmt::Display for PeerId {
 pub struct NetConfig {
     /// One-way propagation delay per message, in microseconds.
     pub latency_us: u64,
-    /// Link throughput in bytes per second.
+    /// Link throughput in bytes per second; `u64::MAX` is unlimited.
     pub bandwidth_bps: u64,
 }
 
@@ -59,8 +63,22 @@ impl NetConfig {
         }
     }
 
-    /// Transmission time of `bytes` on this link, in microseconds.
+    /// No link model: zero latency and unlimited bandwidth, so every
+    /// message is due the instant it is sent and a receive never moves
+    /// the clock. The reactor host's configuration.
+    pub fn ideal() -> NetConfig {
+        NetConfig {
+            latency_us: 0,
+            bandwidth_bps: u64::MAX,
+        }
+    }
+
+    /// Transmission time of `bytes` on this link, in microseconds
+    /// (rounded up; zero on an unlimited link).
     pub fn tx_us(&self, bytes: usize) -> u64 {
+        if self.bandwidth_bps == u64::MAX {
+            return 0;
+        }
         (bytes as u64)
             .saturating_mul(1_000_000)
             .div_ceil(self.bandwidth_bps.max(1))
@@ -103,255 +121,11 @@ impl fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
-/// The simulated network: per-peer inboxes, a virtual clock, byte/message
-/// accounting.
-#[derive(Debug)]
-pub struct SimNet {
-    config: NetConfig,
-    clock_us: u64,
-    inboxes: HashMap<PeerId, VecDeque<Message>>,
-    link_free: HashMap<(PeerId, PeerId), u64>,
-    metrics: NetMetrics,
-    fault: Option<FaultPlan>,
-}
-
-impl SimNet {
-    /// Creates a network with the given link parameters.
-    pub fn new(config: NetConfig) -> SimNet {
-        SimNet {
-            config,
-            clock_us: 0,
-            inboxes: HashMap::new(),
-            link_free: HashMap::new(),
-            metrics: NetMetrics::default(),
-            fault: None,
-        }
-    }
-
-    /// Installs (or replaces) a seeded fault plan; subsequent sends are
-    /// adjudicated by it. Pass-through of control traffic before the
-    /// plan is installed is the usual way to fault only steady-state
-    /// traffic.
-    pub fn install_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault = Some(plan);
-    }
-
-    /// Removes any installed fault plan.
-    pub fn clear_fault_plan(&mut self) {
-        self.fault = None;
-    }
-
-    /// Advances the virtual clock to `deadline_us` if it is ahead of the
-    /// current time — how a durable-delivery driver reaches its next
-    /// retransmit deadline when the fabric is otherwise quiet.
-    pub fn advance_clock_to(&mut self, deadline_us: u64) {
-        self.clock_us = self.clock_us.max(deadline_us);
-    }
-
-    /// Registers a peer, creating its inbox.
-    pub fn register(&mut self, peer: PeerId) {
-        self.inboxes.entry(peer).or_default();
-    }
-
-    /// The current virtual time in microseconds.
-    pub fn now_us(&self) -> u64 {
-        self.clock_us
-    }
-
-    /// Accumulated traffic counters.
-    pub fn metrics(&self) -> &NetMetrics {
-        &self.metrics
-    }
-
-    /// Mutable access to the traffic counters — for accounting hooks
-    /// recorded on behalf of the layers above (batch splits).
-    pub fn metrics_mut(&mut self) -> &mut NetMetrics {
-        &mut self.metrics
-    }
-
-    /// Resets traffic counters (keeps the clock and queued messages).
-    pub fn reset_metrics(&mut self) {
-        self.metrics.reset();
-    }
-
-    /// The link configuration.
-    pub fn config(&self) -> NetConfig {
-        self.config
-    }
-
-    /// Sends a message; returns its delivery time (µs, virtual). The
-    /// payload is shared, not copied — pass a [`Payload`] clone when
-    /// fanning the same bytes out to several destinations.
-    ///
-    /// # Errors
-    /// [`NetError::UnknownPeer`] if `to` was never registered.
-    pub fn send(
-        &mut self,
-        from: PeerId,
-        to: PeerId,
-        kind: &'static str,
-        payload: impl Into<Payload>,
-    ) -> Result<u64, NetError> {
-        if !self.inboxes.contains_key(&to) {
-            return Err(NetError::UnknownPeer(to));
-        }
-        let payload = payload.into();
-        let size = payload.len();
-        // The link serializes transmissions: start after any in-flight
-        // message on the same (from, to) pair finishes.
-        let link = self.link_free.entry((from, to)).or_insert(0);
-        let start = self.clock_us.max(*link);
-        let deliver_at = start + self.config.latency_us + self.config.tx_us(size);
-        *link = start + self.config.tx_us(size);
-        self.metrics.record(kind, size);
-        if kind == kinds::BATCH {
-            let frames = FrameBatch::peek_count(&payload).unwrap_or(0);
-            self.metrics.record_batch(from, to, frames, size);
-        }
-        let msg = Message {
-            from,
-            to,
-            kind,
-            payload,
-            sent_at: self.clock_us,
-            deliver_at,
-        };
-        // The fault plan adjudicates after accounting: a dropped message
-        // still spent the sender's bandwidth, it just never arrives.
-        let decision = match self.fault.as_mut() {
-            Some(plan) => plan.decide(from, to),
-            None => FaultDecision::Deliver,
-        };
-        self.metrics.record_fault(decision);
-        match decision {
-            FaultDecision::Drop | FaultDecision::Partitioned => return Ok(deliver_at),
-            FaultDecision::Duplicate => {
-                // pti-allow(panic-policy): `to` was validated against inboxes at the top of send()
-                let inbox = self.inboxes.get_mut(&to).expect("checked");
-                // pti-allow(unbounded-queue): sim inboxes model the network, not a bounded buffer
-                inbox.push_back(msg.clone());
-                // pti-allow(unbounded-queue): second copy of the duplicated delivery, same modelling rationale
-                inbox.push_back(msg);
-            }
-            FaultDecision::Deliver => {
-                // pti-allow(panic-policy): `to` was validated against inboxes at the top of send()
-                let inbox = self.inboxes.get_mut(&to).expect("checked");
-                // pti-allow(unbounded-queue): sim inboxes model the network, not a bounded buffer
-                inbox.push_back(msg);
-            }
-        }
-        Ok(deliver_at)
-    }
-
-    /// Receives the earliest-deliverable message for `peer`, advancing
-    /// the virtual clock to its delivery time. `None` when the inbox is
-    /// empty.
-    pub fn recv(&mut self, peer: PeerId) -> Option<Message> {
-        let inbox = self.inboxes.get_mut(&peer)?;
-        // Earliest by delivery time (stable for ties: lowest index).
-        let idx = inbox
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, m)| (m.deliver_at, *i))
-            .map(|(i, _)| i)?;
-        // pti-allow(panic-policy): idx came from enumerate() over this same inbox
-        let msg = inbox.remove(idx).expect("index valid");
-        self.clock_us = self.clock_us.max(msg.deliver_at);
-        Some(msg)
-    }
-
-    /// Receives only if a message of the given kind is queued for `peer`.
-    pub fn recv_kind(&mut self, peer: PeerId, kind: &str) -> Option<Message> {
-        let inbox = self.inboxes.get_mut(&peer)?;
-        let idx = inbox
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.kind == kind)
-            .min_by_key(|(i, m)| (m.deliver_at, *i))
-            .map(|(i, _)| i)?;
-        // pti-allow(panic-policy): idx came from enumerate() over this same inbox
-        let msg = inbox.remove(idx).expect("index valid");
-        self.clock_us = self.clock_us.max(msg.deliver_at);
-        Some(msg)
-    }
-
-    /// Number of undelivered messages queued for `peer`.
-    pub fn pending(&self, peer: PeerId) -> usize {
-        self.inboxes.get(&peer).map_or(0, VecDeque::len)
-    }
-}
-
-/// A cloneable handle sharing one [`SimNet`] between several
-/// single-threaded drivers — the deterministic counterpart of cloning a
-/// [`LiveBus`](crate::LiveBus) handle.
-///
-/// Multi-swarm scenarios (membership gossip, late joiners) need several
-/// protocol engines on *one* fabric. On the live bus that falls out of
-/// `Clone`; `SharedSimNet` gives the virtual-time fabric the same shape:
-/// every clone operates on the same inboxes, clock and metrics. It is
-/// deliberately `!Send` (`Rc`) — the simulation stays single-threaded
-/// and deterministic, drivers take turns.
-///
-/// As on a shared live fabric, drivers must pick non-colliding peer ids
-/// (see `Swarm::add_peer_as` in `pti-transport`).
-#[derive(Debug, Clone, Default)]
-pub struct SharedSimNet {
-    inner: std::rc::Rc<std::cell::RefCell<SimNet>>,
-}
-
-impl SharedSimNet {
-    /// Creates a fresh simulated network and wraps it for sharing.
-    pub fn new(config: NetConfig) -> SharedSimNet {
-        SharedSimNet {
-            inner: std::rc::Rc::new(std::cell::RefCell::new(SimNet::new(config))),
-        }
-    }
-
-    /// Runs `f` with exclusive access to the shared network — the escape
-    /// hatch for anything the handle doesn't mirror.
-    ///
-    /// # Panics
-    /// If re-entered (the underlying `RefCell` is already borrowed).
-    pub fn with<R>(&self, f: impl FnOnce(&mut SimNet) -> R) -> R {
-        f(&mut self.inner.borrow_mut())
-    }
-
-    /// The current virtual time in microseconds.
-    pub fn now_us(&self) -> u64 {
-        self.inner.borrow().now_us()
-    }
-
-    /// A snapshot of the shared traffic counters.
-    pub fn metrics(&self) -> NetMetrics {
-        self.inner.borrow().metrics().clone()
-    }
-
-    /// Number of undelivered messages queued for `peer`.
-    pub fn pending(&self, peer: PeerId) -> usize {
-        self.inner.borrow().pending(peer)
-    }
-
-    /// Installs a seeded fault plan on the shared fabric (every handle
-    /// sees it).
-    pub fn install_fault_plan(&self, plan: FaultPlan) {
-        self.inner.borrow_mut().install_fault_plan(plan);
-    }
-
-    /// Advances the shared virtual clock to `deadline_us` if ahead.
-    pub fn advance_clock_to(&self, deadline_us: u64) {
-        self.inner.borrow_mut().advance_clock_to(deadline_us);
-    }
-}
-
-impl Default for SimNet {
-    fn default() -> SimNet {
-        SimNet::new(NetConfig::default())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
+    use crate::transport::Transport;
 
     fn net() -> SimNet {
         let mut n = SimNet::new(NetConfig {
@@ -363,33 +137,40 @@ mod tests {
         n
     }
 
+    fn send(n: &mut SimNet, from: u32, to: u32, kind: &'static str, bytes: Vec<u8>) {
+        n.send(PeerId(from), PeerId(to), kind, bytes.into())
+            .unwrap();
+    }
+
     #[test]
     fn delivery_accounts_latency_and_bandwidth() {
         let mut n = net();
         // 1000 bytes at 1 MB/s = 1000 µs tx + 1000 µs latency.
-        let at = n
-            .send(PeerId(1), PeerId(2), "object", vec![0u8; 1000])
-            .unwrap();
-        assert_eq!(at, 2000);
+        send(&mut n, 1, 2, "object", vec![0u8; 1000]);
+        assert_eq!(n.now_us(), 0, "sending does not move the clock");
         let m = n.recv(PeerId(2)).unwrap();
-        assert_eq!(m.deliver_at, 2000);
+        assert_eq!((m.sent_at, m.deliver_at), (0, 2000));
         assert_eq!(n.now_us(), 2000, "clock advanced to delivery");
     }
 
     #[test]
     fn link_serializes_bursts() {
         let mut n = net();
-        let a = n.send(PeerId(1), PeerId(2), "x", vec![0u8; 1000]).unwrap();
-        let b = n.send(PeerId(1), PeerId(2), "x", vec![0u8; 1000]).unwrap();
-        assert_eq!(a, 2000);
-        assert_eq!(b, 3000, "second message queues behind the first's tx time");
+        send(&mut n, 1, 2, "x", vec![0u8; 1000]);
+        send(&mut n, 1, 2, "x", vec![0u8; 1000]);
+        assert_eq!(n.recv(PeerId(2)).unwrap().deliver_at, 2000);
+        assert_eq!(
+            n.recv(PeerId(2)).unwrap().deliver_at,
+            3000,
+            "second message queues behind the first's tx time"
+        );
     }
 
     #[test]
     fn unknown_peer_rejected() {
         let mut n = net();
         assert_eq!(
-            n.send(PeerId(1), PeerId(9), "x", vec![]),
+            n.send(PeerId(1), PeerId(9), "x", Payload::empty()),
             Err(NetError::UnknownPeer(PeerId(9)))
         );
     }
@@ -397,35 +178,23 @@ mod tests {
     #[test]
     fn recv_order_is_by_delivery_time() {
         let mut n = net();
-        n.send(PeerId(1), PeerId(2), "big", vec![0u8; 5000])
-            .unwrap();
-        n.send(PeerId(1), PeerId(2), "small", vec![0u8; 10])
-            .unwrap();
+        send(&mut n, 1, 2, "big", vec![0u8; 5000]);
+        send(&mut n, 1, 2, "small", vec![0u8; 10]);
         // Same link ⇒ FIFO by construction; but from another peer a small
         // message can overtake.
         n.register(PeerId(3));
-        n.send(PeerId(3), PeerId(2), "tiny", vec![]).unwrap();
-        let first = n.recv(PeerId(2)).unwrap();
-        assert_eq!(first.kind, "tiny", "independent link delivers first");
-    }
-
-    #[test]
-    fn recv_kind_filters() {
-        let mut n = net();
-        n.send(PeerId(1), PeerId(2), "a", vec![1]).unwrap();
-        n.send(PeerId(1), PeerId(2), "b", vec![2]).unwrap();
-        let m = n.recv_kind(PeerId(2), "b").unwrap();
-        assert_eq!(m.kind, "b");
-        assert_eq!(n.pending(PeerId(2)), 1);
-        assert!(n.recv_kind(PeerId(2), "zzz").is_none());
+        send(&mut n, 3, 2, "tiny", vec![]);
+        let order: Vec<_> = std::iter::from_fn(|| n.recv(PeerId(2)))
+            .map(|m| m.kind)
+            .collect();
+        assert_eq!(order, ["tiny", "big", "small"], "independent link first");
     }
 
     #[test]
     fn metrics_track_traffic() {
         let mut n = net();
-        n.send(PeerId(1), PeerId(2), "object", vec![0u8; 128])
-            .unwrap();
-        n.send(PeerId(2), PeerId(1), "desc", vec![0u8; 64]).unwrap();
+        send(&mut n, 1, 2, "object", vec![0u8; 128]);
+        send(&mut n, 2, 1, "desc", vec![0u8; 64]);
         assert_eq!(n.metrics().messages, 2);
         assert_eq!(n.metrics().bytes, 192);
         assert_eq!(n.metrics().kind("desc").bytes, 64);
@@ -442,63 +211,57 @@ mod tests {
 
     #[test]
     fn shared_handles_drive_one_fabric() {
-        use crate::transport::Transport;
         let mut left = SharedSimNet::new(NetConfig::default());
         let mut right = left.clone();
-        Transport::register(&mut left, PeerId(1));
-        Transport::register(&mut right, PeerId(2));
+        left.register(PeerId(1));
+        right.register(PeerId(2));
         // A send through one handle is received through the other...
-        Transport::send(&mut left, PeerId(1), PeerId(2), "k", vec![9].into()).unwrap();
+        left.send(PeerId(1), PeerId(2), "k", vec![9].into())
+            .unwrap();
         let m = right.try_recv(PeerId(2)).expect("shared inboxes");
         assert_eq!(m.from, PeerId(1));
         assert_eq!(m.payload, vec![9]);
         // ...the virtual clock and metrics are shared too.
         assert!(left.now_us() > 0);
         assert_eq!(left.now_us(), right.now_us());
-        assert_eq!(SharedSimNet::metrics(&left).messages, 1);
-        assert_eq!(SharedSimNet::metrics(&right).messages, 1);
-        assert_eq!(
-            Transport::send(&mut left, PeerId(1), PeerId(9), "k", Payload::empty()),
-            Err(NetError::UnknownPeer(PeerId(9)))
-        );
+        assert_eq!(left.metrics().messages, 1);
+        assert_eq!(right.metrics().messages, 1);
     }
 
     #[test]
     fn fault_plan_drops_and_duplicates_deterministically() {
-        use crate::fault::FaultPlan;
         let mut n = net();
         n.install_fault_plan(FaultPlan::new(1).with_loss(1000));
-        n.send(PeerId(1), PeerId(2), "x", vec![1]).unwrap();
+        send(&mut n, 1, 2, "x", vec![1]);
         assert_eq!(n.pending(PeerId(2)), 0, "dropped before the inbox");
         assert_eq!(n.metrics().faults_dropped, 1);
         assert_eq!(n.metrics().messages, 1, "the send itself is accounted");
         n.install_fault_plan(FaultPlan::new(1).with_duplication(1000));
-        n.send(PeerId(1), PeerId(2), "x", vec![2]).unwrap();
+        send(&mut n, 1, 2, "x", vec![2]);
         assert_eq!(n.pending(PeerId(2)), 2, "duplicated into the inbox");
         assert_eq!(n.metrics().faults_duplicated, 1);
-        n.clear_fault_plan();
-        n.send(PeerId(1), PeerId(2), "x", vec![3]).unwrap();
+        n.install_fault_plan(FaultPlan::new(1));
+        send(&mut n, 1, 2, "x", vec![3]);
         assert_eq!(n.pending(PeerId(2)), 3);
     }
 
     #[test]
     fn fault_partition_blocks_then_heals() {
-        use crate::fault::FaultPlan;
         let mut n = net();
         n.install_fault_plan(FaultPlan::new(1).with_partition([PeerId(2)], 0, 2));
-        n.send(PeerId(1), PeerId(2), "x", vec![1]).unwrap();
-        n.send(PeerId(2), PeerId(1), "x", vec![2]).unwrap();
+        send(&mut n, 1, 2, "x", vec![1]);
+        send(&mut n, 2, 1, "x", vec![2]);
         assert_eq!(n.pending(PeerId(2)), 0);
         assert_eq!(n.pending(PeerId(1)), 0);
         assert_eq!(n.metrics().faults_partitioned, 2);
         // Step 2: healed.
-        n.send(PeerId(1), PeerId(2), "x", vec![3]).unwrap();
+        send(&mut n, 1, 2, "x", vec![3]);
         assert_eq!(n.pending(PeerId(2)), 1);
     }
 
     #[test]
     fn advance_clock_only_moves_forward() {
-        let mut n = net();
+        let n = net();
         n.advance_clock_to(5000);
         assert_eq!(n.now_us(), 5000);
         n.advance_clock_to(100);
@@ -511,5 +274,19 @@ mod tests {
         let wan = NetConfig::wan();
         assert!(wan.tx_us(100_000) > lan.tx_us(100_000));
         assert!(wan.latency_us > lan.latency_us);
+    }
+
+    #[test]
+    fn an_ideal_link_costs_no_time_however_large_the_payload() {
+        let ideal = NetConfig::ideal();
+        assert_eq!(ideal.tx_us(usize::MAX), 0);
+        let mut n = SimNet::new(ideal);
+        n.register(PeerId(1));
+        n.register(PeerId(2));
+        n.advance_clock_to(5000);
+        send(&mut n, 1, 2, "x", vec![0u8; 1 << 20]);
+        let m = n.recv(PeerId(2)).unwrap();
+        assert_eq!((m.sent_at, m.deliver_at), (5000, 5000));
+        assert_eq!(n.now_us(), 5000, "a receive never moves the clock");
     }
 }

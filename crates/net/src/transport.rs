@@ -2,11 +2,12 @@
 //!
 //! The protocol engine (`pti-transport`'s `Swarm`) is generic over this
 //! trait, so the *same* optimistic-exchange state machine runs
-//! single-threaded over the deterministic virtual-time [`SimNet`] (for
-//! reproducible experiments) and genuinely concurrently over the
-//! threaded [`LiveBus`] (for load and integration tests).
+//! single-threaded over the deterministic virtual-time [`ReactorNet`]
+//! (for reproducible experiments and one-thread hosts) and genuinely
+//! concurrently over the threaded [`LiveBus`] (for load and integration
+//! tests).
 //!
-//! [`SimNet`]: crate::SimNet
+//! [`ReactorNet`]: crate::ReactorNet
 //! [`LiveBus`]: crate::LiveBus
 
 use std::time::Instant;
@@ -15,18 +16,18 @@ use crate::bus::BusMessage;
 use crate::fault::FaultPlan;
 use crate::metrics::NetMetrics;
 use crate::payload::Payload;
-use crate::sim::{NetError, PeerId, SharedSimNet, SimNet};
+use crate::sim::{NetError, PeerId};
 
 /// A message fabric connecting peers: registration, point-to-point send,
 /// per-peer receive, and shared traffic accounting.
 ///
-/// Implementations differ in their notion of time: [`SimNet`] is
+/// Implementations differ in their notion of time: [`ReactorNet`] is
 /// virtual-time and single-threaded (an empty inbox means the network is
 /// definitively quiet), while [`LiveBus`] is wall-clock and concurrent
 /// (an empty inbox may fill up a microsecond later, so receives take a
 /// deadline).
 ///
-/// [`SimNet`]: crate::SimNet
+/// [`ReactorNet`]: crate::ReactorNet
 /// [`LiveBus`]: crate::LiveBus
 pub trait Transport {
     /// Registers a peer, creating its inbox. Idempotent.
@@ -95,16 +96,15 @@ pub trait Transport {
     /// pumped again. A readiness-driven fabric ([`ReactorNet`]) marks the
     /// handle's session ready, which is how a host learns about a
     /// publish made through a session handle instead of by sweeping
-    /// every mounted swarm. Fabrics whose drivers pump on their own
-    /// schedule ([`SimNet`], [`SharedSimNet`], [`LiveBus`]) need no
-    /// signal — the default is a no-op.
+    /// every mounted swarm. A fabric whose drivers pump on their own
+    /// schedule ([`LiveBus`]) needs no signal — the default is a no-op.
     ///
     /// [`ReactorNet`]: crate::ReactorNet
     /// [`LiveBus`]: crate::LiveBus
     fn note_outbound(&mut self) {}
 
     /// The fabric's notion of "now" in microseconds — virtual time on
-    /// the simulated fabrics, time since fabric creation on the live
+    /// the virtual-time fabric, time since fabric creation on the live
     /// ones. The durability layer stamps retransmit deadlines with it.
     /// The default (a frozen clock) disables time-based retries.
     fn now_us(&self) -> u64 {
@@ -128,126 +128,11 @@ pub trait Transport {
     }
 }
 
-impl Transport for SimNet {
-    fn register(&mut self, peer: PeerId) {
-        SimNet::register(self, peer);
-    }
-
-    fn send(
-        &mut self,
-        from: PeerId,
-        to: PeerId,
-        kind: &'static str,
-        payload: Payload,
-    ) -> Result<(), NetError> {
-        SimNet::send(self, from, to, kind, payload).map(|_deliver_at| ())
-    }
-
-    fn try_recv(&mut self, peer: PeerId) -> Option<BusMessage> {
-        SimNet::recv(self, peer).map(|m| BusMessage {
-            from: m.from,
-            to: m.to,
-            kind: m.kind,
-            payload: m.payload,
-        })
-    }
-
-    fn metrics(&self) -> NetMetrics {
-        SimNet::metrics(self).clone()
-    }
-
-    fn reset_metrics(&mut self) {
-        SimNet::reset_metrics(self);
-    }
-
-    fn record_batch_splits(&mut self, from: PeerId, to: PeerId, extra: u64) {
-        SimNet::metrics_mut(self).record_batch_splits(from, to, extra);
-    }
-
-    fn record_batched_frame(&mut self, kind: &'static str, bytes: usize) {
-        SimNet::metrics_mut(self).record_batched_frame(kind, bytes);
-    }
-
-    fn record_payload_encode(&mut self) {
-        SimNet::metrics_mut(self).record_payload_encode();
-    }
-
-    fn now_us(&self) -> u64 {
-        SimNet::now_us(self)
-    }
-
-    fn install_fault_plan(&mut self, plan: FaultPlan) {
-        SimNet::install_fault_plan(self, plan);
-    }
-
-    fn advance_virtual_time(&mut self, deadline_us: u64) -> bool {
-        SimNet::advance_clock_to(self, deadline_us);
-        true
-    }
-}
-
-/// Every clone drives the same underlying [`SimNet`]: registration,
-/// sends, receives and metrics all land on the shared fabric, exactly
-/// like clones of a [`LiveBus`](crate::LiveBus) handle — but
-/// single-threaded and in virtual time.
-impl Transport for SharedSimNet {
-    fn register(&mut self, peer: PeerId) {
-        self.with(|net| net.register(peer));
-    }
-
-    fn send(
-        &mut self,
-        from: PeerId,
-        to: PeerId,
-        kind: &'static str,
-        payload: Payload,
-    ) -> Result<(), NetError> {
-        self.with(|net| net.send(from, to, kind, payload).map(|_deliver_at| ()))
-    }
-
-    fn try_recv(&mut self, peer: PeerId) -> Option<BusMessage> {
-        self.with(|net| Transport::try_recv(net, peer))
-    }
-
-    fn metrics(&self) -> NetMetrics {
-        SharedSimNet::metrics(self)
-    }
-
-    fn reset_metrics(&mut self) {
-        self.with(SimNet::reset_metrics);
-    }
-
-    fn record_batch_splits(&mut self, from: PeerId, to: PeerId, extra: u64) {
-        self.with(|net| net.metrics_mut().record_batch_splits(from, to, extra));
-    }
-
-    fn record_batched_frame(&mut self, kind: &'static str, bytes: usize) {
-        self.with(|net| net.metrics_mut().record_batched_frame(kind, bytes));
-    }
-
-    fn record_payload_encode(&mut self) {
-        self.with(|net| net.metrics_mut().record_payload_encode());
-    }
-
-    fn now_us(&self) -> u64 {
-        SharedSimNet::now_us(self)
-    }
-
-    fn install_fault_plan(&mut self, plan: FaultPlan) {
-        SharedSimNet::install_fault_plan(self, plan);
-    }
-
-    fn advance_virtual_time(&mut self, deadline_us: u64) -> bool {
-        SharedSimNet::advance_clock_to(self, deadline_us);
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bus::LiveBus;
-    use crate::sim::NetConfig;
+    use crate::sim::{NetConfig, SimNet};
     use std::time::Duration;
 
     fn exercise<T: Transport>(mut t: T) {

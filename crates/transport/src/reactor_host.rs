@@ -38,7 +38,7 @@
 use std::collections::HashMap;
 
 use pti_net::bridge::BridgeRx;
-use pti_net::{ReactorNet, SessionId};
+use pti_net::{NetConfig, ReactorNet, SessionId};
 
 use crate::error::Result;
 use crate::swarm::Swarm;
@@ -114,10 +114,12 @@ impl Default for ReactorHost {
 }
 
 impl ReactorHost {
-    /// Creates a host over a fresh reactor fabric.
+    /// Creates a host over a fresh reactor fabric with the ideal link
+    /// ([`NetConfig::ideal`]): every message is due when sent, so the
+    /// clock moves only by idle parking.
     pub fn new() -> ReactorHost {
         ReactorHost {
-            hub: ReactorNet::new(),
+            hub: ReactorNet::new(NetConfig::ideal()),
             slots: Vec::new(),
             slot_by_session: HashMap::new(),
             budget: DEFAULT_FAIRNESS_BUDGET,

@@ -197,9 +197,9 @@ pub type SimSwarm = Swarm<SimNet>;
 /// protocol.
 pub type LiveSwarm = Swarm<LiveBus>;
 
-/// A swarm over the readiness-driven reactor fabric: thousands of these
-/// share one thread under a
-/// [`ReactorHost`](crate::reactor_host::ReactorHost), same protocol.
+/// The same swarm type as [`SimSwarm`], named for its use under a
+/// [`ReactorHost`](crate::reactor_host::ReactorHost): thousands of these
+/// share one thread on one fabric, same protocol.
 pub type ReactorSwarm = Swarm<ReactorNet>;
 
 impl<T: Transport> std::fmt::Debug for Swarm<T> {
@@ -215,8 +215,8 @@ impl<T: Transport> std::fmt::Debug for Swarm<T> {
 }
 
 impl Swarm<SimNet> {
-    /// Creates a swarm over a fresh simulated network with the given
-    /// link parameters.
+    /// Creates a swarm over a fresh virtual-time fabric with the given
+    /// link parameters (on its root session).
     pub fn new(config: NetConfig) -> SimSwarm {
         Swarm::over(SimNet::new(config))
     }

@@ -463,3 +463,31 @@ fn different_seeds_take_different_trajectories() {
     // identity check above).
     assert_ne!(churn_run(42), churn_run(1234));
 }
+
+/// FNV-1a over 64 bits: a stable digest of a byte log, so a test can pin
+/// a run's exact output across commits without storing the log. The
+/// runs above only compare a run with itself; these pins catch a change
+/// to delivery order, virtual time, fault draws or traffic accounting
+/// that stays self-consistent. Moving one is a deliberate re-baseline.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+#[test]
+fn seeded_churn_matches_its_pinned_digest() {
+    assert_eq!(fnv1a64(&churn_run(42)), 0x4b51_6770_2124_307f);
+}
+
+#[test]
+fn faulty_churn_matches_its_pinned_digest() {
+    assert_eq!(fnv1a64(&faulty_churn_run(42)), 0xbdfa_ba16_b294_17c6);
+}
+
+#[test]
+fn sharded_churn_matches_its_pinned_digests() {
+    let logs = sharded_churn_run(42);
+    let digests: Vec<u64> = logs.iter().map(|log| fnv1a64(log)).collect();
+    assert_eq!(digests, [0xf252_9073_482f_69b1, 0xc098_6014_6dba_05c9]);
+}

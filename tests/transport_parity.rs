@@ -189,7 +189,7 @@ fn run_scenario_sharded() -> Outcome {
 fn same_scenario_same_decisions_on_both_fabrics() {
     let sim = run_scenario(Swarm::new(NetConfig::default()));
     let live = run_scenario(Swarm::over(LiveBus::new()));
-    let reactor = run_scenario(Swarm::over(ReactorNet::new()));
+    let reactor = run_scenario(Swarm::over(ReactorNet::new(NetConfig::ideal())));
     let sharded = run_scenario_sharded();
 
     assert_eq!(
@@ -317,7 +317,7 @@ fn run_routed_scenario<T: Transport>(mut swarm: Swarm<T>) -> RoutedOutcome {
 fn routing_decisions_agree_on_both_fabrics_including_after_unsubscribe() {
     let sim = run_routed_scenario(Swarm::new(NetConfig::default()));
     let live = run_routed_scenario(Swarm::over(LiveBus::new()));
-    let reactor = run_routed_scenario(Swarm::over(ReactorNet::new()));
+    let reactor = run_routed_scenario(Swarm::over(ReactorNet::new(NetConfig::ideal())));
 
     assert_eq!(
         sim, live,
@@ -351,5 +351,5 @@ fn aliases_name_the_canonical_swarms() {
     // Type-level check: the aliases stay wired to the right fabrics.
     let _sim: SimSwarm = Swarm::new(NetConfig::default());
     let _live: LiveSwarm = Swarm::over(LiveBus::new());
-    let _reactor: ReactorSwarm = Swarm::over(ReactorNet::new());
+    let _reactor: ReactorSwarm = Swarm::over(ReactorNet::new(NetConfig::ideal()));
 }

@@ -35,10 +35,8 @@ fn binary_envelopes_are_the_default_on_the_wire() {
         .unwrap();
     swarm.flush_wire();
     // Inspect the raw wire message before delivery: PTIE magic, no XML.
-    let msg = swarm
-        .net_mut()
-        .recv_kind(subs[0], "object")
-        .expect("one routed envelope");
+    let msg = swarm.net_mut().recv(subs[0]).expect("one routed envelope");
+    assert_eq!(msg.kind, "object");
     assert!(ObjectEnvelope::is_ptib(&msg.payload));
     swarm
         .dispatch(
