@@ -19,12 +19,13 @@
 //!   for structural subtyping — with a hard depth bound as a backstop.
 
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use pti_metamodel::{DescriptionProvider, Guid, MethodDesc, TypeDescription, TypeKind, TypeName};
-use std::sync::Mutex;
 
 use crate::binding::{ConformanceBinding, CtorBinding, FieldBinding, MethodBinding};
 use crate::config::{Ambiguity, ConformanceConfig, Unresolved, Variance};
+use crate::contract::Contract;
 use crate::report::{Aspect, NonConformance, Reason};
 
 /// Maximum recursion depth through referenced types.
@@ -73,14 +74,20 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
+/// One cached verdict: a successful one is bound to its expected type.
+type Verdict = Result<Arc<Contract>, NonConformance>;
+
 /// The conformance checker: rules + per-instance verdict cache.
 ///
-/// Create one checker per peer (its cache assumes a stable description
-/// environment); [`clear_cache`](Self::clear_cache) resets it if the
-/// environment changes.
+/// The cache holds one verdict per `(received guid, expected guid)`
+/// pair; a successful one is an `Arc<`[`Contract`]`>` that
+/// [`bind`](Self::bind) hands out, so every proxy for the pair shares
+/// the same contract. Create one checker per peer (its cache assumes a
+/// stable description environment); [`clear_cache`](Self::clear_cache)
+/// resets it if the environment changes.
 pub struct ConformanceChecker {
     config: ConformanceConfig,
-    cache: Mutex<HashMap<(Guid, Guid), Result<Conformance, NonConformance>>>,
+    cache: Mutex<HashMap<(Guid, Guid), Verdict>>,
     stats: Mutex<CacheStats>,
     caching: bool,
 }
@@ -97,18 +104,8 @@ impl std::fmt::Debug for ConformanceChecker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ConformanceChecker")
             .field("config", &self.config)
-            .field(
-                "cached_pairs",
-                &self
-                    .cache
-                    .lock()
-                    .expect("conformance cache lock poisoned")
-                    .len(),
-            )
-            .field(
-                "stats",
-                &*self.stats.lock().expect("conformance cache lock poisoned"),
-            )
+            .field("cached_pairs", &self.cache().len())
+            .field("stats", &*self.counters())
             .finish()
     }
 }
@@ -146,16 +143,36 @@ impl ConformanceChecker {
 
     /// Cache hit/miss counters so far.
     pub fn stats(&self) -> CacheStats {
-        *self.stats.lock().expect("conformance cache lock poisoned")
+        *self.counters()
     }
 
-    /// Empties the verdict cache (use when the description environment
-    /// changes, e.g. a new description for a previously unresolved name).
+    /// Empties the verdict cache, bound contracts included (use when the
+    /// description environment changes, e.g. a new description for a
+    /// previously unresolved name). Proxies already handed out keep
+    /// their contracts.
     pub fn clear_cache(&self) {
-        self.cache
-            .lock()
-            .expect("conformance cache lock poisoned")
-            .clear();
+        self.cache().clear();
+    }
+
+    /// The verdict cache. A panic while it was held cannot leave it
+    /// inconsistent (every update is a single insert or clear), so a
+    /// poisoned lock is simply taken over.
+    fn cache(&self) -> MutexGuard<'_, HashMap<(Guid, Guid), Verdict>> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The hit/miss counters, taken over when poisoned like the cache.
+    fn counters(&self) -> MutexGuard<'_, CacheStats> {
+        self.stats.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The cached verdict for a pair, counting a hit when `count_hit`.
+    fn cached(&self, key: (Guid, Guid), count_hit: bool) -> Option<Verdict> {
+        let hit = self.cache().get(&key).cloned()?;
+        if count_hit {
+            self.counters().hits += 1;
+        }
+        Some(hit)
     }
 
     /// Decides whether `source` (`T'`, the received type) implicitly
@@ -184,6 +201,44 @@ impl ConformanceChecker {
         self.check_descs(source, target, &mut state)
     }
 
+    /// [`check`](Self::check), answered with the verdict cache's bound
+    /// contract for the pair: every call for the same pair returns the
+    /// same `Arc`, so a proxy built from it shares rather than rebuilds
+    /// the expected description and translation table. Hits and misses
+    /// count exactly as in `check` (an identical pair counts neither, yet
+    /// its contract is cached too).
+    ///
+    /// # Errors
+    /// [`NonConformance`] lists every violated aspect.
+    pub fn bind(
+        &self,
+        source: &TypeDescription,
+        target: &TypeDescription,
+        src_provider: &dyn DescriptionProvider,
+        tgt_provider: &dyn DescriptionProvider,
+    ) -> Result<Arc<Contract>, NonConformance> {
+        let key = (source.guid, target.guid);
+        let identical = is_identical(source, target);
+        if self.caching {
+            if let Some(hit) = self.cached(key, !identical) {
+                return hit;
+            }
+        }
+        let conformance = self.check(source, target, src_provider, tgt_provider)?;
+        if self.caching && !identical {
+            // `check` cached the pair unless its recursion hit the depth
+            // bound.
+            if let Some(Ok(bound)) = self.cache().get(&key) {
+                return Ok(Arc::clone(bound));
+            }
+        }
+        let bound = Arc::new(Contract::new(target.clone(), conformance));
+        if self.caching && identical {
+            self.cache().insert(key, Ok(Arc::clone(&bound)));
+        }
+        Ok(bound)
+    }
+
     /// Boolean convenience over [`check`](Self::check).
     pub fn conforms(
         &self,
@@ -203,22 +258,13 @@ impl ConformanceChecker {
         state: &mut State<'_>,
     ) -> Result<Conformance, NonConformance> {
         // Rule: T' == T (identity short-circuits everything).
-        if source.guid == target.guid && !source.guid.is_nil() {
+        if is_identical(source, target) {
             return Ok(Conformance::Identical);
         }
         let key = (source.guid, target.guid);
         if self.caching {
-            if let Some(hit) = self
-                .cache
-                .lock()
-                .expect("conformance cache lock poisoned")
-                .get(&key)
-            {
-                self.stats
-                    .lock()
-                    .expect("conformance cache lock poisoned")
-                    .hits += 1;
-                return hit.clone();
+            if let Some(hit) = self.cached(key, true) {
+                return hit.map(|bound| bound.conformance().clone());
             }
         }
         // Coinductive hypothesis for cyclic references.
@@ -238,21 +284,22 @@ impl ConformanceChecker {
         let result = self.check_uncached(source, target, state);
         state.depth -= 1;
         state.in_progress.pop();
-        self.stats
-            .lock()
-            .expect("conformance cache lock poisoned")
-            .misses += 1;
+        self.counters().misses += 1;
         // Results derived under a coinductive assumption deeper in the
         // stack are still sound to cache: the assumption is discharged by
         // the time the outermost frame for the pair completes, and inner
         // frames only ran within that computation.
-        if self.caching && !state.depth_exceeded {
-            self.cache
-                .lock()
-                .expect("conformance cache lock poisoned")
-                .insert(key, result.clone());
+        if !self.caching || state.depth_exceeded {
+            return result;
         }
-        result
+        let verdict =
+            result.map(|conformance| Arc::new(Contract::new(target.clone(), conformance)));
+        let answer = verdict
+            .as_ref()
+            .map(|bound| bound.conformance().clone())
+            .map_err(NonConformance::clone);
+        self.cache().insert(key, verdict);
+        answer
     }
 
     fn check_uncached(
@@ -828,6 +875,11 @@ enum Pick<'c, C> {
 enum Side {
     Src,
     Tgt,
+}
+
+/// `T' == T`: the same non-nil identity.
+fn is_identical(source: &TypeDescription, target: &TypeDescription) -> bool {
+    source.guid == target.guid && !source.guid.is_nil()
 }
 
 fn brief(m: &MethodDesc) -> String {

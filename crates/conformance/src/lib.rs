@@ -17,6 +17,8 @@
 //!
 //! A successful check yields a [`ConformanceBinding`] — the translation
 //! table dynamic proxies use to invoke the received object.
+//! [`ConformanceChecker::bind`] returns it inside the verdict cache's
+//! shared [`Contract`] for the pair, so proxies need not rebuild it.
 //!
 //! ## Example
 //!
@@ -52,6 +54,7 @@ mod behavioral;
 mod binding;
 mod checker;
 mod config;
+mod contract;
 mod levenshtein;
 mod matcher;
 mod report;
@@ -60,6 +63,7 @@ pub use behavioral::{BehavioralReport, BehavioralTester, MethodVerdict};
 pub use binding::{ConformanceBinding, CtorBinding, FieldBinding, MethodBinding};
 pub use checker::{CacheStats, Conformance, ConformanceChecker};
 pub use config::{Ambiguity, ConformanceConfig, Unresolved, Variance};
+pub use contract::Contract;
 pub use levenshtein::{levenshtein, levenshtein_ci};
 pub use matcher::{NameMatcher, SynonymTable};
 pub use report::{Aspect, NonConformance, Reason};

@@ -1,9 +1,11 @@
 //! Rule-by-rule tests of the implicit structural conformance checker
 //! against the aspects of Figure 2 in the paper.
 
+use std::sync::Arc;
+
 use pti_conformance::{
-    Ambiguity, Aspect, Conformance, ConformanceChecker, ConformanceConfig, NameMatcher, Reason,
-    Unresolved, Variance,
+    Ambiguity, Aspect, CacheStats, Conformance, ConformanceChecker, ConformanceConfig, NameMatcher,
+    Reason, Unresolved, Variance,
 };
 use pti_metamodel::{
     primitives, DescriptionProvider, ParamDef, TypeDef, TypeDescription, TypeRegistry,
@@ -755,6 +757,63 @@ fn clear_cache_resets_verdicts() {
     checker.clear_cache();
     assert!(checker.conforms(&desc(&b), &desc(&a), &r, &r));
     assert_eq!(checker.stats().hits, 0);
+}
+
+#[test]
+fn bind_shares_one_contract_per_pair() {
+    let (a, b) = person_pair();
+    let r = reg(&[&a, &b]);
+    let checker = ConformanceChecker::new(ConformanceConfig::pragmatic());
+    let first = checker.bind(&desc(&b), &desc(&a), &r, &r).unwrap();
+    let before = checker.stats();
+    let second = checker.bind(&desc(&b), &desc(&a), &r, &r).unwrap();
+    assert!(
+        Arc::ptr_eq(&first, &second),
+        "a warm bind is a refcount bump"
+    );
+    assert_eq!(checker.stats().hits, before.hits + 1, "counted like check");
+    assert_eq!(checker.stats().misses, before.misses);
+    assert_eq!(first.expected().guid, a.guid);
+    let verdict = checker.check(&desc(&b), &desc(&a), &r, &r).unwrap();
+    assert_eq!(first.conformance(), &verdict, "check reads the same entry");
+    assert_eq!(first.binding(), &verdict.binding(&desc(&a)));
+}
+
+#[test]
+fn bind_caches_identical_pairs_without_counting() {
+    let (a, _) = person_pair();
+    let r = reg(&[&a]);
+    let checker = ConformanceChecker::new(ConformanceConfig::pragmatic());
+    let first = checker.bind(&desc(&a), &desc(&a), &r, &r).unwrap();
+    let second = checker.bind(&desc(&a), &desc(&a), &r, &r).unwrap();
+    assert!(Arc::ptr_eq(&first, &second));
+    assert_eq!(first.conformance(), &Conformance::Identical);
+    assert!(first.binding().is_identity());
+    assert_eq!(checker.stats(), CacheStats::default());
+}
+
+#[test]
+fn clear_cache_drops_bound_contracts() {
+    let (a, b) = person_pair();
+    let r = reg(&[&a, &b]);
+    let checker = ConformanceChecker::new(ConformanceConfig::pragmatic());
+    let before = checker.bind(&desc(&b), &desc(&a), &r, &r).unwrap();
+    checker.clear_cache();
+    let after = checker.bind(&desc(&b), &desc(&a), &r, &r).unwrap();
+    assert!(!Arc::ptr_eq(&before, &after), "rebound after the clear");
+    assert_eq!(before, after, "to an equal contract");
+    assert_eq!(Arc::strong_count(&before), 1, "the cache let go of it");
+}
+
+#[test]
+fn bind_reports_nonconformance() {
+    let (a, _) = person_pair();
+    let alien = TypeDef::class("Alien", "x").build();
+    let r = reg(&[&a, &alien]);
+    let checker = ConformanceChecker::new(ConformanceConfig::pragmatic());
+    assert!(checker.bind(&desc(&alien), &desc(&a), &r, &r).is_err());
+    assert!(checker.bind(&desc(&alien), &desc(&a), &r, &r).is_err());
+    assert_eq!(checker.stats().hits, 1, "a cached rejection is a hit");
 }
 
 #[test]

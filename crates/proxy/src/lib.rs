@@ -55,8 +55,11 @@
 #![warn(missing_docs)]
 
 use std::fmt;
+use std::sync::Arc;
 
-use pti_conformance::{Conformance, ConformanceBinding, ConformanceChecker, NonConformance};
+use pti_conformance::{
+    Conformance, ConformanceBinding, ConformanceChecker, Contract, NonConformance,
+};
 use pti_metamodel::{
     DescriptionProvider, MetamodelError, ObjHandle, Runtime, TypeDescription, Value,
 };
@@ -119,13 +122,15 @@ pub type Result<T> = std::result::Result<T, ProxyError>;
 /// A dynamic proxy exposing an expected type `T` over an object whose
 /// actual type `T'` merely conforms to `T`.
 ///
-/// The proxy owns the translation table; the object itself stays in the
-/// runtime's heap (the proxy is cheap to clone and pass around, like the
-/// transparent proxies .NET remoting hands out).
+/// The proxy shares its [`Contract`] (expected type plus translation
+/// table) and holds the object's handle; the object itself stays in the
+/// runtime's heap. Built from [`ConformanceChecker::bind`], a proxy
+/// shares the checker's cached contract, so building or cloning one is
+/// a reference-count bump (like the transparent proxies .NET remoting
+/// hands out).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DynamicProxy {
-    expected: TypeDescription,
-    binding: ConformanceBinding,
+    contract: Arc<Contract>,
     handle: ObjHandle,
 }
 
@@ -143,22 +148,25 @@ impl DynamicProxy {
         src_provider: &dyn DescriptionProvider,
         tgt_provider: &dyn DescriptionProvider,
     ) -> Result<DynamicProxy> {
-        let conf = checker.check(actual, expected, src_provider, tgt_provider)?;
-        Ok(Self::from_conformance(expected, &conf, handle))
+        let contract = checker.bind(actual, expected, src_provider, tgt_provider)?;
+        Ok(Self::from_contract(contract, handle))
     }
 
-    /// Builds a proxy from an already-established conformance result
-    /// (e.g. one the transport protocol cached).
+    /// Builds a proxy over a shared contract (e.g. the one
+    /// [`ConformanceChecker::bind`] returned): no copy is made.
+    pub fn from_contract(contract: Arc<Contract>, handle: ObjHandle) -> DynamicProxy {
+        DynamicProxy { contract, handle }
+    }
+
+    /// Builds a proxy from an already-established conformance result,
+    /// binding a fresh contract around it.
     pub fn from_conformance(
         expected: &TypeDescription,
         conformance: &Conformance,
         handle: ObjHandle,
     ) -> DynamicProxy {
-        DynamicProxy {
-            expected: expected.clone(),
-            binding: conformance.binding(expected),
-            handle,
-        }
+        let contract = Contract::new(expected.clone(), conformance.clone());
+        Self::from_contract(Arc::new(contract), handle)
     }
 
     /// Builds a proxy from an explicit binding.
@@ -167,11 +175,8 @@ impl DynamicProxy {
         binding: ConformanceBinding,
         handle: ObjHandle,
     ) -> DynamicProxy {
-        DynamicProxy {
-            expected: expected.clone(),
-            binding,
-            handle,
-        }
+        let contract = Contract::with_binding(expected.clone(), binding);
+        Self::from_contract(Arc::new(contract), handle)
     }
 
     /// The wrapped object.
@@ -179,20 +184,26 @@ impl DynamicProxy {
         self.handle
     }
 
+    /// The contract this proxy exposes (shared with the checker's cache
+    /// when the proxy came from [`ConformanceChecker::bind`]).
+    pub fn contract(&self) -> &Arc<Contract> {
+        &self.contract
+    }
+
     /// The expected (exposed) type description.
     pub fn expected(&self) -> &TypeDescription {
-        &self.expected
+        self.contract.expected()
     }
 
     /// The translation table in use.
     pub fn binding(&self) -> &ConformanceBinding {
-        &self.binding
+        self.contract.binding()
     }
 
     /// Whether this proxy is a pure pass-through (identity binding) —
     /// the case for identical, explicit and equivalent conformance.
     pub fn is_transparent(&self) -> bool {
-        self.binding.is_identity()
+        self.binding().is_identity()
     }
 
     /// Invokes a method *of the expected contract* on the wrapped object,
@@ -203,7 +214,7 @@ impl DynamicProxy {
     /// or any runtime dispatch error.
     pub fn invoke(&self, rt: &mut Runtime, method: &str, args: &[Value]) -> Result<Value> {
         let mb =
-            self.binding
+            self.binding()
                 .method(method, args.len())
                 .ok_or_else(|| ProxyError::NotInContract {
                     method: method.to_string(),
@@ -216,7 +227,7 @@ impl DynamicProxy {
     /// Reads a field of the expected contract through the field binding.
     pub fn get_field(&self, rt: &Runtime, field: &str) -> Result<Value> {
         let fb = self
-            .binding
+            .binding()
             .field(field)
             .ok_or_else(|| ProxyError::FieldNotInContract(field.to_string()))?;
         Ok(rt.get_field(self.handle, &fb.actual_name)?)
@@ -225,7 +236,7 @@ impl DynamicProxy {
     /// Writes a field of the expected contract through the field binding.
     pub fn set_field(&self, rt: &mut Runtime, field: &str, value: Value) -> Result<()> {
         let fb = self
-            .binding
+            .binding()
             .field(field)
             .ok_or_else(|| ProxyError::FieldNotInContract(field.to_string()))?;
         Ok(rt.set_field(self.handle, &fb.actual_name, value)?)
@@ -406,6 +417,35 @@ mod tests {
         let checker = ConformanceChecker::new(ConformanceConfig::pragmatic());
         let p = DynamicProxy::try_new(&act, &act, h, &checker, &rt.registry, &rt.registry).unwrap();
         assert!(p.is_transparent());
+    }
+
+    #[test]
+    fn proxies_from_one_checker_share_the_contract() {
+        let (mut rt, exp, act, h) = setup();
+        let checker = ConformanceChecker::new(ConformanceConfig::pragmatic());
+        let a = DynamicProxy::try_new(&exp, &act, h, &checker, &rt.registry, &rt.registry).unwrap();
+        let h2 = rt.instantiate(&"Person".into(), &[]).unwrap();
+        rt.set_field(h2, "name", Value::from("lin")).unwrap();
+        let b =
+            DynamicProxy::try_new(&exp, &act, h2, &checker, &rt.registry, &rt.registry).unwrap();
+        assert!(Arc::ptr_eq(a.contract(), b.contract()));
+        assert_ne!(a.handle(), b.handle());
+        assert_eq!(a.invoke(&mut rt, "getName", &[]).unwrap(), "ada".into());
+        assert_eq!(b.invoke(&mut rt, "getName", &[]).unwrap(), "lin".into());
+    }
+
+    #[test]
+    fn from_conformance_binds_the_same_contract_as_the_checker() {
+        let (rt, exp, act, h) = setup();
+        let checker = ConformanceChecker::new(ConformanceConfig::pragmatic());
+        let conf = checker
+            .check(&act, &exp, &rt.registry, &rt.registry)
+            .unwrap();
+        let rebuilt = DynamicProxy::from_conformance(&exp, &conf, h);
+        let shared =
+            DynamicProxy::try_new(&exp, &act, h, &checker, &rt.registry, &rt.registry).unwrap();
+        assert_eq!(rebuilt, shared);
+        assert_eq!(rebuilt.expected(), &exp);
     }
 
     #[test]

@@ -22,9 +22,10 @@
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pti_conformance::ConformanceBinding;
+use pti_conformance::{ConformanceBinding, Contract};
 use pti_metamodel::{Guid, ObjHandle, TypeDescription, TypeName, Value};
 use pti_net::{BusMessage, PeerId, Transport};
 use pti_serialize::{from_soap, to_soap};
@@ -100,20 +101,24 @@ impl RemoteRef {
 
 /// A client-side stub for a remote object, exposing the *client's*
 /// expected contract and translating to the owner's actual type through
-/// the conformance binding.
+/// the conformance binding. The contract is the client checker's cached
+/// one for the `(remote type, interest)` pair, shared, not copied.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RemoteProxy {
     /// The wire reference.
     pub remote: RemoteRef,
-    /// The expected (client-side) type the proxy exposes.
-    pub expected: TypeDescription,
-    binding: ConformanceBinding,
+    contract: Arc<Contract>,
 }
 
 impl RemoteProxy {
+    /// The expected (client-side) type the proxy exposes.
+    pub fn expected(&self) -> &TypeDescription {
+        self.contract.expected()
+    }
+
     /// The binding translating expected members to actual ones.
     pub fn binding(&self) -> &ConformanceBinding {
-        &self.binding
+        self.contract.binding()
     }
 }
 
@@ -262,7 +267,7 @@ impl RemotingFabric {
         method: &str,
         args: &[Value],
     ) -> Result<Value> {
-        let mb = proxy.binding.method(method, args.len()).ok_or_else(|| {
+        let mb = proxy.binding().method(method, args.len()).ok_or_else(|| {
             TransportError::Protocol(format!(
                 "method `{method}/{}` is not in the expected contract",
                 args.len()
@@ -442,12 +447,10 @@ impl RemotingFabric {
                 continue;
             };
             match matched {
-                Some((interest, conf)) => {
-                    let binding = conf.binding(&interest);
+                Some(contract) => {
                     self.arrived.entry(at).or_default().push(RemoteProxy {
                         remote: rref,
-                        expected: interest,
-                        binding,
+                        contract,
                     });
                 }
                 None => {

@@ -982,16 +982,11 @@ impl<T: Transport> Subscription<T> {
         let Some(inbox) = g.mailbox.get_mut(&self.member) else {
             return Vec::new();
         };
-        let mut mine = Vec::new();
-        inbox.retain(|ev| {
-            if ev.interest_guid == self.interest.guid {
-                mine.push(ev.clone());
-                false
-            } else {
-                true
-            }
-        });
-        mine
+        // Moves this subscription's events out in publish order; the
+        // rest stay queued in theirs.
+        inbox
+            .extract_if(.., |ev| ev.interest_guid == self.interest.guid)
+            .collect()
     }
 
     /// Drains and visits every pending event of this subscription.
@@ -1396,6 +1391,40 @@ mod tests {
         assert_eq!(q_sub.drain().len(), 3);
         assert_eq!(n_sub.drain().len(), 3);
         assert!(q_sub.drain().is_empty(), "drained once");
+    }
+
+    #[test]
+    fn drain_keeps_publish_order_and_leaves_other_interests_queued() {
+        let tps = group();
+        let publisher = tps.add_member();
+        let subscriber = tps.add_member();
+        let quotes = publisher.publisher_for(quote_assembly("pub").0).unwrap();
+        let news = publisher.publisher_for(news_assembly("pub").0).unwrap();
+        let q_sub = subscriber.subscribe(TypeDescription::from_def(&quote_assembly("sub").1));
+        let n_sub = subscriber.subscribe(TypeDescription::from_def(&news_assembly("sub").1));
+        for i in 0..4 {
+            let (s, h) = (format!("Q{i}"), format!("N{i}"));
+            quotes
+                .publish_with(|e| e.set("symbol", s.as_str()).map(drop))
+                .unwrap();
+            news.publish_with(|e| e.set("headline", h.as_str()).map(drop))
+                .unwrap();
+        }
+        tps.run().unwrap();
+        let read = |sub: &Subscription<SimNet>, field: &str| -> Vec<String> {
+            sub.drain()
+                .iter()
+                .map(|ev| {
+                    sub.get_field(ev, field)
+                        .unwrap()
+                        .as_str()
+                        .unwrap()
+                        .to_string()
+                })
+                .collect()
+        };
+        assert_eq!(read(&q_sub, "symbol"), ["Q0", "Q1", "Q2", "Q3"]);
+        assert_eq!(read(&n_sub, "headline"), ["N0", "N1", "N2", "N3"]);
     }
 
     #[test]

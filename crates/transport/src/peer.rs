@@ -2,8 +2,9 @@
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
-use pti_conformance::{Conformance, ConformanceChecker, ConformanceConfig};
+use pti_conformance::{ConformanceChecker, ConformanceConfig, Contract};
 use pti_metamodel::{
     Assembly, DescriptionProvider, Guid, Runtime, TypeDescription, TypeName, Value,
 };
@@ -14,10 +15,6 @@ use pti_serialize::{AssemblyRef, ObjectEnvelope, Payload, PayloadFormat};
 use crate::error::{Result, TransportError};
 
 /// How an inbound object exchange ended.
-// Accepted carries the full proxy (description + binding); deliveries are
-// produced once per exchange and immediately consumed, so the size skew
-// is irrelevant.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum Delivery {
     /// The object was materialized into the local runtime.
@@ -47,6 +44,27 @@ pub enum Delivery {
 }
 
 impl Delivery {
+    /// An accepted object: its proxy, for an object matched to an
+    /// interest, shares the matched contract.
+    pub(crate) fn accepted(from: PeerId, value: Value, matched: Option<Arc<Contract>>) -> Delivery {
+        let proxy = match (&matched, &value) {
+            (Some(contract), Value::Obj(h)) => {
+                Some(DynamicProxy::from_contract(Arc::clone(contract), *h))
+            }
+            _ => None,
+        };
+        let (interest, interest_guid) = matched
+            .map(|c| (c.expected().name.clone(), c.expected().guid))
+            .unzip();
+        Delivery::Accepted {
+            from,
+            value,
+            interest,
+            interest_guid,
+            proxy,
+        }
+    }
+
     /// Whether this delivery accepted the object.
     pub fn is_accepted(&self) -> bool {
         matches!(self, Delivery::Accepted { .. })
@@ -77,10 +95,10 @@ pub struct Published {
     pub assembly: Assembly,
     /// Descriptions of every type bundled in the assembly.
     pub descriptions: Vec<TypeDescription>,
-    /// Download path of the descriptions.
-    pub desc_path: String,
-    /// Download path of the code.
-    pub asm_path: String,
+    /// The envelope entry announcing this assembly (name, download
+    /// paths of its descriptions and code, content hash), built once
+    /// and cloned into every envelope that needs it.
+    pub assembly_ref: AssemblyRef,
 }
 
 /// An inbound object whose exchange is still in flight (waiting on
@@ -96,8 +114,9 @@ pub(crate) struct PendingObject {
     pub awaiting_descs: HashSet<String>,
     /// `Some(paths)` once conformance passed: code paths still missing.
     pub awaiting_asms: Option<HashSet<String>>,
-    /// Interest matched by the conformance stage.
-    pub matched: Option<TypeDescription>,
+    /// Contract bound by the conformance stage: the matched interest
+    /// and its translation table, shared with the checker's cache.
+    pub matched: Option<Arc<Contract>>,
 }
 
 /// A protocol peer.
@@ -198,11 +217,16 @@ impl Peer {
         }
         self.installed.insert(asm_path.clone());
         self.installed_hashes.insert(assembly.content_hash());
+        let assembly_ref = AssemblyRef {
+            name: assembly.name().to_string(),
+            description_path: desc_path.clone(),
+            assembly_path: asm_path.clone(),
+            content_hash: format!("{:x}", assembly.content_hash()),
+        };
         let published = Published {
             assembly,
             descriptions,
-            desc_path: desc_path.clone(),
-            asm_path: asm_path.clone(),
+            assembly_ref,
         };
         self.published_by_desc.insert(desc_path, published.clone());
         self.published_by_asm.insert(asm_path, published.clone());
@@ -310,12 +334,10 @@ impl Peer {
         PeerProvider { peer: self }
     }
 
-    /// Runs the conformance stage for a root description: the first
-    /// interest it conforms to (in subscription order).
-    pub fn match_interest(
-        &mut self,
-        root: &TypeDescription,
-    ) -> Option<(TypeDescription, Conformance)> {
+    /// Runs the conformance stage for a root description: the contract
+    /// bound to the first interest it conforms to (in subscription
+    /// order), shared with the checker's verdict cache.
+    pub fn match_interest(&mut self, root: &TypeDescription) -> Option<Arc<Contract>> {
         let (matched, checks) = self.first_conforming(root);
         self.stats.conformance_checks += checks;
         matched
@@ -324,10 +346,7 @@ impl Peer {
     /// [`match_interest`](Self::match_interest) for the type `guid`
     /// names, checked against its known description in place. `None`
     /// when no description of `guid` is known.
-    pub fn match_interest_of(
-        &mut self,
-        guid: Guid,
-    ) -> Option<Option<(TypeDescription, Conformance)>> {
+    pub fn match_interest_of(&mut self, guid: Guid) -> Option<Option<Arc<Contract>>> {
         let (matched, checks) = {
             let root = self.description_of(guid)?;
             self.first_conforming(&root)
@@ -336,18 +355,15 @@ impl Peer {
         Some(matched)
     }
 
-    /// The first interest `root` conforms to, and how many checks it
-    /// took to find it. Only the matched interest is cloned.
-    fn first_conforming(
-        &self,
-        root: &TypeDescription,
-    ) -> (Option<(TypeDescription, Conformance)>, u64) {
+    /// The contract bound to the first interest `root` conforms to, and
+    /// how many checks it took to find it. Nothing is cloned: a warm
+    /// pair's contract comes out of the checker's cache.
+    fn first_conforming(&self, root: &TypeDescription) -> (Option<Arc<Contract>>, u64) {
         let provider = self.provider();
         let mut checks = 0;
         let matched = self.interests.iter().find_map(|interest| {
             checks += 1;
-            let conf = self.checker.check(root, interest, &provider, &provider);
-            conf.ok().map(|conf| (interest.clone(), conf))
+            self.checker.bind(root, interest, &provider, &provider).ok()
         });
         (matched, checks)
     }
@@ -369,34 +385,26 @@ impl Peer {
             other => (TypeName::new(other.kind_name()), Guid::NIL),
         };
         let mut assemblies: Vec<AssemblyRef> = Vec::new();
-        let mut seen_paths: HashSet<String> = HashSet::new();
         for guid in &guids {
-            let path = self
-                .path_of_type
-                .get(guid)
-                .ok_or_else(|| {
-                    let name = self
-                        .runtime
-                        .registry
-                        .get(*guid)
-                        .map(|d| d.name.clone())
-                        .unwrap_or_else(|| TypeName::new("<unknown>"));
-                    TransportError::NoProvenance(name)
-                })?
-                .clone();
-            if !seen_paths.insert(path.clone()) {
+            let path = self.path_of_type.get(guid).ok_or_else(|| {
+                let name = self
+                    .runtime
+                    .registry
+                    .get(*guid)
+                    .map(|d| d.name.clone())
+                    .unwrap_or_else(|| TypeName::new("<unknown>"));
+                TransportError::NoProvenance(name)
+            })?;
+            // An envelope lists a handful of assemblies: a scan beats a
+            // set.
+            if assemblies.iter().any(|a| a.assembly_path == *path) {
                 continue;
             }
             let published = self
                 .published_by_asm
-                .get(&path)
+                .get(path)
                 .ok_or_else(|| TransportError::UnknownPath(path.clone()))?;
-            assemblies.push(AssemblyRef {
-                name: published.assembly.name().to_string(),
-                description_path: published.desc_path.clone(),
-                assembly_path: published.asm_path.clone(),
-                content_hash: format!("{:x}", published.assembly.content_hash()),
-            });
+            assemblies.push(published.assembly_ref.clone());
         }
         let payload = match format {
             PayloadFormat::Soap => Payload::Soap(pti_serialize::to_soap(&self.runtime, root)?),
@@ -499,9 +507,10 @@ mod tests {
         let (asm, def) = person_assembly("a");
         let pubd = p.publish(asm).unwrap();
         assert!(p.runtime.registry.contains(def.guid));
-        assert!(p.has_installed(&pubd.asm_path));
-        assert!(p.published_by_desc_path(&pubd.desc_path).is_some());
-        assert!(p.published_by_asm_path(&pubd.asm_path).is_some());
+        let aref = &pubd.assembly_ref;
+        assert!(p.has_installed(&aref.assembly_path));
+        assert!(p.published_by_desc_path(&aref.description_path).is_some());
+        assert!(p.published_by_asm_path(&aref.assembly_path).is_some());
         assert_eq!(pubd.descriptions.len(), 1);
     }
 

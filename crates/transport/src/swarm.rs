@@ -29,13 +29,12 @@
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::time::{Duration, Instant};
 
-use pti_conformance::{Conformance, ConformanceConfig};
+use pti_conformance::ConformanceConfig;
 use pti_metamodel::{Assembly, Guid, TypeDescription, Value};
 use pti_net::{
     BusMessage, FrameBatch, LiveBus, NetConfig, NetError, Payload, PeerId, ReactorNet, SimNet,
     Transport,
 };
-use pti_proxy::DynamicProxy;
 use pti_serialize::{
     description_from_xml, description_to_xml, EnvelopeWireFormat, ObjectEnvelope, PayloadFormat,
 };
@@ -345,8 +344,10 @@ impl<T: Transport> Swarm<T> {
             .get_mut(&peer)
             .ok_or(TransportError::UnknownPeer(peer))?;
         let published = p.publish(assembly)?;
-        self.code
-            .insert(published.asm_path.clone(), published.assembly.clone());
+        self.code.insert(
+            published.assembly_ref.assembly_path.clone(),
+            published.assembly.clone(),
+        );
         Ok(())
     }
 
@@ -1559,10 +1560,12 @@ impl<T: Transport> Swarm<T> {
             return Ok(());
         }
 
-        // Stage 2: conformance check against interests (step 3). A verdict
-        // reached here goes straight to finalize when no code has to be
-        // installed first. Primitive payloads skip conformance.
-        let mut verdict = None;
+        // Stage 2: conformance check against interests (step 3). The
+        // checker's bound contract for (type, interest) is kept on the
+        // pending exchange; a verdict reached here goes straight to
+        // finalize when no code has to be installed first. Primitive
+        // payloads skip conformance.
+        let mut fresh = false;
         {
             // pti-allow(panic-policy): `at` owns the pending exchange being advanced, so the peer entry exists
             let peer = self.peers.get_mut(&at).expect("checked");
@@ -1574,9 +1577,9 @@ impl<T: Transport> Swarm<T> {
                     .ok_or_else(|| TransportError::Protocol("description vanished".into()))?;
                 let assemblies = &peer.pending[idx].envelope.assemblies;
                 match matched {
-                    Some((interest, conf)) => {
-                        peer.pending[idx].matched = Some(interest);
-                        verdict = Some(conf);
+                    Some(contract) => {
+                        peer.pending[idx].matched = Some(contract);
+                        fresh = true;
                     }
                     None if assemblies.iter().all(|a| peer.has_assembly(a)) => {
                         // Known type, no interest: accepted directly (we
@@ -1635,15 +1638,15 @@ impl<T: Transport> Swarm<T> {
         }
 
         // Stage 4: everything present — materialize and deliver.
-        self.finalize(at, seq, verdict)
+        self.finalize(at, seq, fresh)
     }
 
     /// Materializes a pending exchange whose code is all installed and
-    /// delivers it. `verdict` is stage 2's conformance when stage 2 ran
-    /// in the same [`advance`](Self::advance) call, so nothing was
-    /// installed since; without it (code was downloaded in between) the
-    /// matched interest is checked again.
-    fn finalize(&mut self, at: PeerId, seq: u64, verdict: Option<Conformance>) -> Result<()> {
+    /// delivers it, its proxy sharing the matched contract. `fresh` says
+    /// stage 2 bound that contract in the same [`advance`](Self::advance)
+    /// call, so nothing was installed since; otherwise (code was
+    /// downloaded in between) the matched interest is bound again.
+    fn finalize(&mut self, at: PeerId, seq: u64, fresh: bool) -> Result<()> {
         let Some(idx) = self.pending_idx(at, seq) else {
             return Ok(());
         };
@@ -1651,37 +1654,19 @@ impl<T: Transport> Swarm<T> {
             .peers
             .get_mut(&at)
             .ok_or(TransportError::UnknownPeer(at))?;
-        let p = peer.pending.remove(idx);
+        let mut p = peer.pending.remove(idx);
         let value = peer.materialize(&p.envelope)?;
-        let proxy = match (&p.matched, &value) {
-            (Some(interest), Value::Obj(h)) => {
-                let conf = match verdict {
-                    Some(conf) => conf,
-                    None => {
-                        let root_desc =
-                            peer.description_of(p.envelope.type_guid).ok_or_else(|| {
-                                TransportError::Protocol("description vanished".into())
-                            })?;
-                        let provider = peer.provider();
-                        peer.checker
-                            .check(&root_desc, interest, &provider, &provider)
-                            .map_err(|nc| {
-                                TransportError::Protocol(format!("conformance lost: {nc}"))
-                            })?
-                    }
-                };
-                Some(DynamicProxy::from_conformance(interest, &conf, *h))
-            }
-            _ => None,
-        };
-        let (interest, interest_guid) = p.matched.map(|d| (d.name, d.guid)).unzip();
-        peer.push_delivery(Delivery::Accepted {
-            from: p.from,
-            value,
-            interest,
-            interest_guid,
-            proxy,
-        });
+        if let Some(matched) = p.matched.as_mut().filter(|_| !fresh) {
+            let root_desc = peer
+                .description_of(p.envelope.type_guid)
+                .ok_or_else(|| TransportError::Protocol("description vanished".into()))?;
+            let provider = peer.provider();
+            *matched = peer
+                .checker
+                .bind(&root_desc, matched.expected(), &provider, &provider)
+                .map_err(|nc| TransportError::Protocol(format!("conformance lost: {nc}")))?;
+        }
+        peer.push_delivery(Delivery::accepted(p.from, value, p.matched));
         Ok(())
     }
 
@@ -1787,7 +1772,7 @@ impl<T: Transport> Swarm<T> {
         }
         ready.sort_unstable();
         for seq in ready {
-            self.finalize(at, seq, None)?;
+            self.finalize(at, seq, false)?;
         }
         Ok(())
     }
@@ -1835,21 +1820,7 @@ impl<T: Transport> Swarm<T> {
             peer.match_interest_of(envelope.type_guid)
                 .ok_or_else(|| TransportError::Protocol("description missing".into()))?
         };
-        let proxy = match (&matched, &value) {
-            (Some((interest, conf)), Value::Obj(h)) => {
-                Some(DynamicProxy::from_conformance(interest, conf, *h))
-            }
-            _ => None,
-        };
-        let interest_guid = matched.as_ref().map(|(d, _)| d.guid);
-        let interest = matched.map(|(d, _)| d.name.clone());
-        peer.push_delivery(Delivery::Accepted {
-            from: msg.from,
-            value,
-            interest,
-            interest_guid,
-            proxy,
-        });
+        peer.push_delivery(Delivery::accepted(msg.from, value, matched));
         Ok(())
     }
 }
@@ -1901,20 +1872,37 @@ fn descriptions_document(descs: &[pti_metamodel::TypeDescription], path: &str) -
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use pti_metamodel::{bodies, primitives, TypeDef};
+    use pti_proxy::DynamicProxy;
 
-    /// The verdict that picks a warm delivery's interest also binds its
-    /// proxy: the checker is consulted once per delivery, not again in
-    /// `finalize`. A cold delivery, whose code arrives after its verdict,
-    /// is checked again before binding.
-    #[test]
-    fn a_warm_delivery_consults_the_checker_once() {
+    /// Sends one `def` object from `from` to `to` and returns the
+    /// delivery's proxy.
+    fn deliver_one(swarm: &mut SimSwarm, from: PeerId, to: PeerId, def: &TypeDef) -> DynamicProxy {
+        let rt = &mut swarm.peer_mut(from).runtime;
+        let h = rt.instantiate_def(def, &[]).unwrap();
+        rt.set_field(h, "readingValue", Value::F64(2.5)).unwrap();
+        swarm
+            .send_object(from, to, &Value::Obj(h), PayloadFormat::Binary)
+            .unwrap();
+        swarm.run().unwrap();
+        match swarm.peer_mut(to).take_deliveries().as_slice() {
+            [Delivery::Accepted {
+                proxy: Some(proxy), ..
+            }] => proxy.clone(),
+            other => panic!("expected one proxied delivery, got {other:?}"),
+        }
+    }
+
+    /// A published `Reading` and a peer pair with the code on `alice`.
+    fn reading_pair() -> (SimSwarm, PeerId, PeerId, TypeDef) {
         let mut swarm = Swarm::new(NetConfig::default());
         let alice = swarm.add_peer(ConformanceConfig::pragmatic());
         let bob = swarm.add_peer(ConformanceConfig::pragmatic());
         let def = TypeDef::class("Reading", "a")
-            .field("value", primitives::FLOAT64)
+            .field("readingValue", primitives::FLOAT64)
             .ctor(vec![])
             .build();
         let asm = Assembly::builder("reading")
@@ -1922,8 +1910,19 @@ mod tests {
             .ctor_body(def.guid, 0, bodies::ctor_assign(&[]))
             .build();
         swarm.publish(alice, asm).unwrap();
+        (swarm, alice, bob, def)
+    }
+
+    /// The verdict that picks a warm delivery's interest also binds its
+    /// proxy: the checker is consulted once per delivery, not again in
+    /// `finalize`, and warm deliveries share the checker's contract. A
+    /// cold delivery, whose code arrives after its verdict, is bound
+    /// again before its proxy is built.
+    #[test]
+    fn a_warm_delivery_consults_the_checker_once() {
+        let (mut swarm, alice, bob, def) = reading_pair();
         let interest = TypeDef::class("Reading", "b")
-            .field("value", primitives::FLOAT64)
+            .field("readingValue", primitives::FLOAT64)
             .build();
         swarm.subscribe(bob, TypeDescription::from_def(&interest));
         let lookups = |swarm: &SimSwarm| {
@@ -1932,24 +1931,55 @@ mod tests {
         };
         let deliver = |swarm: &mut SimSwarm| {
             let before = lookups(swarm);
-            let h = swarm
-                .peer_mut(alice)
-                .runtime
-                .instantiate_def(&def, &[])
-                .unwrap();
-            swarm
-                .send_object(alice, bob, &Value::Obj(h), PayloadFormat::Binary)
-                .unwrap();
-            swarm.run().unwrap();
-            let ds = swarm.peer_mut(bob).take_deliveries();
-            assert!(
-                matches!(ds.as_slice(), [Delivery::Accepted { proxy: Some(_), .. }]),
-                "{ds:?}"
-            );
-            lookups(swarm) - before
+            let proxy = deliver_one(swarm, alice, bob, &def);
+            (lookups(swarm) - before, proxy)
         };
-        assert_eq!(deliver(&mut swarm), 2, "cold: verdict, then a re-check");
-        assert_eq!(deliver(&mut swarm), 1, "warm: one verdict, reused");
-        assert_eq!(swarm.peer(bob).stats.conformance_checks, 2);
+        let (cold, _) = deliver(&mut swarm);
+        assert_eq!(cold, 2, "cold: verdict, then a re-bind");
+        let (warm, first) = deliver(&mut swarm);
+        assert_eq!(warm, 1, "warm: one verdict, reused");
+        let (warm, second) = deliver(&mut swarm);
+        assert_eq!(warm, 1);
+        assert!(
+            Arc::ptr_eq(first.contract(), second.contract()),
+            "warm proxies share one contract"
+        );
+        assert_ne!(first.handle(), second.handle());
+        assert_eq!(swarm.peer(bob).stats.conformance_checks, 3);
+    }
+
+    /// A contract is keyed by the interest's identity: after an interest
+    /// is replaced by a same-named one with a renamed field, the next
+    /// delivery binds the new contract, never the cached old one.
+    #[test]
+    fn a_replaced_interest_never_reuses_a_stale_binding() {
+        let (mut swarm, alice, bob, def) = reading_pair();
+        let old = TypeDescription::from_def(
+            &TypeDef::class("Reading", "b")
+                .field("readingValue", primitives::FLOAT64)
+                .build(),
+        );
+        swarm.subscribe(bob, old.clone());
+        deliver_one(&mut swarm, alice, bob, &def);
+        let warm = deliver_one(&mut swarm, alice, bob, &def);
+        assert_eq!(warm.expected().guid, old.guid);
+
+        assert!(swarm.unsubscribe(bob, old.guid));
+        let renamed = TypeDescription::from_def(
+            &TypeDef::class("Reading", "c")
+                .field("value", primitives::FLOAT64)
+                .build(),
+        );
+        assert_ne!(renamed.guid, old.guid);
+        swarm.subscribe(bob, renamed.clone());
+        let proxy = deliver_one(&mut swarm, alice, bob, &def);
+        assert_eq!(proxy.expected().guid, renamed.guid);
+        assert!(!Arc::ptr_eq(proxy.contract(), warm.contract()));
+        let rt = &swarm.peer(bob).runtime;
+        assert_eq!(proxy.get_field(rt, "value").unwrap(), Value::F64(2.5));
+        assert!(
+            proxy.get_field(rt, "readingValue").is_err(),
+            "the old contract's field is gone"
+        );
     }
 }

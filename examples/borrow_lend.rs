@@ -106,7 +106,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .expect("the lab's printer conforms");
     println!(
         "researcher borrowed lending #{} exposing `{}`",
-        borrowed.lending_id, borrowed.proxy.expected.name
+        borrowed.lending_id,
+        borrowed.proxy.expected().name
     );
 
     // Use it under the researcher's own contract; state stays at the lab.
