@@ -100,7 +100,7 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "thread-confinement",
-        summary: "thread primitives are confined to bus.rs, bridge.rs and sharded.rs",
+        summary: "thread primitives are confined to bus.rs and sharded.rs",
         exempt_tests: false,
         severity_for: thread_confinement_scope,
         check: Check::Line(thread_confinement_check),
@@ -175,7 +175,7 @@ fn contains_token(hay: &str, needle: &str) -> bool {
 
 /// The virtual-time fabric (`ReactorNet`, alias `SimNet`) and the
 /// codecs must be pure functions of their inputs; only `LiveBus`
-/// (bus.rs) and the bridge own real time. `crates/transport`
+/// (bus.rs) owns real time. `crates/transport`
 /// left this file-granularity scope when the interprocedural
 /// `reactor-blocking` rule landed: `Swarm::run`/`run_for` legitimately
 /// own deadlines on the live path, and every reactor-driven path is now
@@ -184,9 +184,7 @@ fn wall_clock_scope(relpath: &str, class: FileClass) -> Option<Severity> {
     if class != FileClass::Lib && class != FileClass::Bin {
         return None;
     }
-    let in_net = relpath.starts_with("crates/net/src/")
-        && !relpath.ends_with("/bus.rs")
-        && !relpath.ends_with("/bridge.rs");
+    let in_net = relpath.starts_with("crates/net/src/") && !relpath.ends_with("/bus.rs");
     let in_scope = in_net || relpath.starts_with("crates/serialize/src/");
     in_scope.then_some(Severity::Deny)
 }
@@ -383,15 +381,11 @@ fn ident_before(code: &str, at: usize) -> &str {
 
 // -------------------------------------------------------- thread-confinement
 
-/// Only the threaded fabric (`LiveBus`), the shard bridge, and the
-/// sharded host may touch OS threads; everything else is single-thread
-/// deterministic by construction (the `Rc`-based reactor state relies
-/// on it).
-const THREAD_FILES: &[&str] = &[
-    "crates/net/src/bus.rs",
-    "crates/net/src/bridge.rs",
-    "crates/transport/src/sharded.rs",
-];
+/// Only the threaded fabric (`LiveBus`) and the sharded host may touch
+/// OS threads; everything else, the shard bridge included (a channel
+/// pair with counters), is single-thread deterministic by construction
+/// (the `Rc`-based reactor state relies on it).
+const THREAD_FILES: &[&str] = &["crates/net/src/bus.rs", "crates/transport/src/sharded.rs"];
 
 fn thread_confinement_scope(relpath: &str, _class: FileClass) -> Option<Severity> {
     (!THREAD_FILES.contains(&relpath)).then_some(Severity::Deny)
@@ -401,14 +395,13 @@ fn thread_confinement_check(code: &str) -> Option<String> {
     for pat in ["thread::spawn", "thread::park", "thread::Builder"] {
         if code.contains(pat) {
             return Some(format!(
-                "`{pat}` outside bus.rs/bridge.rs/sharded.rs breaks thread confinement"
+                "`{pat}` outside bus.rs/sharded.rs breaks thread confinement"
             ));
         }
     }
     if contains_token(code, "JoinHandle") {
         return Some(
-            "`JoinHandle` held outside bus.rs/bridge.rs/sharded.rs breaks thread confinement"
-                .to_string(),
+            "`JoinHandle` held outside bus.rs/sharded.rs breaks thread confinement".to_string(),
         );
     }
     None

@@ -68,6 +68,15 @@ fn wall_clock_exempts_bus_and_tests() {
     let src = "fn x() { let t = Instant::now(); }\n";
     assert!(deny_hits(&analyze_source("crates/net/src/bus.rs", src), "wall-clock").is_empty());
     assert!(deny_hits(&analyze_source("tests/live_bus.rs", src), "wall-clock").is_empty());
+    // The bridge owns no real time: it is in scope like the rest of pti-net.
+    assert_eq!(
+        deny_hits(
+            &analyze_source("crates/net/src/bridge.rs", src),
+            "wall-clock"
+        )
+        .len(),
+        1
+    );
     let in_test = "#[cfg(test)]\nmod tests {\n    fn x() { let t = Instant::now(); }\n}\n";
     assert!(deny_hits(
         &analyze_source("crates/net/src/sim.rs", in_test),
@@ -186,16 +195,21 @@ fn go() {
 #[test]
 fn thread_confinement_exempts_the_threaded_files_only() {
     let src = "fn go() { std::thread::spawn(move || run()); }\n";
-    for ok in [
-        "crates/net/src/bus.rs",
-        "crates/net/src/bridge.rs",
-        "crates/transport/src/sharded.rs",
-    ] {
+    for ok in ["crates/net/src/bus.rs", "crates/transport/src/sharded.rs"] {
         assert!(
             deny_hits(&analyze_source(ok, src), "thread-confinement").is_empty(),
             "{ok} should be exempt"
         );
     }
+    // The bridge is a channel pair with counters: it touches no thread.
+    assert_eq!(
+        deny_hits(
+            &analyze_source("crates/net/src/bridge.rs", src),
+            "thread-confinement"
+        )
+        .len(),
+        1
+    );
     // The rule is not test-exempt: a spawn in a #[cfg(test)] module of a
     // non-threaded file still fires.
     let in_test = "#[cfg(test)]\nmod tests {\n    fn go() { std::thread::spawn(|| ()); }\n}\n";

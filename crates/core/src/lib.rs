@@ -93,9 +93,9 @@ pub mod prelude {
         TypeDescription, TypeName, TypeRegistry, Value,
     };
     pub use pti_net::{
-        BridgeLink, BridgeRx, BridgeStats, BridgeTx, BusMessage, Endpoint, FaultDecision,
-        FaultPlan, LiveBus, NetConfig, NetMetrics, Partition, Payload, PeerId, ReactorNet,
-        ReactorStats, SessionId, SharedSimNet, SimNet, Transport,
+        BridgeLink, BridgeRx, BridgeTx, BusMessage, Endpoint, FaultDecision, FaultPlan, LiveBus,
+        NetConfig, NetMetrics, Partition, Payload, PeerId, ReactorNet, ReactorStats, SessionId,
+        SharedSimNet, SimNet, Transport,
     };
     pub use pti_proxy::{invoke_direct, DynamicProxy, ProxyError};
     pub use pti_remoting::{RemoteProxy, RemoteRef, RemotingFabric};

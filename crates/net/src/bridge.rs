@@ -7,21 +7,19 @@
 //! peer owned by *another* shard rides a [`BridgeLink`]: an mpsc channel
 //! pair in the `LiveBus` idiom, registered on the sending shard as a
 //! **local peer proxy**. A `Transport::send` that resolves to a proxy
-//! enqueues the message on the bridge and *wakes* the owning shard's
-//! thread through a cross-thread wake handle (`std::thread::unpark`), so
-//! a parked shard notices inbound traffic without polling.
+//! enqueues the message on the bridge; the owning shard drains it the
+//! next time the control thread has it pump. The bridge never wakes a
+//! thread: shards work only inside commands.
 //!
-//! The bridge keeps its own atomic counters — crossings, payload bytes,
-//! wake signals, drains — because cross-shard traffic is exactly what a
-//! placement experiment wants to measure, and because the *drain barrier*
-//! needs them: a sharded host is only quiescent when every shard is idle
-//! **and** every bridge reports `pending() == 0` (messages can be in
-//! flight between two shards that both look idle).
+//! Both endpoints share two atomic counters, crossings and drains, for
+//! the *drain barrier*: a sharded host is only quiescent when every
+//! shard is idle **and** every bridge reports `pending() == 0` (messages
+//! can be in flight between two shards that both look idle). Traffic
+//! accounting lives in the origin shard's `NetMetrics`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
-use std::thread::Thread;
+use std::sync::Arc;
 
 use crate::bus::BusMessage;
 use crate::sim::NetError;
@@ -31,25 +29,8 @@ use crate::sim::NetError;
 struct BridgeCounters {
     /// Messages enqueued by senders.
     crossings: AtomicU64,
-    /// Payload bytes those messages carried.
-    bytes: AtomicU64,
-    /// Unpark signals actually delivered to a bound receiver thread.
-    wake_signals: AtomicU64,
     /// Messages drained by the receiving shard.
     drained: AtomicU64,
-}
-
-/// A point-in-time copy of one bridge's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BridgeStats {
-    /// Messages enqueued by senders.
-    pub crossings: u64,
-    /// Payload bytes those messages carried.
-    pub bytes: u64,
-    /// Wake signals sent to the owning shard's thread.
-    pub wake_signals: u64,
-    /// Messages the owning shard has drained.
-    pub drained: u64,
 }
 
 /// Constructor namespace for bridge endpoint pairs.
@@ -64,60 +45,37 @@ impl BridgeLink {
     pub fn pair() -> (BridgeTx, BridgeRx) {
         let (tx, rx) = channel();
         let counters = Arc::new(BridgeCounters::default());
-        let waker = Arc::new(Mutex::new(None));
         (
             BridgeTx {
                 tx,
                 counters: Arc::clone(&counters),
-                waker: Arc::clone(&waker),
             },
-            BridgeRx {
-                rx,
-                counters,
-                waker,
-            },
+            BridgeRx { rx, counters },
         )
     }
 }
 
 /// The sending half of a bridge: cheap to clone, `Send`, and safe to
 /// share — the receiving shard's single-threaded core is never touched,
-/// only its channel and wake handle.
+/// only its channel.
 #[derive(Debug, Clone)]
 pub struct BridgeTx {
     tx: Sender<BusMessage>,
     counters: Arc<BridgeCounters>,
-    waker: Arc<Mutex<Option<Thread>>>,
 }
 
 impl BridgeTx {
-    /// Enqueues one message for the owning shard and wakes its thread if
-    /// one is bound. Returns whether a wake signal was sent.
+    /// Enqueues one message for the owning shard.
     ///
     /// # Errors
     /// [`NetError::UnknownPeer`] when the receiving endpoint is gone
     /// (its shard shut down) — the same error a vanished local peer
     /// produces, so senders prune the route identically.
-    pub fn send(&self, msg: BusMessage) -> Result<bool, NetError> {
+    pub fn send(&self, msg: BusMessage) -> Result<(), NetError> {
         let to = msg.to;
-        let bytes = msg.payload.len() as u64;
         self.tx.send(msg).map_err(|_| NetError::UnknownPeer(to))?;
         self.counters.crossings.fetch_add(1, Ordering::Relaxed);
-        self.counters.bytes.fetch_add(bytes, Ordering::Relaxed);
-        let woke = {
-            // pti-allow(panic-policy): waker lock is poisoned only if a holder panicked; propagating keeps the fabric fail-fast
-            let waker = self.waker.lock().expect("bridge waker lock");
-            if let Some(thread) = waker.as_ref() {
-                thread.unpark();
-                true
-            } else {
-                false
-            }
-        };
-        if woke {
-            self.counters.wake_signals.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(woke)
+        Ok(())
     }
 
     /// Messages enqueued but not yet drained by the owning shard. Zero
@@ -129,16 +87,6 @@ impl BridgeTx {
         let drained = self.counters.drained.load(Ordering::Acquire);
         crossed.saturating_sub(drained)
     }
-
-    /// A snapshot of the bridge's counters.
-    pub fn stats(&self) -> BridgeStats {
-        BridgeStats {
-            crossings: self.counters.crossings.load(Ordering::Relaxed),
-            bytes: self.counters.bytes.load(Ordering::Relaxed),
-            wake_signals: self.counters.wake_signals.load(Ordering::Relaxed),
-            drained: self.counters.drained.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// The receiving half of a bridge: owned by the shard thread, drained
@@ -147,18 +95,9 @@ impl BridgeTx {
 pub struct BridgeRx {
     rx: Receiver<BusMessage>,
     counters: Arc<BridgeCounters>,
-    waker: Arc<Mutex<Option<Thread>>>,
 }
 
 impl BridgeRx {
-    /// Binds the calling thread as the bridge's wake target: senders
-    /// `unpark` it on every enqueue. Call once from the shard thread's
-    /// run loop before it first parks.
-    pub fn bind_current_thread(&self) {
-        // pti-allow(panic-policy): waker lock is poisoned only if a holder panicked; propagating keeps the fabric fail-fast
-        *self.waker.lock().expect("bridge waker lock") = Some(std::thread::current());
-    }
-
     /// Pops the next bridged message, if any. Never blocks.
     pub fn try_drain(&self) -> Option<BusMessage> {
         match self.rx.try_recv() {
@@ -167,23 +106,6 @@ impl BridgeRx {
                 Some(msg)
             }
             Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
-        }
-    }
-
-    /// Messages enqueued but not yet drained.
-    pub fn pending(&self) -> u64 {
-        let crossed = self.counters.crossings.load(Ordering::Acquire);
-        let drained = self.counters.drained.load(Ordering::Acquire);
-        crossed.saturating_sub(drained)
-    }
-
-    /// A snapshot of the bridge's counters.
-    pub fn stats(&self) -> BridgeStats {
-        BridgeStats {
-            crossings: self.counters.crossings.load(Ordering::Relaxed),
-            bytes: self.counters.bytes.load(Ordering::Relaxed),
-            wake_signals: self.counters.wake_signals.load(Ordering::Relaxed),
-            drained: self.counters.drained.load(Ordering::Relaxed),
         }
     }
 }
@@ -205,17 +127,13 @@ mod tests {
     #[test]
     fn messages_cross_in_order_with_counted_bytes() {
         let (tx, rx) = BridgeLink::pair();
-        assert!(!tx.send(msg(3)).unwrap(), "no thread bound, no wake");
-        assert!(!tx.send(msg(5)).unwrap());
+        tx.send(msg(3)).unwrap();
+        tx.send(msg(5)).unwrap();
         assert_eq!(tx.pending(), 2);
         assert_eq!(rx.try_drain().unwrap().payload.len(), 3);
+        assert_eq!(tx.pending(), 1, "pending counts the undrained backlog");
         assert_eq!(rx.try_drain().unwrap().payload.len(), 5);
         assert!(rx.try_drain().is_none());
-        let stats = rx.stats();
-        assert_eq!(stats.crossings, 2);
-        assert_eq!(stats.bytes, 8);
-        assert_eq!(stats.drained, 2);
-        assert_eq!(stats.wake_signals, 0);
         assert_eq!(tx.pending(), 0);
     }
 
@@ -224,27 +142,6 @@ mod tests {
         let (tx, rx) = BridgeLink::pair();
         drop(rx);
         assert_eq!(tx.send(msg(1)), Err(NetError::UnknownPeer(PeerId(2))));
-    }
-
-    #[test]
-    fn sends_wake_the_bound_receiver_thread() {
-        let (tx, rx) = BridgeLink::pair();
-        let (ready_tx, ready_rx) = channel();
-        let handle = std::thread::spawn(move || {
-            rx.bind_current_thread();
-            ready_tx.send(()).unwrap();
-            // Park until the sender's wake arrives; unpark tokens are
-            // sticky, so a send racing the park still gets through.
-            loop {
-                if let Some(m) = rx.try_drain() {
-                    return m.payload.len();
-                }
-                std::thread::park();
-            }
-        });
-        ready_rx.recv().unwrap();
-        assert!(tx.send(msg(7)).unwrap(), "bound thread receives a wake");
-        assert_eq!(handle.join().unwrap(), 7);
-        assert_eq!(tx.stats().wake_signals, 1);
+        assert_eq!(tx.pending(), 0, "a refused send is not in flight");
     }
 }

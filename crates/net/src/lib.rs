@@ -62,7 +62,7 @@ pub mod reactor;
 mod sim;
 mod transport;
 
-pub use bridge::{BridgeLink, BridgeRx, BridgeStats, BridgeTx};
+pub use bridge::{BridgeLink, BridgeRx, BridgeTx};
 pub use bus::{BusMessage, Endpoint, LiveBus};
 pub use fault::{FaultDecision, FaultPlan, Partition};
 pub use frame::{kinds, Frame, FrameBatch, FrameDecodeError};

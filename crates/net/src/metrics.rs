@@ -46,9 +46,6 @@ pub struct NetMetrics {
     pub bridge_crossings: u64,
     /// Payload bytes those bridged messages carried.
     pub bridge_bytes: u64,
-    /// Bridged sends that actually delivered a wake signal to the owning
-    /// shard's parked thread (vs. finding it already running).
-    pub bridge_wakes: u64,
     /// Messages an installed [`FaultPlan`](crate::FaultPlan) silently
     /// dropped (their send was still recorded in the counters above —
     /// the bytes hit the wire, then were lost).
@@ -131,17 +128,13 @@ impl NetMetrics {
         self.payload_encodes += 1;
     }
 
-    /// Records one message forwarded onto a cross-shard bridge; `woke`
-    /// is whether the send delivered a wake signal to the owning shard.
+    /// Records one message forwarded onto a cross-shard bridge.
     /// Called *in addition to* [`record`](Self::record) — the message's
     /// kind/byte counters stay in the totals, this measures how much of
     /// the traffic was cross-shard.
-    pub fn record_bridge_crossing(&mut self, bytes: usize, woke: bool) {
+    pub fn record_bridge_crossing(&mut self, bytes: usize) {
         self.bridge_crossings += 1;
         self.bridge_bytes += bytes as u64;
-        if woke {
-            self.bridge_wakes += 1;
-        }
     }
 
     /// Records the outcome of one fault-plan decision (no-op for
@@ -164,7 +157,6 @@ impl NetMetrics {
         self.payload_encodes += other.payload_encodes;
         self.bridge_crossings += other.bridge_crossings;
         self.bridge_bytes += other.bridge_bytes;
-        self.bridge_wakes += other.bridge_wakes;
         self.faults_dropped += other.faults_dropped;
         self.faults_duplicated += other.faults_duplicated;
         self.faults_partitioned += other.faults_partitioned;
@@ -327,13 +319,13 @@ mod tests {
         a.record_batch(PeerId(1), PeerId(2), 2, 100);
         a.record_batched_frame("object", 60);
         a.record_payload_encode();
-        a.record_bridge_crossing(40, true);
+        a.record_bridge_crossing(40);
         let mut b = NetMetrics::default();
         b.record("object", 50);
         b.record("view", 10);
         b.record_batch(PeerId(1), PeerId(2), 3, 50);
         b.record_batch_splits(PeerId(3), PeerId(4), 2);
-        b.record_bridge_crossing(10, false);
+        b.record_bridge_crossing(10);
         b.record_fault(crate::FaultDecision::Drop);
         b.record_fault(crate::FaultDecision::Duplicate);
         b.record_fault(crate::FaultDecision::Partitioned);
@@ -348,10 +340,7 @@ mod tests {
         assert_eq!((l.batches, l.frames, l.bytes), (2, 5, 150));
         assert_eq!(a.link(PeerId(3), PeerId(4)).splits, 2);
         assert_eq!(a.payload_encodes, 1);
-        assert_eq!(
-            (a.bridge_crossings, a.bridge_bytes, a.bridge_wakes),
-            (2, 50, 1)
-        );
+        assert_eq!((a.bridge_crossings, a.bridge_bytes), (2, 50));
         assert_eq!(
             (a.faults_dropped, a.faults_duplicated, a.faults_partitioned),
             (1, 1, 1)

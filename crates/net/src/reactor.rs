@@ -280,12 +280,11 @@ impl Core {
                 kind,
                 payload,
             };
-            let mut woke = false;
             for _ in 1..copies {
-                woke |= bridge.send(msg.clone())?;
+                bridge.send(msg.clone())?;
             }
-            woke |= bridge.send(msg)?;
-            self.metrics.record_bridge_crossing(size, woke);
+            bridge.send(msg)?;
+            self.metrics.record_bridge_crossing(size);
         }
         self.metrics.record(kind, size);
         if let Some(frames) = batch_frames {

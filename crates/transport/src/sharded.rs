@@ -18,24 +18,29 @@
 //! broadcasts the change: new peers become [`BridgeTx`] **proxies** on
 //! every other shard, vanished peers have their proxies revoked. A send
 //! to a remote peer therefore resolves locally (metrics recorded on the
-//! origin shard), crosses the owning shard's bridge, and wakes its
-//! thread — no shard ever blocks on another.
+//! origin shard) and waits on the owning shard's bridge until that
+//! shard next pumps — no shard ever blocks on another.
 //!
-//! **Quiescence is a two-phase barrier.** One shard looking idle means
+//! **Shards work only inside commands.** A worker runs the commands the
+//! control thread posts it and parks otherwise; it never pumps on its
+//! own. That makes quiescence exact. One shard looking idle means
 //! nothing: a message can be in flight on a bridge between two shards
 //! that both report empty queues. [`run_until_quiescent`](ShardedHost::run_until_quiescent)
 //! repeats rounds of per-shard drains and only stops when a full round
-//! does zero work **and** every bridge reports `pending() == 0`.
+//! does zero work **and** every bridge reports `pending() == 0`. Since
+//! every unit of shard work happens inside a round's `exec`, the round's
+//! work count sees all of it, and a zero round with empty bridges means
+//! nothing is left anywhere.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use pti_net::bridge::{BridgeRx, BridgeStats, BridgeTx};
+use pti_net::bridge::{BridgeRx, BridgeTx};
 use pti_net::{BridgeLink, NetMetrics, PeerId, ReactorNet, ReactorStats, Transport};
 
 use crate::error::Result;
@@ -54,8 +59,8 @@ struct ShardHandle {
     /// Send half of the shard's injector bridge — cloned into every
     /// other shard as the proxy route for this shard's peers.
     bridge: BridgeTx,
-    /// Nanoseconds the worker spent executing commands and autonomous
-    /// pumps — the per-shard busy time R5's critical-path metric uses.
+    /// Nanoseconds the worker spent executing commands — the per-shard
+    /// busy time R5 reports.
     busy_ns: Arc<AtomicU64>,
 }
 
@@ -74,10 +79,6 @@ pub struct ShardedHost {
     /// Global slot → (shard, local slot); tombstoned like the per-shard
     /// tables so indices survive unmounts.
     slots: Vec<Option<(usize, usize)>>,
-    /// When set, idle workers pump their own injector backlog without
-    /// waiting for the control thread (wake → drain → quiesce). Cleared
-    /// for experiments that want strictly serialized rounds.
-    autonomous: Arc<AtomicBool>,
 }
 
 impl std::fmt::Debug for ShardedHost {
@@ -97,44 +98,25 @@ fn work_of(host: &ReactorHost) -> u64 {
     stats.sends + stats.recvs + host.injected_total()
 }
 
-fn worker(
-    cmds: Receiver<Cmd>,
-    injector: BridgeRx,
-    autonomous: Arc<AtomicBool>,
-    busy_ns: Arc<AtomicU64>,
-) {
+/// A shard's run loop: execute commands in FIFO order, park when none
+/// is queued. Bridged traffic waits in the injector until a command
+/// pumps the host, so all of a shard's work happens inside commands.
+fn worker(cmds: Receiver<Cmd>, injector: BridgeRx, busy_ns: Arc<AtomicU64>) {
     let mut host = ReactorHost::new();
-    injector.bind_current_thread();
     host.set_injector(injector);
     loop {
         match cmds.try_recv() {
             Ok(cmd) => {
-                // pti-allow(reactor-blocking): busy-ns accounting only — the timings feed ShardStats, never protocol decisions
+                // pti-allow(reactor-blocking): busy-ns accounting only — the timings feed busy_ns(), never protocol decisions
                 let start = Instant::now();
                 cmd(&mut host);
                 busy_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                continue;
             }
             Err(TryRecvError::Disconnected) => return,
-            Err(TryRecvError::Empty) => {}
+            // Nothing queued: sleep until `post` unparks us. Unpark
+            // tokens are sticky, so a post racing this park is not lost.
+            Err(TryRecvError::Empty) => std::thread::park(),
         }
-        if autonomous.load(Ordering::Relaxed) {
-            // pti-allow(reactor-blocking): busy-ns accounting only — the timings feed ShardStats, never protocol decisions
-            let start = Instant::now();
-            let before = work_of(&host);
-            host.run_until_quiescent()
-                // pti-allow(panic-policy): a failed autonomous pump means a poisoned shard; the panic resurfaces on the owner via exec
-                .expect("autonomous shard pump failed");
-            let worked = work_of(&host) != before;
-            busy_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            if worked {
-                continue;
-            }
-        }
-        // Nothing queued, nothing to pump: sleep until a command send or
-        // a bridge crossing unparks us. Unpark tokens are sticky, so a
-        // signal racing this park is not lost.
-        std::thread::park();
     }
 }
 
@@ -142,17 +124,15 @@ impl ShardedHost {
     /// Spins up `shards` worker threads (at least one), each owning a
     /// private reactor fabric plus the receive half of its bridge.
     pub fn new(shards: usize) -> ShardedHost {
-        let autonomous = Arc::new(AtomicBool::new(true));
         let shards = (0..shards.max(1))
             .map(|i| {
                 let (cmd_tx, cmd_rx) = channel();
                 let (bridge_tx, bridge_rx) = BridgeLink::pair();
                 let busy_ns = Arc::new(AtomicU64::new(0));
-                let auto = Arc::clone(&autonomous);
                 let busy = Arc::clone(&busy_ns);
                 let join = std::thread::Builder::new()
                     .name(format!("pti-shard-{i}"))
-                    .spawn(move || worker(cmd_rx, bridge_rx, auto, busy))
+                    .spawn(move || worker(cmd_rx, bridge_rx, busy))
                     // pti-allow(panic-policy): thread spawn fails only on resource exhaustion at host construction, before any traffic
                     .expect("spawn shard thread");
                 ShardHandle {
@@ -167,7 +147,6 @@ impl ShardedHost {
             shards,
             directory: BTreeMap::new(),
             slots: Vec::new(),
-            autonomous,
         }
     }
 
@@ -184,21 +163,6 @@ impl ShardedHost {
     /// Whether no swarm is mounted.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Toggles autonomous pumping. On (the default), an idle worker
-    /// drains bridged traffic the moment a crossing wakes it. Off, a
-    /// shard only works inside explicit commands — what the determinism
-    /// tests and the R5 barrier rounds use, because it makes cross-shard
-    /// arrival interleaving a function of the (serialized) round order
-    /// alone.
-    pub fn set_autonomous(&self, on: bool) {
-        self.autonomous.store(on, Ordering::Relaxed);
-        for shard in &self.shards {
-            if let Some(join) = shard.join.as_ref() {
-                join.thread().unpark();
-            }
-        }
     }
 
     /// The shard a peer id hash-pins to: `FxHash`-free, allocation-free
@@ -363,9 +327,11 @@ impl ShardedHost {
     /// per-shard `run_until_quiescent` commands, stopping only when a
     /// full round performs zero work **and** all bridges report zero
     /// pending — the two-phase barrier (a message in flight between two
-    /// idle-looking shards keeps the loop alive). Reading the bridge
-    /// counters between rounds is sound because the rounds themselves
-    /// serialize every worker.
+    /// idle-looking shards keeps the loop alive). Shards work only inside
+    /// commands, so each round's `work_of` deltas count all of their
+    /// work, and reading the bridge counters after a round is sound
+    /// because no shard runs between the round's commands. Cross-shard
+    /// arrival order is therefore a function of the round order alone.
     ///
     /// # Errors
     /// The first protocol error any shard's swarm raises.
@@ -393,11 +359,6 @@ impl ShardedHost {
             .collect()
     }
 
-    /// Per-shard injector-bridge counters, indexed by owning shard.
-    pub fn bridge_stats(&self) -> Vec<BridgeStats> {
-        self.shards.iter().map(|s| s.bridge.stats()).collect()
-    }
-
     /// Fabric-wide traffic metrics: every shard's [`NetMetrics`] merged,
     /// bridge crossings included.
     pub fn metrics(&self) -> NetMetrics {
@@ -409,8 +370,8 @@ impl ShardedHost {
         total
     }
 
-    /// Resets every shard's traffic metrics (scheduling stats and bridge
-    /// counters are monotone and stay).
+    /// Resets every shard's traffic metrics (scheduling stats are
+    /// monotone and stay).
     pub fn reset_metrics(&mut self) {
         for shard in 0..self.shards.len() {
             self.exec(shard, |host| host.reactor().reset_metrics());
@@ -418,8 +379,8 @@ impl ShardedHost {
     }
 
     /// Per-shard busy nanoseconds: time the workers spent executing
-    /// commands and autonomous pumps. Under serialized barrier rounds
-    /// the per-shard maximum is the critical path of the round sequence.
+    /// commands. Under serialized barrier rounds the per-shard maximum
+    /// is the critical path of the round sequence.
     pub fn busy_ns(&self) -> Vec<u64> {
         self.shards
             .iter()
@@ -495,7 +456,6 @@ mod tests {
     #[test]
     fn cross_shard_sends_resolve_through_proxies_and_arrive() {
         let mut host = ShardedHost::new(2);
-        host.set_autonomous(false);
         let a = host.mount_pinned(0, Swarm::over);
         let b = host.mount_pinned(1, Swarm::over);
         let pa = host.with_swarm(a, |s| {
@@ -513,12 +473,12 @@ mod tests {
                 .send(pa, pb, kinds::OBJECT, vec![9u8, 9, 9].into())
                 .unwrap();
         });
-        assert_eq!(host.bridge_stats()[1].crossings, 1);
+        assert_eq!(host.shards[1].bridge.pending(), 1);
         // ...and lands in the remote ring once shard 1 drains its
         // injector (poll_message reads the raw ring — the payload here
         // is not a real protocol envelope, so we bypass the pump).
         assert_eq!(host.exec(1, |h| h.drain_injector()), 1);
-        assert_eq!(host.bridge_stats()[1].drained, 1);
+        assert_eq!(host.shards[1].bridge.pending(), 0);
         let got = host.with_swarm(b, move |s| s.poll_message().unwrap());
         assert_eq!(got.map(|(at, m)| (at, m.from)), Some((pb, pa)));
         let m = host.metrics();
@@ -530,7 +490,6 @@ mod tests {
     #[test]
     fn unmount_revokes_proxies_everywhere() {
         let mut host = ShardedHost::new(2);
-        host.set_autonomous(false);
         let a = host.mount_pinned(0, Swarm::over);
         let b = host.mount_pinned(1, Swarm::over);
         let pa = host.with_swarm(a, |s| {
@@ -566,7 +525,7 @@ mod tests {
     }
 
     #[test]
-    fn autonomous_workers_drain_bridged_traffic_without_the_barrier() {
+    fn bridged_traffic_waits_in_the_injector_until_a_command_drains_it() {
         let host = ShardedHost::new(2);
         // Bare fabric endpoints (no mounted swarm): shard 1 owns peer 2,
         // shard 0 routes to it through a hand-registered proxy.
@@ -582,14 +541,13 @@ mod tests {
             hub.send(PeerId(1), PeerId(2), kinds::OBJECT, vec![5u8].into())
                 .unwrap();
         });
-        // No barrier ran: shard 1's worker is woken by the crossing
-        // itself and drains the injector on its own. Poll until the
-        // drain shows up (the worker runs concurrently).
-        let deadline = Instant::now() + std::time::Duration::from_secs(5);
-        while host.bridge_stats()[1].drained != 1 {
-            assert!(Instant::now() < deadline, "worker never drained");
-            std::thread::yield_now();
-        }
+        assert_eq!(host.metrics().bridge_crossings, 1);
+        // Shard 1 does no work outside commands: the message stays in
+        // flight, even across unrelated commands, until one drains it.
+        assert_eq!(host.exec(1, |h| h.reactor().pending(PeerId(2))), 0);
+        assert_eq!(host.shards[1].bridge.pending(), 1);
+        assert_eq!(host.exec(1, |h| h.drain_injector()), 1);
+        assert_eq!(host.shards[1].bridge.pending(), 0);
         let got = host.exec(1, |h| h.reactor().try_recv(PeerId(2)));
         assert_eq!(got.map(|m| (m.from, m.payload[0])), Some((PeerId(1), 5)));
     }

@@ -508,9 +508,10 @@ fn fleet_wakeups_track_the_sessions_that_received_traffic() {
 /// The sharded host end-to-end: typed groups pinned to *different*
 /// shards exchange a routed publish across the bridge, and
 /// `migrate_member` moves a subscriber to another shard with its
-/// interests intact.
-#[test]
-fn sharded_groups_publish_and_migrate_across_shards() {
+/// interests intact. Every step is followed by `run_until_quiescent`
+/// and then read, so a barrier that returned early shows up as a
+/// missing notification.
+fn publish_and_migrate_across_shards() {
     let mut host = ShardedHost::new(2);
     let code = CodeRegistry::new();
     let group_a = TypedPubSub::builder()
@@ -597,6 +598,22 @@ fn sharded_groups_publish_and_migrate_across_shards() {
             .collect::<Vec<_>>()
     });
     assert_eq!(drained, vec![(PeerId(1), "StockQuote".to_string())]);
+}
+
+#[test]
+fn sharded_groups_publish_and_migrate_across_shards() {
+    publish_and_migrate_across_shards();
+}
+
+/// The barrier is exact, not lucky: the migrate scenario delivers both
+/// notifications on every one of 50 fresh hosts in one process. A
+/// shard that did work outside the barrier's commands would let
+/// `run_until_quiescent` return with an exchange still running.
+#[test]
+fn the_sharded_barrier_delivers_on_every_repetition() {
+    for _ in 0..50 {
+        publish_and_migrate_across_shards();
+    }
 }
 
 /// Scale smoke: 64 single-peer swarms (one publisher, 63 subscribers)

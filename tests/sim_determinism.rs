@@ -278,17 +278,15 @@ fn faulty_churn_run(seed: u64) -> Vec<u8> {
 }
 
 /// The sharded analogue: the same seeded churn script on a 2-shard
-/// `ShardedHost` with autonomy off, every joiner explicitly pinned by
-/// id. Returns one byte log **per shard** — deliveries recorded on the
-/// shard that owns the member, plus that shard's own traffic counters.
-/// The serialized two-phase barrier is what makes this reproducible:
-/// with autonomy off, shards only run inside `run_until_quiescent`'s
-/// round-robin, so bridge interleavings are a pure function of the
-/// script.
+/// `ShardedHost`, every joiner explicitly pinned by id. Returns one byte
+/// log **per shard** — deliveries recorded on the shard that owns the
+/// member, plus that shard's own traffic counters. The serialized
+/// two-phase barrier is what makes this reproducible: shards only run
+/// inside commands, so bridge interleavings are a pure function of the
+/// script and `run_until_quiescent`'s round-robin.
 fn sharded_churn_run(seed: u64) -> Vec<Vec<u8>> {
     let mut rng = SplitMix64(seed);
     let mut host = ShardedHost::new(2);
-    host.set_autonomous(false);
     let code = CodeRegistry::new();
     let mut logs = vec![Vec::new(), Vec::new()];
 

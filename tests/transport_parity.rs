@@ -98,7 +98,6 @@ fn run_scenario<T: Transport>(mut swarm: Swarm<T>) -> Outcome {
 /// single-fabric runs exactly.
 fn run_scenario_sharded() -> Outcome {
     let mut host = ShardedHost::new(2);
-    host.set_autonomous(false);
     let code = CodeRegistry::new();
     let pub_slot = {
         let code = code.clone();
