@@ -84,12 +84,17 @@ pub(crate) fn put_str(buf: &mut PutBuf, s: &str) {
 }
 
 pub(crate) fn get_str(buf: &mut GetBuf<'_>) -> Result<String> {
+    get_str_ref(buf).map(str::to_owned)
+}
+
+/// [`get_str`] borrowed from the input: the same checks and errors,
+/// no copy.
+pub(crate) fn get_str_ref<'a>(buf: &mut GetBuf<'a>) -> Result<&'a str> {
     let len = get_varint(buf)? as usize;
     if buf.remaining() < len {
         return Err(SerializeError::Malformed("truncated string".into()));
     }
-    String::from_utf8(buf.take(len).to_vec())
-        .map_err(|_| SerializeError::Malformed("invalid utf8".into()))
+    std::str::from_utf8(buf.take(len)).map_err(|_| SerializeError::Malformed("invalid utf8".into()))
 }
 
 /// Serializes a value graph to the compact binary form.

@@ -51,6 +51,11 @@ impl<'a> GetBuf<'a> {
         self.data.len() - self.pos
     }
 
+    /// Bytes consumed so far (the offset of the next read).
+    pub(crate) fn position(&self) -> usize {
+        self.pos
+    }
+
     pub(crate) fn has_remaining(&self) -> bool {
         self.pos < self.data.len()
     }

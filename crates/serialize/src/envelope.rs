@@ -12,11 +12,13 @@
 //! "Assembly B information"), and the serialized payload in either
 //! format.
 
+use std::borrow::Cow;
+
 use pti_metamodel::{Guid, TypeName};
 use pti_xml::Element;
 
 use crate::base64;
-use crate::binary::{get_str, get_varint, put_str, put_varint};
+use crate::binary::{get_str_ref, get_varint, put_str, put_varint};
 use crate::cursor::{GetBuf, PutBuf};
 use crate::error::{Result, SerializeError};
 
@@ -342,11 +344,136 @@ impl ObjectEnvelope {
     }
 
     /// Decodes the compact binary wire form produced by
-    /// [`to_ptib`](Self::to_ptib).
+    /// [`to_ptib`](Self::to_ptib): [`EnvelopeView::parse`], then owned.
     ///
     /// # Errors
     /// Wrong magic/version, truncation, hostile length prefixes.
     pub fn from_ptib(bytes: &[u8]) -> Result<ObjectEnvelope> {
+        Ok(EnvelopeView::parse(bytes)?.into_owned())
+    }
+}
+
+/// The payload of an [`EnvelopeView`]: binary bytes borrowed from the
+/// wire, or the SOAP element parsed at decode.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PayloadView<'a> {
+    /// An inline SOAP `<Envelope>` element.
+    Soap(Element),
+    /// Binary-formatter output, borrowed.
+    Binary(&'a [u8]),
+}
+
+/// A compact binary envelope decoded in place: every header string
+/// borrows the wire bytes, so a receiver that already holds the type and
+/// its code can compare and deliver without owning anything.
+/// [`into_owned`](Self::into_owned) builds the [`ObjectEnvelope`] a
+/// pending exchange keeps.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EnvelopeView<'a> {
+    /// Full name of the root object's type.
+    pub type_name: &'a str,
+    /// Identity of the root object's type.
+    pub type_guid: Guid,
+    /// The serialized object.
+    pub payload: PayloadView<'a>,
+    /// Common stem of every download path (empty in version 1).
+    prefix: &'a str,
+    /// Number of entries in `table`.
+    count: usize,
+    /// The assembly table's bytes, every entry already validated.
+    table: &'a [u8],
+}
+
+/// One assembly entry of an [`EnvelopeView`], borrowed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AssemblyEntry<'a> {
+    /// Assembly (bundle) name.
+    pub name: &'a str,
+    /// Content identity of the assembly (hex).
+    pub content_hash: &'a str,
+    prefix: &'a str,
+    description_suffix: &'a str,
+    assembly_suffix: &'a str,
+}
+
+impl<'a> AssemblyEntry<'a> {
+    /// Download path for the type description(s).
+    pub fn description_path(&self) -> Cow<'a, str> {
+        join(self.prefix, self.description_suffix)
+    }
+
+    /// Download path for the code.
+    pub fn assembly_path(&self) -> Cow<'a, str> {
+        join(self.prefix, self.assembly_suffix)
+    }
+
+    /// The owned reference a pending exchange keeps.
+    fn to_assembly_ref(self) -> AssemblyRef {
+        AssemblyRef {
+            name: self.name.to_owned(),
+            description_path: self.description_path().into_owned(),
+            assembly_path: self.assembly_path().into_owned(),
+            content_hash: self.content_hash.to_owned(),
+        }
+    }
+}
+
+/// `prefix + suffix`, borrowed when there is no prefix.
+fn join<'a>(prefix: &str, suffix: &'a str) -> Cow<'a, str> {
+    if prefix.is_empty() {
+        Cow::Borrowed(suffix)
+    } else {
+        let mut path = String::with_capacity(prefix.len() + suffix.len());
+        path.push_str(prefix);
+        path.push_str(suffix);
+        Cow::Owned(path)
+    }
+}
+
+/// Reads one assembly-table entry: name, description and code path
+/// suffixes, content hash.
+fn read_entry<'a>(buf: &mut GetBuf<'a>, prefix: &'a str) -> Result<AssemblyEntry<'a>> {
+    Ok(AssemblyEntry {
+        name: get_str_ref(buf)?,
+        description_suffix: get_str_ref(buf)?,
+        assembly_suffix: get_str_ref(buf)?,
+        content_hash: get_str_ref(buf)?,
+        prefix,
+    })
+}
+
+/// Iterator over an [`EnvelopeView`]'s assembly entries.
+struct AssemblyEntries<'a> {
+    buf: GetBuf<'a>,
+    prefix: &'a str,
+    left: usize,
+}
+
+impl<'a> Iterator for AssemblyEntries<'a> {
+    type Item = AssemblyEntry<'a>;
+
+    fn next(&mut self) -> Option<AssemblyEntry<'a>> {
+        self.left = self.left.checked_sub(1)?;
+        // `parse` read these very bytes with the same function, so this
+        // cannot fail; if it somehow did, iteration ends.
+        read_entry(&mut self.buf, self.prefix).ok()
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl<'a> EnvelopeView<'a> {
+    /// Decodes the compact binary wire form in place. This is the only
+    /// `PTIE` decoder: [`ObjectEnvelope::from_ptib`] owns its result.
+    /// Both versions decode; every string is checked for UTF-8 and the
+    /// assembly table is validated in full before the payload.
+    ///
+    /// # Errors
+    /// Wrong magic/version, truncation, hostile length prefixes,
+    /// invalid UTF-8, an unknown payload tag or trailing bytes.
+    pub fn parse(bytes: &'a [u8]) -> Result<EnvelopeView<'a>> {
         let mut buf = GetBuf::new(bytes);
         if buf.remaining() < PTIB_ENVELOPE_MAGIC.len() + 1 {
             return Err(SerializeError::UnsupportedFormat(
@@ -366,7 +493,7 @@ impl ObjectEnvelope {
                 "envelope version {version}"
             )));
         }
-        let type_name = TypeName::new(get_str(&mut buf)?);
+        let type_name = get_str_ref(&mut buf)?;
         if buf.remaining() < 16 {
             return Err(SerializeError::Malformed("truncated guid".into()));
         }
@@ -379,33 +506,29 @@ impl ObjectEnvelope {
         if count > buf.remaining() / 4 + 1 {
             return Err(SerializeError::Malformed("assembly count too large".into()));
         }
-        let mut assemblies = Vec::with_capacity(count);
         // Version 2 hoists the paths' longest common prefix before the
         // table; version 1 entries carry full paths (empty prefix).
         let prefix = if version >= 2 && count > 0 {
-            get_str(&mut buf)?
+            get_str_ref(&mut buf)?
         } else {
-            String::new()
+            ""
         };
+        let table_start = buf.position();
         for _ in 0..count {
-            assemblies.push(AssemblyRef {
-                name: get_str(&mut buf)?,
-                description_path: format!("{prefix}{}", get_str(&mut buf)?),
-                assembly_path: format!("{prefix}{}", get_str(&mut buf)?),
-                content_hash: get_str(&mut buf)?,
-            });
+            read_entry(&mut buf, prefix)?;
         }
+        let table = &bytes[table_start..buf.position()];
         if !buf.has_remaining() {
             return Err(SerializeError::Malformed("missing payload".into()));
         }
         let payload = match buf.get_u8() {
-            0 => Payload::Soap(pti_xml::parse(&get_str(&mut buf)?)?),
+            0 => PayloadView::Soap(pti_xml::parse(get_str_ref(&mut buf)?)?),
             1 => {
                 let len = get_varint(&mut buf)? as usize;
                 if len > buf.remaining() {
                     return Err(SerializeError::Malformed("truncated payload".into()));
                 }
-                Payload::Binary(buf.take(len).to_vec())
+                PayloadView::Binary(buf.take(len))
             }
             other => {
                 return Err(SerializeError::UnsupportedFormat(format!(
@@ -416,12 +539,37 @@ impl ObjectEnvelope {
         if buf.has_remaining() {
             return Err(SerializeError::Malformed("trailing bytes".into()));
         }
-        Ok(ObjectEnvelope {
+        Ok(EnvelopeView {
             type_name,
             type_guid,
-            assemblies,
             payload,
+            prefix,
+            count,
+            table,
         })
+    }
+
+    /// The assembly entries, in table order.
+    pub fn assemblies(&self) -> impl Iterator<Item = AssemblyEntry<'a>> {
+        AssemblyEntries {
+            buf: GetBuf::new(self.table),
+            prefix: self.prefix,
+            left: self.count,
+        }
+    }
+
+    /// The owned envelope: header strings copied, a binary payload
+    /// copied, a SOAP payload moved.
+    pub fn into_owned(self) -> ObjectEnvelope {
+        ObjectEnvelope {
+            type_name: TypeName::new(self.type_name),
+            type_guid: self.type_guid,
+            assemblies: self.assemblies().map(|e| e.to_assembly_ref()).collect(),
+            payload: match self.payload {
+                PayloadView::Soap(el) => Payload::Soap(el),
+                PayloadView::Binary(b) => Payload::Binary(b.to_vec()),
+            },
+        }
     }
 }
 

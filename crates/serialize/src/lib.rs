@@ -2,7 +2,8 @@
 //!
 //! The paper's Sections 5 and 6: types travel as flat XML
 //! *descriptions* ([`description_to_xml`]), objects travel inside a
-//! hybrid XML *envelope* ([`ObjectEnvelope`], Figure 3) whose payload is
+//! hybrid XML *envelope* ([`ObjectEnvelope`], Figure 3; its compact
+//! binary form decodes in place as an [`EnvelopeView`]) whose payload is
 //! either SOAP-style XML ([`to_soap`]) or a compact binary form
 //! ([`to_binary`]) — our stand-ins for the .NET XML, SOAP and binary
 //! formatters the paper "indirectly evaluates".
@@ -52,7 +53,8 @@ mod typedesc;
 
 pub use binary::{from_binary, to_binary};
 pub use envelope::{
-    AssemblyRef, EnvelopeWireFormat, ObjectEnvelope, Payload, PayloadFormat, PTIB_ENVELOPE_MAGIC,
+    AssemblyEntry, AssemblyRef, EnvelopeView, EnvelopeWireFormat, ObjectEnvelope, Payload,
+    PayloadFormat, PayloadView, PTIB_ENVELOPE_MAGIC,
 };
 pub use error::{Result, SerializeError};
 pub use soap::{from_soap, from_soap_string, to_soap, to_soap_string};

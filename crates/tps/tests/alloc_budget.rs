@@ -4,10 +4,11 @@
 //! `ReactorHost`, exchange a type until every `(type, interest)` pair is
 //! bound. The test then counts the heap allocations this thread makes
 //! for one more event: publish, `run_until_quiescent`, and a `drain`
-//! plus a `get_field` per subscriber. A warm delivery shares the
-//! contract bound in its checker's verdict cache, so a per-delivery copy
-//! of a description, a binding or a proxy that comes back shows up here
-//! as a count over the budget rather than as wall time.
+//! plus a `get_field` per subscriber. A warm delivery decodes its
+//! envelope in place and shares the contract bound in its checker's
+//! verdict cache, so a per-delivery copy of an envelope header, a
+//! description, a binding or a proxy that comes back shows up here as a
+//! count over the budget rather than as wall time.
 //!
 //! Its own test binary, because the counting global allocator applies
 //! to the whole binary, and exactly one test, so no other test's
@@ -21,14 +22,16 @@ use pti_net::{PeerId, ReactorNet};
 use pti_tps::{Subscription, TypedPubSub};
 use pti_transport::{CodeRegistry, ReactorHost};
 
-/// Allocations of one warm event, measured once warm deliveries shared
-/// their checker's contract: 378 for the publish, the drive and 16 ×
-/// (`drain` + `get_field`), about 24 per delivery. While every delivery
-/// still copied its interest's description, binding and proxy, the same
-/// event made 798. The margin of 8 is less than one allocation per
-/// delivery, so a single extra allocation in each delivery fails the
-/// test.
-const WARM_EVENT_BUDGET: u64 = 378 + 8;
+/// Allocations of one warm event, measured once warm envelopes were
+/// decoded in place and delivered without a pending exchange: 186 for
+/// the publish, the drive and 16 × (`drain` + `get_field`), about 12 per
+/// delivery. While every warm envelope was decoded into an owned
+/// `ObjectEnvelope` (about 12 header allocations per delivery) the same
+/// event made 378, and while every delivery also copied its interest's
+/// description, binding and proxy it made 798. The margin of 8 is less
+/// than one allocation per delivery, so a single extra allocation in
+/// each delivery fails the test.
+const WARM_EVENT_BUDGET: u64 = 186 + 8;
 
 const SUBSCRIBERS: u32 = 16;
 const PUBLISHER: PeerId = PeerId(1);

@@ -10,7 +10,9 @@ use pti_metamodel::{
 };
 use pti_net::PeerId;
 use pti_proxy::DynamicProxy;
-use pti_serialize::{AssemblyRef, ObjectEnvelope, Payload, PayloadFormat};
+use pti_serialize::{
+    AssemblyEntry, AssemblyRef, EnvelopeView, ObjectEnvelope, Payload, PayloadFormat, PayloadView,
+};
 
 use crate::error::{Result, TransportError};
 
@@ -278,15 +280,24 @@ impl Peer {
     }
 
     /// Whether the code behind an assembly reference is available locally
-    /// — by download path or by content identity (the same assembly may
+    /// — by content identity or by download path (the same assembly may
     /// have been installed from a different peer's path).
     pub fn has_assembly(&self, aref: &AssemblyRef) -> bool {
-        if self.installed.contains(&aref.assembly_path) {
-            return true;
-        }
-        u64::from_str_radix(&aref.content_hash, 16)
-            .map(|h| self.installed_hashes.contains(&h))
-            .unwrap_or(false)
+        self.has_code(&aref.content_hash, || {
+            Cow::Borrowed(aref.assembly_path.as_str())
+        })
+    }
+
+    /// [`has_assembly`](Self::has_assembly) for an entry of a borrowed
+    /// envelope: the path is only built on a content-hash miss.
+    pub fn has_assembly_entry(&self, entry: &AssemblyEntry<'_>) -> bool {
+        self.has_code(entry.content_hash, || entry.assembly_path())
+    }
+
+    /// The one presence rule: content hash first, then download path.
+    fn has_code<'a>(&self, content_hash: &str, path: impl FnOnce() -> Cow<'a, str>) -> bool {
+        u64::from_str_radix(content_hash, 16).is_ok_and(|h| self.installed_hashes.contains(&h))
+            || self.installed.contains(path().as_ref())
     }
 
     /// The published record behind a description path, if this peer owns
@@ -429,6 +440,18 @@ impl Peer {
         Ok(match &envelope.payload {
             Payload::Soap(el) => pti_serialize::from_soap(&mut self.runtime, el)?,
             Payload::Binary(bytes) => pti_serialize::from_binary(&mut self.runtime, bytes)?,
+        })
+    }
+
+    /// [`materialize`](Self::materialize) from a borrowed envelope: a
+    /// binary payload is read straight off the wire bytes.
+    ///
+    /// # Errors
+    /// As [`materialize`](Self::materialize).
+    pub(crate) fn materialize_view(&mut self, view: &EnvelopeView<'_>) -> Result<Value> {
+        Ok(match &view.payload {
+            PayloadView::Soap(el) => pti_serialize::from_soap(&mut self.runtime, el)?,
+            PayloadView::Binary(bytes) => pti_serialize::from_binary(&mut self.runtime, bytes)?,
         })
     }
 
@@ -596,6 +619,45 @@ mod tests {
         let alien = TypeDescription::from_def(&TypeDef::class("Alien", "x").build());
         assert!(p.match_interest(&alien).is_none());
         assert!(p.stats.conformance_checks >= 2);
+    }
+
+    /// One presence rule for owned and borrowed entries: content hash
+    /// first, then download path.
+    #[test]
+    fn owned_and_borrowed_entries_share_one_presence_rule() {
+        let mut p = Peer::new(PeerId(1), ConformanceConfig::paper());
+        let (asm, _) = person_assembly("a");
+        let installed = p.publish(asm).unwrap().assembly_ref;
+        let moved = AssemblyRef {
+            assembly_path: "pti://peer-9/asm/person-a".into(),
+            ..installed.clone()
+        };
+        let rehashed = AssemblyRef {
+            content_hash: "not-a-hash".into(),
+            ..installed.clone()
+        };
+        let absent = AssemblyRef {
+            content_hash: "0".into(),
+            ..moved.clone()
+        };
+        for (aref, present) in [
+            (installed, true),
+            (moved, true),
+            (rehashed, true),
+            (absent, false),
+        ] {
+            assert_eq!(p.has_assembly(&aref), present, "{aref:?}");
+            let bytes = ObjectEnvelope {
+                type_name: TypeName::new("Person"),
+                type_guid: Guid::NIL,
+                assemblies: vec![aref.clone()],
+                payload: Payload::Binary(Vec::new()),
+            }
+            .to_ptib();
+            let view = EnvelopeView::parse(&bytes).unwrap();
+            let entry = view.assemblies().next().unwrap();
+            assert_eq!(p.has_assembly_entry(&entry), present, "{aref:?}");
+        }
     }
 
     #[test]

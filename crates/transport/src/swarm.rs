@@ -36,7 +36,8 @@ use pti_net::{
     Transport,
 };
 use pti_serialize::{
-    description_from_xml, description_to_xml, EnvelopeWireFormat, ObjectEnvelope, PayloadFormat,
+    description_from_xml, description_to_xml, EnvelopeView, EnvelopeWireFormat, ObjectEnvelope,
+    PayloadFormat,
 };
 use pti_xml::Element;
 
@@ -1468,10 +1469,42 @@ impl<T: Transport> Swarm<T> {
     }
 
     /// The shared tail of [`on_object`](Self::on_object) and the
-    /// reliable path: decode the envelope bytes and open a pending
-    /// exchange at the receiving peer.
+    /// reliable path. A binary envelope is decoded in place; when the
+    /// receiver already holds its type's description and every listed
+    /// assembly, it is matched, materialized and delivered straight off
+    /// the wire bytes. Anything else opens a pending exchange. The warm
+    /// case is exactly the one in which [`advance`](Self::advance) runs
+    /// from stage 1 to stage 4 in one call, so skipping the pending
+    /// exchange changes no observable state.
     fn on_object_bytes(&mut self, at: PeerId, from: PeerId, bytes: &[u8]) -> Result<()> {
-        let envelope = decode_envelope(bytes)?;
+        if !ObjectEnvelope::is_ptib(bytes) {
+            return self.open_exchange(at, from, decode_envelope(bytes)?);
+        }
+        let view = EnvelopeView::parse(bytes)?;
+        let peer = self
+            .peers
+            .get_mut(&at)
+            .ok_or(TransportError::UnknownPeer(at))?;
+        let guid = view.type_guid;
+        let warm = !guid.is_nil()
+            && peer.knows_description(guid)
+            && view.assemblies().all(|e| peer.has_assembly_entry(&e));
+        if !warm {
+            return self.open_exchange(at, from, view.into_owned());
+        }
+        peer.stats.objects_received += 1;
+        peer.next_seq += 1;
+        let matched = peer
+            .match_interest_of(guid)
+            .ok_or_else(|| TransportError::Protocol("description vanished".into()))?;
+        let value = peer.materialize_view(&view)?;
+        peer.push_delivery(Delivery::accepted(from, value, matched));
+        Ok(())
+    }
+
+    /// Opens a pending exchange for an owned envelope at the receiving
+    /// peer and advances it as far as it goes.
+    fn open_exchange(&mut self, at: PeerId, from: PeerId, envelope: ObjectEnvelope) -> Result<()> {
         let peer = self
             .peers
             .get_mut(&at)
@@ -1522,8 +1555,10 @@ impl<T: Transport> Swarm<T> {
             // awaited — only in-flight or fresh requests can unblock us.
             let mut to_request = Vec::new();
             let all_answered = {
-                // pti-allow(panic-policy): `at` owns the pending exchange being advanced, so the peer entry exists
-                let peer = self.peers.get_mut(&at).expect("checked");
+                let peer = self
+                    .peers
+                    .get_mut(&at)
+                    .ok_or(TransportError::UnknownPeer(at))?;
                 let p = &mut peer.pending[idx];
                 for aref in &p.envelope.assemblies {
                     let desc_path = &aref.description_path;
@@ -1541,8 +1576,10 @@ impl<T: Transport> Swarm<T> {
             if all_answered {
                 // Every listed description arrived earlier and still does
                 // not cover the root type: the envelope is unservable.
-                // pti-allow(panic-policy): `at` owns the pending exchange being advanced, so the peer entry exists
-                let peer = self.peers.get_mut(&at).expect("checked");
+                let peer = self
+                    .peers
+                    .get_mut(&at)
+                    .ok_or(TransportError::UnknownPeer(at))?;
                 let p = peer.pending.remove(idx);
                 return Err(TransportError::Protocol(format!(
                     "no listed assembly describes root type `{}`",
@@ -1567,8 +1604,10 @@ impl<T: Transport> Swarm<T> {
         // payloads skip conformance.
         let mut fresh = false;
         {
-            // pti-allow(panic-policy): `at` owns the pending exchange being advanced, so the peer entry exists
-            let peer = self.peers.get_mut(&at).expect("checked");
+            let peer = self
+                .peers
+                .get_mut(&at)
+                .ok_or(TransportError::UnknownPeer(at))?;
             let p = &peer.pending[idx];
             let guid = p.envelope.type_guid;
             if p.matched.is_none() && !guid.is_nil() {
@@ -1602,8 +1641,7 @@ impl<T: Transport> Swarm<T> {
 
         // Stage 3: code download (steps 4-5).
         let missing: Vec<String> = {
-            // pti-allow(panic-policy): `at` owns the pending exchange being advanced, so the peer entry exists
-            let peer = self.peers.get(&at).expect("checked");
+            let peer = self.peers.get(&at).ok_or(TransportError::UnknownPeer(at))?;
             let p = &peer.pending[idx];
             p.envelope
                 .assemblies
@@ -1615,8 +1653,10 @@ impl<T: Transport> Swarm<T> {
         if !missing.is_empty() {
             let mut to_request = Vec::new();
             {
-                // pti-allow(panic-policy): `at` owns the pending exchange being advanced, so the peer entry exists
-                let peer = self.peers.get_mut(&at).expect("checked");
+                let peer = self
+                    .peers
+                    .get_mut(&at)
+                    .ok_or(TransportError::UnknownPeer(at))?;
                 let p = &mut peer.pending[idx];
                 if p.awaiting_asms.is_some() {
                     return Ok(()); // this exchange already registered its waits

@@ -1,0 +1,211 @@
+//! Hostile object frames through `Swarm::dispatch`.
+//!
+//! A warm receiver gets envelopes that the decoder must reject — every
+//! truncation, hostile varint counts and lengths, invalid UTF-8, and
+//! seeded random byte flips that break the envelope — as `object` and
+//! as reliable `object-r` frames. Each one must surface as exactly one
+//! dispatch error, and the good event queued behind it must still be
+//! delivered.
+//!
+//! The random cases are drawn from a SplitMix64 stream, so a failure
+//! names the case that reproduces it.
+
+use pti_conformance::ConformanceConfig;
+use pti_metamodel::{bodies, primitives, Assembly, TypeDef, TypeDescription, Value};
+use pti_net::{NetConfig, PeerId};
+use pti_serialize::{EnvelopeView, PayloadFormat};
+use pti_transport::{kinds, Delivery, Swarm, RELIABLE_HEADER_LEN};
+
+const FLIP_CASES: u64 = 64;
+
+/// The tiny deterministic PRNG driving the cases (SplitMix64).
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next_u64() % n
+    }
+}
+
+/// Alice publishes `Reading`; Bob subscribes to a structurally equal
+/// view of it and has received one event, so he is warm.
+struct Warm {
+    swarm: Swarm,
+    alice: PeerId,
+    bob: PeerId,
+    /// A well-formed binary envelope of one `Reading`.
+    good: Vec<u8>,
+    /// Next reliable link and event sequence number on alice → bob.
+    reliable_seq: u64,
+}
+
+fn warm() -> Warm {
+    let mut swarm = Swarm::new(NetConfig::default());
+    let alice = swarm.add_peer(ConformanceConfig::pragmatic());
+    let bob = swarm.add_peer(ConformanceConfig::pragmatic());
+    let def = TypeDef::class("Reading", "alice")
+        .field("value", primitives::FLOAT64)
+        .ctor(vec![])
+        .build();
+    let asm = Assembly::builder("reading")
+        .ty(def.clone())
+        .ctor_body(def.guid, 0, bodies::ctor_assign(&[]))
+        .build();
+    swarm.publish(alice, asm).unwrap();
+    let interest = TypeDef::class("Reading", "bob")
+        .field("value", primitives::FLOAT64)
+        .build();
+    swarm.subscribe(bob, TypeDescription::from_def(&interest));
+
+    let rt = &mut swarm.peer_mut(alice).runtime;
+    let h = rt.instantiate_def(&def, &[]).unwrap();
+    rt.set_field(h, "value", Value::F64(1.5)).unwrap();
+    let good = swarm
+        .peer(alice)
+        .make_envelope(&Value::Obj(h), PayloadFormat::Binary)
+        .unwrap()
+        .to_ptib();
+    let mut w = Warm {
+        swarm,
+        alice,
+        bob,
+        good,
+        reliable_seq: 1,
+    };
+    w.send_good(kinds::OBJECT);
+    w.swarm.run().unwrap();
+    assert_eq!(w.take_values(), [1.5], "bob is warm");
+    w
+}
+
+impl Warm {
+    /// Queues `envelope` to Bob as a frame of `kind`, behind a reliable
+    /// header with the next sequence numbers for `object-r`.
+    fn send(&mut self, kind: &'static str, envelope: &[u8]) {
+        let frame = if kind == kinds::OBJECT_R {
+            let seq = self.reliable_seq;
+            self.reliable_seq += 1;
+            let mut frame = Vec::with_capacity(RELIABLE_HEADER_LEN + envelope.len());
+            frame.extend_from_slice(&seq.to_le_bytes());
+            frame.extend_from_slice(&self.alice.0.to_le_bytes());
+            frame.extend_from_slice(&seq.to_le_bytes());
+            frame.extend_from_slice(envelope);
+            frame
+        } else {
+            envelope.to_vec()
+        };
+        self.swarm
+            .send_raw(self.alice, self.bob, kind, frame)
+            .unwrap();
+    }
+
+    fn send_good(&mut self, kind: &'static str) {
+        let good = self.good.clone();
+        self.send(kind, &good);
+    }
+
+    /// The `value` of every object delivered to Bob since the last call.
+    fn take_values(&mut self) -> Vec<f64> {
+        let ds = self.swarm.peer_mut(self.bob).take_deliveries();
+        ds.iter()
+            .map(|d| match d {
+                Delivery::Accepted {
+                    proxy: Some(proxy), ..
+                } => proxy
+                    .get_field(&self.swarm.peer(self.bob).runtime, "value")
+                    .unwrap()
+                    .as_f64()
+                    .unwrap(),
+                other => panic!("expected a proxied acceptance, got {other:?}"),
+            })
+            .collect()
+    }
+}
+
+/// `bytes` with the varint at `at` replaced by `value`'s encoding.
+fn with_varint(bytes: &[u8], at: usize, mut value: u64) -> Vec<u8> {
+    let old = bytes[at..].iter().position(|b| b & 0x80 == 0).unwrap() + 1;
+    let mut varint = Vec::new();
+    loop {
+        let byte = (value & 0x7f) as u8;
+        value >>= 7;
+        if value == 0 {
+            varint.push(byte);
+            break;
+        }
+        varint.push(byte | 0x80);
+    }
+    [&bytes[..at], &varint, &bytes[at + old..]].concat()
+}
+
+/// Envelopes derived from `good` that the decoder rejects: every
+/// truncation, a hostile value at the type-name length and at the
+/// assembly count, invalid UTF-8 in the type name, and random flips
+/// that break the envelope.
+fn hostile(good: &[u8]) -> Vec<(String, Vec<u8>)> {
+    let mut out: Vec<(String, Vec<u8>)> = (0..good.len())
+        .map(|cut| (format!("cut at {cut}"), good[..cut].to_vec()))
+        .collect();
+    // magic + version, then the type name's length prefix.
+    let name_len = 5;
+    let count = name_len + 1 + usize::from(good[name_len]) + 16;
+    for (field, at) in [("type-name length", name_len), ("assembly count", count)] {
+        for value in [u64::MAX, good.len() as u64] {
+            out.push((format!("{field} = {value}"), with_varint(good, at, value)));
+        }
+    }
+    let mut bad_name = good.to_vec();
+    bad_name[name_len + 1] = 0xff;
+    out.push(("invalid utf8 in the type name".into(), bad_name));
+    let mut rng = SplitMix64(0xD15_BA7C4);
+    let mut case = 0;
+    while case < FLIP_CASES {
+        let mut bytes = good.to_vec();
+        let at = rng.below(bytes.len() as u64) as usize;
+        bytes[at] ^= 1 << rng.below(8);
+        if EnvelopeView::parse(&bytes).is_err() {
+            out.push((format!("flip case {case} at {at}"), bytes));
+            case += 1;
+        }
+    }
+    for (name, bytes) in &out {
+        assert!(EnvelopeView::parse(bytes).is_err(), "{name} decodes");
+    }
+    out
+}
+
+#[test]
+fn hostile_object_frames_surface_as_errors_and_the_traffic_behind_them_delivers() {
+    let mut w = warm();
+    let cases = hostile(&w.good.clone());
+    for kind in [kinds::OBJECT, kinds::OBJECT_R] {
+        for (name, bytes) in &cases {
+            w.send(kind, bytes);
+            w.send_good(kind);
+            w.swarm.run().unwrap();
+            let errs = w.swarm.take_dispatch_errors();
+            assert_eq!(errs.len(), 1, "{kind} {name}: {errs:?}");
+            assert_eq!(errs[0].0, w.bob, "{kind} {name}");
+            assert_eq!(w.take_values(), [1.5], "{kind} {name}: good event lost");
+        }
+    }
+    let stats = w.swarm.peer(w.bob).stats;
+    assert_eq!(
+        (stats.desc_requests, stats.asm_requests, stats.rejected),
+        (1, 1, 0),
+        "hostile frames opened no exchange"
+    );
+    assert_eq!(
+        w.swarm.delivery_stats().delivered,
+        2 * cases.len() as u64,
+        "every reliable frame passed the link layer"
+    );
+}

@@ -1,10 +1,12 @@
 //! End-to-end tests of the optimistic protocol and its eager baseline.
 
+use std::sync::Arc;
+
 use pti_conformance::ConformanceConfig;
 use pti_metamodel::{bodies, primitives, Assembly, ParamDef, TypeDef, TypeDescription, Value};
 use pti_net::NetConfig;
-use pti_serialize::PayloadFormat;
-use pti_transport::{kinds, Delivery, Swarm};
+use pti_serialize::{EnvelopeView, EnvelopeWireFormat, PayloadFormat};
+use pti_transport::{kinds, Delivery, ProtocolStats, Swarm};
 
 /// An assembly publishing a `Person` type with vendor-specific method
 /// names.
@@ -812,4 +814,170 @@ fn unroutable_interest_names_stay_local_and_benign() {
         .unwrap();
     listener.run_for(Duration::from_millis(20)).unwrap();
     assert!(listener.routes().is_empty());
+}
+
+/// What one delivery moved on the receiver's protocol counters.
+fn stats_delta(before: ProtocolStats, after: ProtocolStats) -> [u64; 6] {
+    [
+        after.objects_received - before.objects_received,
+        after.accepted - before.accepted,
+        after.rejected - before.rejected,
+        after.desc_requests - before.desc_requests,
+        after.asm_requests - before.asm_requests,
+        after.conformance_checks - before.conformance_checks,
+    ]
+}
+
+/// A warm binary envelope is decoded in place and delivered without a
+/// pending exchange; an XML envelope always opens one. The same warm
+/// event through both paths gives equal values, one shared contract and
+/// the same counter deltas — and a cold delivery of the type, which
+/// fetches description and code first, shares that contract too.
+#[test]
+fn a_borrowed_warm_delivery_matches_the_pending_exchange() {
+    let Fixture {
+        mut swarm,
+        alice,
+        bob,
+    } = fixture();
+    let mut deliver = |wire: EnvelopeWireFormat| {
+        swarm.set_envelope_wire_format(wire);
+        let before = swarm.peer(bob).stats;
+        let v = make_person(&mut swarm, alice, "same");
+        swarm
+            .send_object(alice, bob, &v, PayloadFormat::Binary)
+            .unwrap();
+        swarm.run().unwrap();
+        assert!(swarm.take_dispatch_errors().is_empty());
+        let delta = stats_delta(before, swarm.peer(bob).stats);
+        let ds = swarm.peer_mut(bob).take_deliveries();
+        let [Delivery::Accepted {
+            proxy: Some(proxy), ..
+        }] = ds.as_slice()
+        else {
+            panic!("expected one proxied acceptance, got {ds:?}");
+        };
+        let name = proxy.get_field(&swarm.peer(bob).runtime, "name").unwrap();
+        (delta, name, proxy.clone())
+    };
+    let (cold, cold_name, cold_proxy) = deliver(EnvelopeWireFormat::Ptib);
+    let (borrowed, borrowed_name, borrowed_proxy) = deliver(EnvelopeWireFormat::Ptib);
+    let (pending, pending_name, pending_proxy) = deliver(EnvelopeWireFormat::Xml);
+
+    assert_eq!(cold, [1, 1, 0, 1, 1, 1], "cold: one fetch of each");
+    assert_eq!(borrowed, [1, 1, 0, 0, 0, 1], "warm: no fetch, one check");
+    assert_eq!(borrowed, pending, "both warm paths move the same counters");
+    assert_eq!(borrowed_name, Value::from("same"));
+    assert_eq!(borrowed_name, pending_name);
+    assert_eq!(borrowed_name, cold_name);
+    assert!(Arc::ptr_eq(
+        borrowed_proxy.contract(),
+        pending_proxy.contract()
+    ));
+    assert!(Arc::ptr_eq(
+        borrowed_proxy.contract(),
+        cold_proxy.contract()
+    ));
+    assert_ne!(borrowed_proxy.handle(), pending_proxy.handle());
+}
+
+/// An event of a type whose description is known but whose code is
+/// still downloading is not warm: the borrowed path needs every listed
+/// assembly, so the event waits in a pending exchange and is delivered
+/// after the first one, in publish order, once the code arrives.
+#[test]
+fn an_event_arriving_while_its_code_downloads_is_delivered_in_publish_order() {
+    let Fixture {
+        mut swarm,
+        alice,
+        bob,
+    } = fixture();
+    let (_, def_a) = person_assembly("vendor-a", "getName", "setName");
+    let first = make_person(&mut swarm, alice, "first");
+    swarm
+        .send_object(alice, bob, &first, PayloadFormat::Binary)
+        .unwrap();
+    // Step until Bob holds the description; his code request is out.
+    while !swarm.peer(bob).knows_description(def_a.guid) {
+        assert_eq!(swarm.pump(1).unwrap(), 1, "stalled before the description");
+    }
+    assert_eq!(swarm.peer(bob).stats.asm_requests, 1);
+
+    let second = make_person(&mut swarm, alice, "second");
+    swarm
+        .send_object(alice, bob, &second, PayloadFormat::Binary)
+        .unwrap();
+    while swarm.peer(bob).stats.objects_received < 2 {
+        assert_eq!(swarm.pump(1).unwrap(), 1, "stalled before the second event");
+    }
+    assert!(
+        swarm.peer_mut(bob).take_deliveries().is_empty(),
+        "nothing is delivered before the code is installed"
+    );
+
+    swarm.run().unwrap();
+    assert!(swarm.take_dispatch_errors().is_empty());
+    let ds = swarm.peer_mut(bob).take_deliveries();
+    let names: Vec<Value> = ds
+        .iter()
+        .map(|d| match d {
+            Delivery::Accepted {
+                proxy: Some(proxy), ..
+            } => proxy.get_field(&swarm.peer(bob).runtime, "name").unwrap(),
+            other => panic!("expected a proxied acceptance, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(names, [Value::from("first"), Value::from("second")]);
+    let stats = swarm.peer(bob).stats;
+    assert_eq!((stats.desc_requests, stats.asm_requests), (1, 1));
+}
+
+/// Code is present by content hash or, on a miss, by download path: an
+/// entry whose hash nobody installed still counts as present when its
+/// path is installed, so the event is delivered with no new fetch.
+#[test]
+fn an_unknown_content_hash_at_an_installed_path_counts_as_present() {
+    let Fixture {
+        mut swarm,
+        alice,
+        bob,
+    } = fixture();
+    let v = make_person(&mut swarm, alice, "cold");
+    swarm
+        .send_object(alice, bob, &v, PayloadFormat::Binary)
+        .unwrap();
+    swarm.run().unwrap();
+    assert_eq!(swarm.peer_mut(bob).take_deliveries().len(), 1);
+
+    let v = make_person(&mut swarm, alice, "rehashed");
+    let mut env = swarm
+        .peer(alice)
+        .make_envelope(&v, PayloadFormat::Binary)
+        .unwrap();
+    env.assemblies[0].content_hash = "not-a-hash".into();
+    let bytes = env.to_ptib();
+    let bob_peer = swarm.peer(bob);
+    assert!(bob_peer.has_assembly(&env.assemblies[0]));
+    let view = EnvelopeView::parse(&bytes).unwrap();
+    assert!(view.assemblies().all(|e| bob_peer.has_assembly_entry(&e)));
+
+    let before = swarm.peer(bob).stats;
+    swarm.send_raw(alice, bob, kinds::OBJECT, bytes).unwrap();
+    swarm.run().unwrap();
+    assert!(swarm.take_dispatch_errors().is_empty());
+    assert_eq!(
+        stats_delta(before, swarm.peer(bob).stats),
+        [1, 1, 0, 0, 0, 1]
+    );
+    let ds = swarm.peer_mut(bob).take_deliveries();
+    let [Delivery::Accepted {
+        proxy: Some(proxy), ..
+    }] = ds.as_slice()
+    else {
+        panic!("expected one proxied acceptance, got {ds:?}");
+    };
+    assert_eq!(
+        proxy.get_field(&swarm.peer(bob).runtime, "name").unwrap(),
+        Value::from("rehashed")
+    );
 }
