@@ -19,6 +19,7 @@
 //!   for structural subtyping — with a hard depth bound as a backstop.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use pti_metamodel::{DescriptionProvider, Guid, MethodDesc, TypeDescription, TypeKind, TypeName};
@@ -88,7 +89,8 @@ type Verdict = Result<Arc<Contract>, NonConformance>;
 pub struct ConformanceChecker {
     config: ConformanceConfig,
     cache: Mutex<HashMap<(Guid, Guid), Verdict>>,
-    stats: Mutex<CacheStats>,
+    hits: AtomicU64,
+    misses: AtomicU64,
     caching: bool,
 }
 
@@ -105,7 +107,7 @@ impl std::fmt::Debug for ConformanceChecker {
         f.debug_struct("ConformanceChecker")
             .field("config", &self.config)
             .field("cached_pairs", &self.cache().len())
-            .field("stats", &*self.counters())
+            .field("stats", &self.stats())
             .finish()
     }
 }
@@ -122,7 +124,8 @@ impl ConformanceChecker {
         ConformanceChecker {
             config,
             cache: Mutex::new(HashMap::new()),
-            stats: Mutex::new(CacheStats::default()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
             caching: true,
         }
     }
@@ -143,7 +146,18 @@ impl ConformanceChecker {
 
     /// Cache hit/miss counters so far.
     pub fn stats(&self) -> CacheStats {
-        *self.counters()
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Counts `hits` cache hits answered outside the checker: a caller
+    /// that memoizes a run of [`bind`](Self::bind) calls, all of them
+    /// hits, replays their count here so [`stats`](Self::stats) reads
+    /// as if the calls had been made.
+    pub fn record_hits(&self, hits: u64) {
+        self.hits.fetch_add(hits, Ordering::Relaxed);
     }
 
     /// Empties the verdict cache, bound contracts included (use when the
@@ -161,16 +175,11 @@ impl ConformanceChecker {
         self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The hit/miss counters, taken over when poisoned like the cache.
-    fn counters(&self) -> MutexGuard<'_, CacheStats> {
-        self.stats.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// The cached verdict for a pair, counting a hit when `count_hit`.
     fn cached(&self, key: (Guid, Guid), count_hit: bool) -> Option<Verdict> {
         let hit = self.cache().get(&key).cloned()?;
         if count_hit {
-            self.counters().hits += 1;
+            self.hits.fetch_add(1, Ordering::Relaxed);
         }
         Some(hit)
     }
@@ -284,7 +293,7 @@ impl ConformanceChecker {
         let result = self.check_uncached(source, target, state);
         state.depth -= 1;
         state.in_progress.pop();
-        self.counters().misses += 1;
+        self.misses.fetch_add(1, Ordering::Relaxed);
         // Results derived under a coinductive assumption deeper in the
         // stack are still sound to cache: the assumption is discharged by
         // the time the outermost frame for the pair completes, and inner

@@ -294,9 +294,17 @@ impl Decoder<'_> {
             return Err(SerializeError::Malformed("field count too large".into()));
         }
         for _ in 0..nfields {
-            let name = get_str(buf)?;
+            let name = get_str_ref(buf)?;
             let value = self.decode(buf)?;
-            self.rt.heap.get_mut(handle)?.set(name, value);
+            let obj = self.rt.heap.get_mut(handle)?;
+            // The blank instance already holds every declared field, so
+            // only a field the type does not declare allocates its name.
+            match obj.fields.get_mut(name) {
+                Some(slot) => *slot = value,
+                None => {
+                    obj.set(name, value);
+                }
+            }
         }
         Ok(Value::Obj(handle))
     }

@@ -558,6 +558,14 @@ impl<'a> EnvelopeView<'a> {
         }
     }
 
+    /// The validated assembly table as it sits on the wire: the common
+    /// path prefix and the entries' bytes. Two views whose prefixes and
+    /// table bytes are equal list the same assemblies, in the same
+    /// order, whatever their version.
+    pub fn assembly_table(&self) -> (&'a str, &'a [u8]) {
+        (self.prefix, self.table)
+    }
+
     /// The owned envelope: header strings copied, a binary payload
     /// copied, a SOAP payload moved.
     pub fn into_owned(self) -> ObjectEnvelope {

@@ -4,7 +4,7 @@ use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use pti_conformance::{ConformanceChecker, ConformanceConfig, Contract};
+use pti_conformance::{CacheStats, ConformanceChecker, ConformanceConfig, Contract};
 use pti_metamodel::{
     Assembly, DescriptionProvider, Guid, Runtime, TypeDescription, TypeName, Value,
 };
@@ -121,11 +121,39 @@ pub(crate) struct PendingObject {
     pub matched: Option<Arc<Contract>>,
 }
 
+/// A type whose last delivery was warm, with the conformance stage's
+/// outcome for it. Recorded only when every check in that stage was a
+/// verdict-cache hit, so replaying `checks` and `hits` counts exactly
+/// what re-running the stage would.
+#[derive(Debug)]
+struct WarmType {
+    /// The listed assembly table, found fully present: the path prefix
+    /// followed by the table bytes, exactly as on the wire.
+    table: Box<[u8]>,
+    /// Length of the path prefix at the front of `table`.
+    prefix_len: usize,
+    /// The contract of the first conforming interest, if any.
+    matched: Option<Arc<Contract>>,
+    /// Conformance checks the match took.
+    checks: u64,
+    /// Checker-cache hits those checks counted.
+    hits: u64,
+}
+
+impl WarmType {
+    /// Whether an envelope lists exactly this table.
+    fn lists(&self, prefix: &str, table: &[u8]) -> bool {
+        let (p, t) = self.table.split_at(self.prefix_len);
+        p == prefix.as_bytes() && t == table
+    }
+}
+
 /// A protocol peer.
 ///
 /// Owns a [`Runtime`] (its types + objects), the set of *types of
 /// interest* it is willing to receive, a cache of downloaded type
-/// descriptions, and the conformance checker with its verdict cache.
+/// descriptions, the conformance checker with its verdict cache, and a
+/// memo of the types whose deliveries are warm.
 pub struct Peer {
     /// This peer's network identity.
     pub id: PeerId,
@@ -157,6 +185,9 @@ pub struct Peer {
     pub(crate) pending: Vec<PendingObject>,
     pub(crate) next_seq: u64,
     deliveries: Vec<Delivery>,
+    /// Warm-type memo by root type guid (see [`warm_match`](Self::warm_match)).
+    /// Cleared by every method that changes what the warm test reads.
+    warm: HashMap<Guid, WarmType>,
     /// Protocol counters.
     pub stats: ProtocolStats,
 }
@@ -195,8 +226,22 @@ impl Peer {
             pending: Vec::new(),
             next_seq: 0,
             deliveries: Vec::new(),
+            warm: HashMap::new(),
             stats: ProtocolStats::default(),
         }
+    }
+
+    /// Replaces the conformance checker (e.g. with an
+    /// [`uncached`](ConformanceChecker::uncached) one). Verdicts cached
+    /// by the old checker are dropped with it.
+    pub fn set_checker(&mut self, checker: ConformanceChecker) {
+        self.warm.clear();
+        self.checker = checker;
+    }
+
+    /// The conformance checker's cache hit/miss counters.
+    pub fn cache_stats(&self) -> CacheStats {
+        self.checker.stats()
     }
 
     /// Publishes an assembly: installs it locally and exposes its
@@ -206,6 +251,7 @@ impl Peer {
     /// # Errors
     /// Registry conflicts on installation.
     pub fn publish(&mut self, assembly: Assembly) -> Result<Published> {
+        self.warm.clear();
         assembly.install(&mut self.runtime)?;
         let desc_path = format!("pti://{}/desc/{}", self.id, assembly.name());
         let asm_path = format!("pti://{}/asm/{}", self.id, assembly.name());
@@ -238,6 +284,7 @@ impl Peer {
     /// Declares a type of interest: inbound objects are matched (by
     /// implicit structural conformance) against these.
     pub fn subscribe(&mut self, interest: TypeDescription) {
+        self.warm.clear();
         self.interests.push(interest);
     }
 
@@ -251,6 +298,7 @@ impl Peer {
     /// unaffected; future objects are matched against the remaining
     /// interests only.
     pub fn unsubscribe(&mut self, guid: pti_metamodel::Guid) -> bool {
+        self.warm.clear();
         let before = self.interests.len();
         self.interests.retain(|d| d.guid != guid);
         before != self.interests.len()
@@ -275,6 +323,7 @@ impl Peer {
     }
 
     pub(crate) fn mark_installed(&mut self, asm_path: &str, content_hash: u64) {
+        self.warm.clear();
         self.installed.insert(asm_path.to_string());
         self.installed_hashes.insert(content_hash);
     }
@@ -313,6 +362,7 @@ impl Peer {
 
     /// Caches a downloaded type description.
     pub fn cache_description(&mut self, desc: TypeDescription) {
+        self.warm.clear();
         self.desc_by_name
             .entry(desc.name.full().to_ascii_lowercase())
             .or_default()
@@ -363,6 +413,55 @@ impl Peer {
             self.first_conforming(&root)
         };
         self.stats.conformance_checks += checks;
+        Some(matched)
+    }
+
+    /// The warm test and conformance stage of a borrowed envelope.
+    /// `None` unless it is warm: its type guid is not nil, its
+    /// description is known and every listed assembly is present. Then
+    /// `Some` of the contract of the first interest it conforms to, as
+    /// [`match_interest_of`](Self::match_interest_of) finds it.
+    ///
+    /// A repeat of a warm type listing byte-for-byte the same assembly
+    /// table is answered from the warm-type memo with one lookup: the
+    /// recorded contract, with the recorded checks and cache hits added
+    /// to the counters. An entry is recorded only when the checker
+    /// computed nothing new during the match, so a depth-bound pair, or
+    /// a non-identical pair under an uncached checker, is matched afresh
+    /// on every delivery.
+    pub fn warm_match(&mut self, view: &EnvelopeView<'_>) -> Option<Option<Arc<Contract>>> {
+        let guid = view.type_guid;
+        let (prefix, table) = view.assembly_table();
+        if let Some(warm) = self.warm.get(&guid).filter(|w| w.lists(prefix, table)) {
+            self.stats.conformance_checks += warm.checks;
+            self.checker.record_hits(warm.hits);
+            return Some(warm.matched.clone());
+        }
+        let warm = !guid.is_nil()
+            && self.knows_description(guid)
+            && view.assemblies().all(|e| self.has_assembly_entry(&e));
+        if !warm {
+            return None;
+        }
+        let checks = self.stats.conformance_checks;
+        let before = self.checker.stats();
+        let matched = self.match_interest_of(guid)?;
+        let after = self.checker.stats();
+        if after.misses == before.misses {
+            let mut key = Vec::with_capacity(prefix.len() + table.len());
+            key.extend_from_slice(prefix.as_bytes());
+            key.extend_from_slice(table);
+            self.warm.insert(
+                guid,
+                WarmType {
+                    table: key.into_boxed_slice(),
+                    prefix_len: prefix.len(),
+                    matched: matched.clone(),
+                    checks: self.stats.conformance_checks - checks,
+                    hits: after.hits - before.hits,
+                },
+            );
+        }
         Some(matched)
     }
 
@@ -657,6 +756,208 @@ mod tests {
             let view = EnvelopeView::parse(&bytes).unwrap();
             let entry = view.assemblies().next().unwrap();
             assert_eq!(p.has_assembly_entry(&entry), present, "{aref:?}");
+        }
+    }
+
+    /// The tiny deterministic PRNG driving the memo's differential test
+    /// (SplitMix64).
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        fn next_u64(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next_u64() % n as u64) as usize
+        }
+    }
+
+    /// The warm test and conformance stage without the memo: nil check,
+    /// description, every listed assembly, then the interests in order.
+    fn unmemoized_match(peer: &mut Peer, view: &EnvelopeView<'_>) -> Option<Option<Guid>> {
+        let guid = view.type_guid;
+        let warm = !guid.is_nil()
+            && peer.knows_description(guid)
+            && view.assemblies().all(|e| peer.has_assembly_entry(&e));
+        if !warm {
+            return None;
+        }
+        let matched = peer.match_interest_of(guid)?;
+        Some(matched.map(|c| c.expected().guid))
+    }
+
+    /// A remote type with the assembly reference its publisher lists.
+    struct Remote {
+        desc: TypeDescription,
+        assembly: Assembly,
+        aref: AssemblyRef,
+    }
+
+    fn remote(def: TypeDef) -> Remote {
+        let name = format!("{}-remote", def.name.full().to_ascii_lowercase());
+        let assembly = Assembly::builder(name.clone()).ty(def.clone()).build();
+        let aref = AssemblyRef {
+            name: name.clone(),
+            description_path: format!("pti://peer-9/desc/{name}"),
+            assembly_path: format!("pti://peer-9/asm/{name}"),
+            content_hash: format!("{:x}", assembly.content_hash()),
+        };
+        Remote {
+            desc: TypeDescription::from_def(&def),
+            assembly,
+            aref,
+        }
+    }
+
+    /// The envelope tables a delivery may list for a remote type: its
+    /// own entry, the entry moved to another path, the entry with a
+    /// hash nobody installed, and the entry plus an uninstalled one.
+    fn tables(r: &Remote, absent: &AssemblyRef) -> Vec<Vec<AssemblyRef>> {
+        let moved = AssemblyRef {
+            assembly_path: r.aref.assembly_path.replace("peer-9", "peer-8"),
+            description_path: r.aref.description_path.replace("peer-9", "peer-8"),
+            ..r.aref.clone()
+        };
+        let rehashed = AssemblyRef {
+            content_hash: "not-a-hash".into(),
+            ..r.aref.clone()
+        };
+        vec![
+            vec![r.aref.clone()],
+            vec![moved],
+            vec![rehashed],
+            vec![r.aref.clone(), absent.clone()],
+        ]
+    }
+
+    /// Twin peers take the same seeded steps: subscribe, unsubscribe,
+    /// `cache_description`, `mark_installed`, `publish` and envelopes
+    /// that are warm, list another table or carry a nil guid. One
+    /// answers every envelope by the unmemoized rule, the other by
+    /// `warm_match`. After every step the answers and both peers'
+    /// protocol and checker-cache counters are equal, with a cached and
+    /// with an uncached checker.
+    #[test]
+    fn the_warm_memo_answers_as_the_unmemoized_rule() {
+        let remotes: Vec<Remote> = [
+            TypeDef::class("Person", "remote")
+                .field("name", primitives::STRING)
+                .method("getName", vec![], primitives::STRING)
+                .build(),
+            TypeDef::class("Reading", "remote")
+                .field("value", primitives::FLOAT64)
+                .build(),
+            TypeDef::class("Spaceship", "remote")
+                .field("fuel", primitives::INT64)
+                .build(),
+        ]
+        .into_iter()
+        .map(remote)
+        .collect();
+        let absent = remote(TypeDef::class("Absent", "remote").build()).aref;
+        let interests: Vec<TypeDescription> = vec![
+            TypeDescription::from_def(&person_assembly("local").1),
+            TypeDescription::from_def(
+                &TypeDef::class("Reading", "local")
+                    .field("value", primitives::FLOAT64)
+                    .build(),
+            ),
+            // The very type the remote publishes: an identical pair.
+            remotes[1].desc.clone(),
+            TypeDescription::from_def(&TypeDef::class("Alien", "local").build()),
+        ];
+
+        for (seed, uncached) in [(1u64, false), (2, false), (3, true)] {
+            let mut rng = SplitMix64(seed);
+            let config = ConformanceConfig::pragmatic;
+            let mut unmemoized = Peer::new(PeerId(1), config());
+            let mut memoized = Peer::new(PeerId(1), config());
+            if uncached {
+                unmemoized.set_checker(ConformanceChecker::uncached(config()));
+                memoized.set_checker(ConformanceChecker::uncached(config()));
+            }
+            let (mut memo_hits, mut warm) = (0, 0);
+            for step in 0..2000 {
+                let ctx = format!("seed {seed}, step {step}");
+                match rng.below(32) {
+                    0 => {
+                        let i = &interests[rng.below(interests.len())];
+                        unmemoized.subscribe(i.clone());
+                        memoized.subscribe(i.clone());
+                    }
+                    1 => {
+                        let g = interests[rng.below(interests.len())].guid;
+                        assert_eq!(unmemoized.unsubscribe(g), memoized.unsubscribe(g), "{ctx}");
+                    }
+                    2 => {
+                        let r = &remotes[rng.below(remotes.len())];
+                        unmemoized.cache_description(r.desc.clone());
+                        memoized.cache_description(r.desc.clone());
+                    }
+                    3 => {
+                        let r = &remotes[rng.below(remotes.len())];
+                        let hash = r.assembly.content_hash();
+                        unmemoized.mark_installed(&r.aref.assembly_path, hash);
+                        memoized.mark_installed(&r.aref.assembly_path, hash);
+                    }
+                    4 => {
+                        // A remote type installed locally, or a fresh one.
+                        let asm = match rng.below(2) {
+                            0 => remotes[rng.below(remotes.len())].assembly.clone(),
+                            _ => person_assembly(&format!("local-{step}")).0,
+                        };
+                        let a = unmemoized.publish(asm.clone()).is_ok();
+                        assert_eq!(a, memoized.publish(asm).is_ok(), "{ctx}");
+                    }
+                    _ => {
+                        let r = &remotes[rng.below(remotes.len())];
+                        let mut tables = tables(r, &absent);
+                        let assemblies = tables.swap_remove(rng.below(tables.len()));
+                        let type_guid = match rng.below(8) {
+                            0 => Guid::NIL,
+                            _ => r.desc.guid,
+                        };
+                        let bytes = ObjectEnvelope {
+                            type_name: r.desc.name.clone(),
+                            type_guid,
+                            assemblies,
+                            payload: Payload::Binary(Vec::new()),
+                        }
+                        .to_ptib();
+                        let view = EnvelopeView::parse(&bytes).unwrap();
+                        let (prefix, table) = view.assembly_table();
+                        if memoized
+                            .warm
+                            .get(&type_guid)
+                            .is_some_and(|w| w.lists(prefix, table))
+                        {
+                            memo_hits += 1;
+                        }
+                        let expected = unmemoized_match(&mut unmemoized, &view);
+                        let got = memoized
+                            .warm_match(&view)
+                            .map(|m| m.map(|c| c.expected().guid));
+                        assert_eq!(got, expected, "{ctx}");
+                        warm += usize::from(expected.is_some());
+                    }
+                }
+                assert_eq!(memoized.stats, unmemoized.stats, "{ctx}");
+                assert_eq!(memoized.cache_stats(), unmemoized.cache_stats(), "{ctx}");
+            }
+            assert!(warm > 100, "seed {seed}: only {warm} warm envelopes");
+            // An uncached checker computes every non-identical pair, so
+            // only matches made of identical pairs (or of no interests
+            // at all) are memoized.
+            let floor = if uncached { 1 } else { 50 };
+            assert!(
+                memo_hits >= floor,
+                "seed {seed}: only {memo_hits} memo hits"
+            );
         }
     }
 

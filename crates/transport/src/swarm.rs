@@ -1471,8 +1471,10 @@ impl<T: Transport> Swarm<T> {
     /// The shared tail of [`on_object`](Self::on_object) and the
     /// reliable path. A binary envelope is decoded in place; when the
     /// receiver already holds its type's description and every listed
-    /// assembly, it is matched, materialized and delivered straight off
-    /// the wire bytes. Anything else opens a pending exchange. The warm
+    /// assembly, it is matched ([`Peer::warm_match`], which settles a
+    /// repeat from the peer's warm-type memo), materialized and
+    /// delivered straight off the wire bytes. Anything else opens a
+    /// pending exchange. The warm
     /// case is exactly the one in which [`advance`](Self::advance) runs
     /// from stage 1 to stage 4 in one call, so skipping the pending
     /// exchange changes no observable state.
@@ -1485,18 +1487,11 @@ impl<T: Transport> Swarm<T> {
             .peers
             .get_mut(&at)
             .ok_or(TransportError::UnknownPeer(at))?;
-        let guid = view.type_guid;
-        let warm = !guid.is_nil()
-            && peer.knows_description(guid)
-            && view.assemblies().all(|e| peer.has_assembly_entry(&e));
-        if !warm {
+        let Some(matched) = peer.warm_match(&view) else {
             return self.open_exchange(at, from, view.into_owned());
-        }
+        };
         peer.stats.objects_received += 1;
         peer.next_seq += 1;
-        let matched = peer
-            .match_interest_of(guid)
-            .ok_or_else(|| TransportError::Protocol("description vanished".into()))?;
         let value = peer.materialize_view(&view)?;
         peer.push_delivery(Delivery::accepted(from, value, matched));
         Ok(())

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use pti_conformance::ConformanceConfig;
+use pti_conformance::{ConformanceChecker, ConformanceConfig};
 use pti_metamodel::{bodies, primitives, Assembly, ParamDef, TypeDef, TypeDescription, Value};
 use pti_net::NetConfig;
 use pti_serialize::{EnvelopeView, EnvelopeWireFormat, PayloadFormat};
@@ -980,4 +980,138 @@ fn an_unknown_content_hash_at_an_installed_path_counts_as_present() {
         proxy.get_field(&swarm.peer(bob).runtime, "name").unwrap(),
         Value::from("rehashed")
     );
+}
+
+/// Sends one Person from Alice to Bob and returns Bob's one delivery.
+fn deliver_person(
+    swarm: &mut Swarm,
+    alice: pti_net::PeerId,
+    bob: pti_net::PeerId,
+    name: &str,
+) -> Delivery {
+    let v = make_person(swarm, alice, name);
+    swarm
+        .send_object(alice, bob, &v, PayloadFormat::Binary)
+        .unwrap();
+    swarm.run().unwrap();
+    assert!(swarm.take_dispatch_errors().is_empty());
+    let mut ds = swarm.peer_mut(bob).take_deliveries();
+    assert_eq!(ds.len(), 1, "expected one delivery, got {ds:?}");
+    ds.remove(0)
+}
+
+/// A fixture whose Bob has received Alice's Person cold and then warm
+/// twice, so the warm-type memo holds the type.
+fn warm_fixture() -> Fixture {
+    let mut f = fixture();
+    for name in ["cold", "warm", "memoized"] {
+        deliver_person(&mut f.swarm, f.alice, f.bob, name);
+    }
+    f
+}
+
+/// Swapping interests clears the warm-type memo: after Bob withdraws
+/// his interest and subscribes to another one the Person conforms to,
+/// the next event is matched to the new interest.
+#[test]
+fn a_resubscribed_interest_is_matched_once_the_memo_is_warm() {
+    let Fixture {
+        mut swarm,
+        alice,
+        bob,
+    } = warm_fixture();
+    let old = swarm.peer(bob).interests()[0].guid;
+    let (_, def_c) = person_assembly("vendor-c", "getName", "setName");
+    assert!(swarm.unsubscribe(bob, old));
+    swarm.subscribe(bob, TypeDescription::from_def(&def_c));
+    for name in ["first", "second"] {
+        let Delivery::Accepted {
+            interest_guid,
+            proxy: Some(proxy),
+            ..
+        } = deliver_person(&mut swarm, alice, bob, name)
+        else {
+            panic!("expected a proxied acceptance");
+        };
+        assert_eq!(interest_guid, Some(def_c.guid), "{name}");
+        let rt = &swarm.peer(bob).runtime;
+        assert_eq!(proxy.get_field(rt, "name").unwrap(), Value::from(name));
+    }
+}
+
+/// The memo is keyed by the exact assembly table: an envelope of a
+/// memoized type that lists one more assembly, not installed, is not
+/// warm. It opens a pending exchange, fetches only that code and is
+/// delivered once the code arrives.
+#[test]
+fn an_extra_uninstalled_assembly_defeats_the_memo() {
+    let Fixture {
+        mut swarm,
+        alice,
+        bob,
+    } = warm_fixture();
+    let (ship, _) = alien_assembly();
+    let ship_path = format!("pti://{alice}/asm/{}", ship.name());
+    swarm.publish(alice, ship).unwrap();
+    let ship_ref = swarm
+        .peer(alice)
+        .published_by_asm_path(&ship_path)
+        .unwrap()
+        .assembly_ref
+        .clone();
+    assert!(!swarm.peer(bob).has_assembly(&ship_ref));
+
+    let v = make_person(&mut swarm, alice, "extra");
+    let mut env = swarm
+        .peer(alice)
+        .make_envelope(&v, PayloadFormat::Binary)
+        .unwrap();
+    env.assemblies.push(ship_ref.clone());
+    let before = swarm.peer(bob).stats;
+    swarm
+        .send_raw(alice, bob, kinds::OBJECT, env.to_ptib())
+        .unwrap();
+    swarm.run().unwrap();
+    assert!(swarm.take_dispatch_errors().is_empty());
+    assert_eq!(
+        stats_delta(before, swarm.peer(bob).stats),
+        [1, 1, 0, 0, 1, 1],
+        "one code fetch, one check"
+    );
+    assert!(swarm.peer(bob).has_assembly(&ship_ref));
+    let ds = swarm.peer_mut(bob).take_deliveries();
+    let [Delivery::Accepted {
+        proxy: Some(proxy), ..
+    }] = ds.as_slice()
+    else {
+        panic!("expected one proxied acceptance, got {ds:?}");
+    };
+    assert_eq!(
+        proxy.get_field(&swarm.peer(bob).runtime, "name").unwrap(),
+        Value::from("extra")
+    );
+}
+
+/// An uncached checker computes every verdict, so the memo never
+/// answers for it: each warm delivery counts the same miss and no hit.
+#[test]
+fn an_uncached_checker_misses_on_every_warm_delivery() {
+    let Fixture {
+        mut swarm,
+        alice,
+        bob,
+    } = warm_fixture();
+    swarm
+        .peer_mut(bob)
+        .set_checker(ConformanceChecker::uncached(ConformanceConfig::pragmatic()));
+    let mut misses = Vec::new();
+    for name in ["a", "b", "c"] {
+        let before = swarm.peer(bob).cache_stats();
+        assert!(deliver_person(&mut swarm, alice, bob, name).is_accepted());
+        let after = swarm.peer(bob).cache_stats();
+        assert_eq!(after.hits, before.hits, "{name}: no hit");
+        misses.push(after.misses - before.misses);
+    }
+    assert!(misses[0] > 0, "a verdict is computed: {misses:?}");
+    assert!(misses.iter().all(|&m| m == misses[0]), "{misses:?}");
 }
