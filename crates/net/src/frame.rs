@@ -165,20 +165,21 @@ impl FrameBatch {
             *at = end;
             Ok(s)
         };
+        fn fixed<const N: usize>(s: &[u8]) -> Result<[u8; N], FrameDecodeError> {
+            s.try_into().map_err(|_| FrameDecodeError::new("truncated"))
+        }
         // A hostile count cannot force a huge pre-allocation: each frame
         // occupies at least MIN_FRAME_BYTES, so cap by what the buffer
         // could physically hold (the loop still errors on truncation).
         let plausible = bytes.len().saturating_sub(4) / MIN_FRAME_BYTES;
         let mut frames = Vec::with_capacity(count.min(plausible));
         for _ in 0..count {
-            // pti-allow(panic-policy): take() returned exactly 2 bytes, so the slice-to-array conversion is infallible
-            let klen = u16::from_le_bytes(take(&mut at, 2)?.try_into().expect("2 bytes")) as usize;
+            let klen = u16::from_le_bytes(fixed(take(&mut at, 2)?)?) as usize;
             let kind = map_kind(
                 std::str::from_utf8(take(&mut at, klen)?)
                     .map_err(|_| FrameDecodeError::new("kind not utf8"))?,
             )?;
-            // pti-allow(panic-policy): take() returned exactly 4 bytes, so the slice-to-array conversion is infallible
-            let plen = u32::from_le_bytes(take(&mut at, 4)?.try_into().expect("4 bytes")) as usize;
+            let plen = u32::from_le_bytes(fixed(take(&mut at, 4)?)?) as usize;
             let payload = Payload::from(take(&mut at, plen)?);
             frames.push(Frame { kind, payload });
         }

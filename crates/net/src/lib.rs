@@ -9,7 +9,7 @@
 //!   all protocol experiments (optimistic vs eager, Figure 1) run on it
 //!   so results are reproducible and expressed in bytes + virtual
 //!   microseconds. The same core is readiness-driven (inbound rings, a
-//!   wakeup queue and a timer wheel), which lets one thread drive
+//!   wakeup queue and a timer heap), which lets one thread drive
 //!   thousands of swarms; see the [`reactor`] module docs. [`SimNet`]
 //!   and [`SharedSimNet`] are its historical names. Reactors on
 //!   separate threads link up through [`BridgeLink`] channel pairs (see

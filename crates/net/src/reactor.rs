@@ -21,10 +21,10 @@
 //! receive never moves the clock — the configuration `ReactorHost`
 //! uses, where time moves only by idle parking.
 //!
-//! **Timers.** Deadlines are served by a hashed timer wheel in virtual
-//! time: when no session is ready, the loop jumps the clock straight to
-//! the next timer deadline and fires it (idle *parking*, never a
-//! busy-wait or an OS sleep).
+//! **Timers.** Deadlines sit on a min-heap in virtual time: when no
+//! session is ready, the loop jumps the clock straight to the next timer
+//! deadline and fires it (idle *parking*, never a busy-wait or an OS
+//! sleep).
 //!
 //! The fabric is single-threaded by design (`Rc`, hence `!Send`) and
 //! fully deterministic: the same script of sends produces the same
@@ -34,7 +34,8 @@
 //! [`BridgeLink`](crate::BridgeLink) proxies.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::rc::Rc;
 
 use crate::bridge::BridgeTx;
@@ -69,85 +70,11 @@ pub struct ReactorStats {
     pub recvs: u64,
     /// Sessions popped from the ready queue (host wakeups).
     pub wakeups: u64,
-    /// Timers fired by the wheel.
+    /// Timers fired.
     pub timer_fires: u64,
     /// Idle clock jumps straight to the next timer deadline — each one
     /// replaces what a polling loop would spend spinning.
     pub idle_advances: u64,
-}
-
-/// Slots in the timer wheel; deadlines hash in by tick modulo this.
-const WHEEL_SLOTS: usize = 256;
-/// Virtual microseconds per wheel tick.
-const WHEEL_TICK_US: u64 = 1 << 10;
-
-/// A single-level hashed timer wheel over virtual microseconds. Entries
-/// keep their absolute deadline, so a slot can hold timers several laps
-/// apart: advancing fires only those whose deadline has passed and
-/// leaves future laps in place.
-#[derive(Debug)]
-struct TimerWheel {
-    slots: Vec<Vec<(u64, SessionId)>>,
-    /// Last tick the wheel was advanced to (slots up to and including it
-    /// have been serviced for the current clock value).
-    cursor_tick: u64,
-    len: usize,
-}
-
-impl TimerWheel {
-    fn new() -> TimerWheel {
-        TimerWheel {
-            slots: vec![Vec::new(); WHEEL_SLOTS],
-            cursor_tick: 0,
-            len: 0,
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn schedule(&mut self, deadline_us: u64, session: SessionId) {
-        let slot = ((deadline_us / WHEEL_TICK_US) as usize) % WHEEL_SLOTS;
-        // pti-allow(unbounded-queue): one wheel entry per scheduled wake; bounded by live sessions
-        self.slots[slot].push((deadline_us, session));
-        self.len += 1;
-    }
-
-    /// Earliest pending deadline — the parking target when nothing is
-    /// ready.
-    fn next_deadline(&self) -> Option<u64> {
-        self.slots.iter().flatten().map(|&(d, _)| d).min()
-    }
-
-    /// Advances the wheel to `now_us`, removing and returning every
-    /// timer whose deadline has passed, earliest first.
-    fn advance_to(&mut self, now_us: u64) -> Vec<(u64, SessionId)> {
-        let target_tick = now_us / WHEEL_TICK_US;
-        let mut due = Vec::new();
-        if self.len > 0 {
-            // Scan each slot the cursor crosses; a jump of a full lap or
-            // more visits every slot exactly once.
-            let span = (target_tick.saturating_sub(self.cursor_tick) as usize + 1).min(WHEEL_SLOTS);
-            for i in 0..span {
-                let slot = ((self.cursor_tick + i as u64) as usize) % WHEEL_SLOTS;
-                let entries = &mut self.slots[slot];
-                let mut k = 0;
-                while k < entries.len() {
-                    if entries[k].0 <= now_us {
-                        due.push(entries.swap_remove(k));
-                    } else {
-                        k += 1;
-                    }
-                }
-            }
-            self.len -= due.len();
-            // Deterministic fire order regardless of slot hashing.
-            due.sort_unstable();
-        }
-        self.cursor_tick = self.cursor_tick.max(target_tick);
-        due
-    }
 }
 
 /// Scheduling state of one session; the core keeps one per session id
@@ -192,7 +119,9 @@ struct Core {
     sessions: Vec<SessionState>,
     /// The wakeup queue: sessions with work, in readiness order.
     ready: VecDeque<SessionId>,
-    timers: TimerWheel,
+    /// Scheduled wakeups, earliest `(deadline, session)` on top. A
+    /// session scheduled twice has two entries, and each fires.
+    timers: BinaryHeap<Reverse<(u64, SessionId)>>,
     now_us: u64,
     metrics: NetMetrics,
     stats: ReactorStats,
@@ -385,7 +314,7 @@ impl ReactorNet {
                 proxies: HashMap::new(),
                 sessions: vec![SessionState::default()],
                 ready: VecDeque::new(),
-                timers: TimerWheel::new(),
+                timers: BinaryHeap::new(),
                 now_us: 0,
                 metrics: NetMetrics::default(),
                 stats: ReactorStats::default(),
@@ -543,16 +472,16 @@ impl ReactorNet {
     }
 
     /// Schedules a wakeup for `session` at `delay_us` of virtual time
-    /// from now — the timer-wheel half of `recv_deadline`-style waiting:
-    /// instead of blocking, a session parks and the wheel makes it ready
+    /// from now — the timer half of `recv_deadline`-style waiting:
+    /// instead of blocking, a session parks and the timer makes it ready
     /// when the clock reaches the deadline.
     pub fn schedule_wake(&self, session: SessionId, delay_us: u64) {
         let mut core = self.core.borrow_mut();
         let deadline = core.now_us.saturating_add(delay_us.max(1));
-        core.timers.schedule(deadline, session);
+        core.timers.push(Reverse((deadline, session)));
     }
 
-    /// Whether any timer is pending on the wheel.
+    /// Whether any timer is pending.
     pub fn timers_pending(&self) -> bool {
         !self.core.borrow().timers.is_empty()
     }
@@ -563,27 +492,31 @@ impl ReactorNet {
     /// `true` if timers fired; `false` when no timer lies within the
     /// window — the clock then rests at `deadline_us` and the caller's
     /// loop is done waiting. Never spins: one call, one jump.
+    ///
+    /// Timers fire in `(deadline, session)` order. A timer the clock
+    /// already passed (it moved by receives) is dropped unfired when no
+    /// timer lies within the window.
     pub fn advance_idle_until(&self, deadline_us: u64) -> bool {
-        let mut core = self.core.borrow_mut();
-        match core.timers.next_deadline() {
-            Some(next) if next <= deadline_us => {
-                core.now_us = core.now_us.max(next);
-                let now = core.now_us;
-                let due = core.timers.advance_to(now);
-                core.stats.idle_advances += 1;
-                core.stats.timer_fires += due.len() as u64;
-                for (_, session) in due {
-                    core.mark_ready_explicit(session);
-                }
-                true
+        let core = &mut *self.core.borrow_mut();
+        let next = core
+            .timers
+            .peek()
+            .map(|&Reverse((d, _))| d)
+            .filter(|&d| d <= deadline_us);
+        let fires = next.is_some();
+        core.now_us = core.now_us.max(next.unwrap_or(deadline_us));
+        while let Some(&Reverse((d, session))) = core.timers.peek() {
+            if d > core.now_us {
+                break;
             }
-            _ => {
-                core.now_us = core.now_us.max(deadline_us);
-                let now = core.now_us;
-                core.timers.advance_to(now);
-                false
+            core.timers.pop();
+            if fires {
+                core.stats.timer_fires += 1;
+                core.mark_ready_explicit(session);
             }
         }
+        core.stats.idle_advances += u64::from(fires);
+        fires
     }
 
     /// Registers `peer` as a **remote-shard proxy**: sends to it succeed
@@ -1009,7 +942,7 @@ mod tests {
         let a = hub.session();
         let b = hub.session();
         let c = hub.session();
-        // Out-of-order scheduling; the wheel fires by deadline.
+        // Out-of-order scheduling; timers fire by deadline.
         hub.schedule_wake(c.session_id(), 50_000);
         hub.schedule_wake(a.session_id(), 10_000);
         hub.schedule_wake(b.session_id(), 30_000);
@@ -1035,9 +968,10 @@ mod tests {
         let hub = ReactorNet::new(NetConfig::ideal());
         let a = hub.session();
         let b = hub.session();
-        let lap_us = WHEEL_SLOTS as u64 * WHEEL_TICK_US;
-        // Same slot, different laps: b's deadline is exactly one lap
-        // after a's, so both hash to the same wheel slot.
+        // b's deadline is 256 * 1024 us after a's: far enough that a
+        // hashed wheel of that many 1.024 ms slots would put both in one
+        // slot, laps apart.
+        let lap_us = 262_144;
         hub.schedule_wake(a.session_id(), 5_000);
         hub.schedule_wake(b.session_id(), 5_000 + lap_us);
         assert!(hub.advance_idle_until(u64::MAX));

@@ -59,7 +59,8 @@ pub fn decode(text: &str) -> Option<Vec<u8>> {
         }
         let n = chunk
             .iter()
-            .map(|&c| if c == b'=' { 0 } else { val(c).unwrap() })
+            // Padding, the only byte left that `val` rejects, reads as 0.
+            .map(|&c| val(c).unwrap_or(0))
             .fold(0u32, |acc, v| (acc << 6) | v);
         out.push((n >> 16) as u8);
         if pad < 2 {

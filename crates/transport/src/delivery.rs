@@ -488,17 +488,14 @@ fn encode_reliable(
 /// Parses a reliable-frame header: (link_seq, publisher, event_seq).
 /// `None` when the payload is shorter than the header.
 pub fn decode_reliable_header(payload: &Payload) -> Option<(u64, PeerId, u64)> {
-    let bytes: &[u8] = payload.as_ref();
-    if bytes.len() < RELIABLE_HEADER_LEN {
-        return None;
-    }
-    // pti-allow(panic-policy): slices are length-checked just above.
-    let link_seq = u64::from_le_bytes(bytes[0..8].try_into().unwrap());
-    // pti-allow(panic-policy): slices are length-checked just above.
-    let publisher = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    // pti-allow(panic-policy): slices are length-checked just above.
-    let event_seq = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
-    Some((link_seq, PeerId(publisher), event_seq))
+    let (link_seq, rest) = payload.split_first_chunk::<8>()?;
+    let (publisher, rest) = rest.split_first_chunk::<4>()?;
+    let (event_seq, _) = rest.split_first_chunk::<8>()?;
+    Some((
+        u64::from_le_bytes(*link_seq),
+        PeerId(u32::from_le_bytes(*publisher)),
+        u64::from_le_bytes(*event_seq),
+    ))
 }
 
 /// Builds an ACK payload: the cumulative link_seq, little-endian.

@@ -104,14 +104,15 @@ pub struct Published {
 }
 
 /// An inbound object whose exchange is still in flight (waiting on
-/// descriptions and/or code).
+/// descriptions and/or code). The envelope is kept as its `PTIE` wire
+/// bytes; each stage reads it through an [`EnvelopeView`].
 #[derive(Debug, Clone)]
 pub(crate) struct PendingObject {
     /// Monotonic arrival number (deliveries complete in arrival order
     /// whenever they unblock together).
     pub seq: u64,
     pub from: PeerId,
-    pub envelope: ObjectEnvelope,
+    pub envelope: pti_net::Payload,
     /// Description paths still outstanding.
     pub awaiting_descs: HashSet<String>,
     /// `Some(paths)` once conformance passed: code paths still missing.
@@ -328,25 +329,14 @@ impl Peer {
         self.installed_hashes.insert(content_hash);
     }
 
-    /// Whether the code behind an assembly reference is available locally
-    /// — by content identity or by download path (the same assembly may
-    /// have been installed from a different peer's path).
-    pub fn has_assembly(&self, aref: &AssemblyRef) -> bool {
-        self.has_code(&aref.content_hash, || {
-            Cow::Borrowed(aref.assembly_path.as_str())
-        })
-    }
-
-    /// [`has_assembly`](Self::has_assembly) for an entry of a borrowed
-    /// envelope: the path is only built on a content-hash miss.
+    /// Whether the code behind an envelope's assembly entry is available
+    /// locally — by content identity first, then by download path (the
+    /// same assembly may have been installed from a different peer's
+    /// path). The path is only built on a content-hash miss.
     pub fn has_assembly_entry(&self, entry: &AssemblyEntry<'_>) -> bool {
-        self.has_code(entry.content_hash, || entry.assembly_path())
-    }
-
-    /// The one presence rule: content hash first, then download path.
-    fn has_code<'a>(&self, content_hash: &str, path: impl FnOnce() -> Cow<'a, str>) -> bool {
-        u64::from_str_radix(content_hash, 16).is_ok_and(|h| self.installed_hashes.contains(&h))
-            || self.installed.contains(path().as_ref())
+        u64::from_str_radix(entry.content_hash, 16)
+            .is_ok_and(|h| self.installed_hashes.contains(&h))
+            || self.installed.contains(entry.assembly_path().as_ref())
     }
 
     /// The published record behind a description path, if this peer owns
@@ -395,22 +385,24 @@ impl Peer {
         PeerProvider { peer: self }
     }
 
-    /// Runs the conformance stage for a root description: the contract
-    /// bound to the first interest it conforms to (in subscription
-    /// order), shared with the checker's verdict cache.
-    pub fn match_interest(&mut self, root: &TypeDescription) -> Option<Arc<Contract>> {
-        let (matched, checks) = self.first_conforming(root);
-        self.stats.conformance_checks += checks;
-        matched
-    }
-
-    /// [`match_interest`](Self::match_interest) for the type `guid`
-    /// names, checked against its known description in place. `None`
-    /// when no description of `guid` is known.
+    /// Runs the conformance stage for the type `guid` names, checked
+    /// against its known description in place: the contract bound to
+    /// the first interest it conforms to (in subscription order), shared
+    /// with the checker's verdict cache. `None` when no description of
+    /// `guid` is known. Nothing is cloned: a warm pair's contract comes
+    /// out of the checker's cache.
     pub fn match_interest_of(&mut self, guid: Guid) -> Option<Option<Arc<Contract>>> {
         let (matched, checks) = {
             let root = self.description_of(guid)?;
-            self.first_conforming(&root)
+            let provider = self.provider();
+            let mut checks = 0;
+            let matched = self.interests.iter().find_map(|interest| {
+                checks += 1;
+                self.checker
+                    .bind(&root, interest, &provider, &provider)
+                    .ok()
+            });
+            (matched, checks)
         };
         self.stats.conformance_checks += checks;
         Some(matched)
@@ -465,19 +457,6 @@ impl Peer {
         Some(matched)
     }
 
-    /// The contract bound to the first interest `root` conforms to, and
-    /// how many checks it took to find it. Nothing is cloned: a warm
-    /// pair's contract comes out of the checker's cache.
-    fn first_conforming(&self, root: &TypeDescription) -> (Option<Arc<Contract>>, u64) {
-        let provider = self.provider();
-        let mut checks = 0;
-        let matched = self.interests.iter().find_map(|interest| {
-            checks += 1;
-            self.checker.bind(root, interest, &provider, &provider).ok()
-        });
-        (matched, checks)
-    }
-
     /// Builds the Figure-3 envelope for a value rooted in this peer's
     /// runtime: payload in the requested format plus assembly download
     /// information for every type reachable from the value.
@@ -530,24 +509,13 @@ impl Peer {
         })
     }
 
-    /// Deserializes an envelope payload into the local runtime.
+    /// Deserializes an envelope's payload into the local runtime: a
+    /// binary payload is read straight off the wire bytes.
     ///
     /// # Errors
     /// Any serializer error (unknown types mean the protocol let a
     /// deserialize happen before installing code — a bug).
-    pub fn materialize(&mut self, envelope: &ObjectEnvelope) -> Result<Value> {
-        Ok(match &envelope.payload {
-            Payload::Soap(el) => pti_serialize::from_soap(&mut self.runtime, el)?,
-            Payload::Binary(bytes) => pti_serialize::from_binary(&mut self.runtime, bytes)?,
-        })
-    }
-
-    /// [`materialize`](Self::materialize) from a borrowed envelope: a
-    /// binary payload is read straight off the wire bytes.
-    ///
-    /// # Errors
-    /// As [`materialize`](Self::materialize).
-    pub(crate) fn materialize_view(&mut self, view: &EnvelopeView<'_>) -> Result<Value> {
+    pub fn materialize(&mut self, view: &EnvelopeView<'_>) -> Result<Value> {
         Ok(match &view.payload {
             PayloadView::Soap(el) => pti_serialize::from_soap(&mut self.runtime, el)?,
             PayloadView::Binary(bytes) => pti_serialize::from_binary(&mut self.runtime, bytes)?,
@@ -712,16 +680,21 @@ mod tests {
         p.publish(asm_local).unwrap();
         p.subscribe(TypeDescription::from_def(&local_def));
         let (_, remote_def) = person_assembly("remote");
-        let remote_desc = TypeDescription::from_def(&remote_def);
-        let got = p.match_interest(&remote_desc);
+        assert!(
+            p.match_interest_of(remote_def.guid).is_none(),
+            "unknown type"
+        );
+        p.cache_description(TypeDescription::from_def(&remote_def));
+        let got = p.match_interest_of(remote_def.guid).unwrap();
         assert!(got.is_some(), "equivalent remote Person matches");
         let alien = TypeDescription::from_def(&TypeDef::class("Alien", "x").build());
-        assert!(p.match_interest(&alien).is_none());
+        p.cache_description(alien.clone());
+        assert!(p.match_interest_of(alien.guid).unwrap().is_none());
         assert!(p.stats.conformance_checks >= 2);
     }
 
-    /// One presence rule for owned and borrowed entries: content hash
-    /// first, then download path.
+    /// One presence rule for every envelope entry: content hash first,
+    /// then download path.
     #[test]
     fn owned_and_borrowed_entries_share_one_presence_rule() {
         let mut p = Peer::new(PeerId(1), ConformanceConfig::paper());
@@ -745,7 +718,6 @@ mod tests {
             (rehashed, true),
             (absent, false),
         ] {
-            assert_eq!(p.has_assembly(&aref), present, "{aref:?}");
             let bytes = ObjectEnvelope {
                 type_name: TypeName::new("Person"),
                 type_guid: Guid::NIL,

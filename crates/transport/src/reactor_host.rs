@@ -316,7 +316,7 @@ impl ReactorHost {
             self.hub.mark_ready(session);
         }
         // A swarm with unacknowledged reliable traffic parks on the
-        // timer wheel until its earliest retransmit deadline, so
+        // timer heap until its earliest retransmit deadline, so
         // run_for's clock jumps land exactly on the backoff schedule.
         if let Some(deadline) = retransmit_deadline {
             let delay = deadline.saturating_sub(self.hub.now_us());

@@ -20,17 +20,27 @@
 //! middleware does; the byte difference between the two protocols is
 //! experiment F1.
 //!
+//! Every inbound envelope — `object`, `object-r` or `eager-object`, in
+//! `PTIE` or XML — takes one path. XML is transcoded to `PTIE` at the
+//! receiving edge, and from then on the envelope exists only as its
+//! wire bytes, read through an [`EnvelopeView`]. A warm envelope (type
+//! description and every listed assembly already present) is delivered
+//! straight off those bytes; any other becomes a pending exchange that
+//! keeps them and re-reads them at each stage above. An eager object
+//! installs its inline code and descriptions first, so it arrives warm.
+//!
 //! The engine is generic over [`Transport`], so the *same* state machine
 //! runs on the deterministic virtual-time [`SimNet`] (as [`SimSwarm`],
 //! for reproducible experiments) and on the threaded
 //! [`LiveBus`](pti_net::LiveBus) (as [`LiveSwarm`], one swarm per thread
 //! over a shared fabric, for genuinely concurrent load).
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::time::{Duration, Instant};
 
 use pti_conformance::ConformanceConfig;
-use pti_metamodel::{Assembly, Guid, TypeDescription, Value};
+use pti_metamodel::{Assembly, Guid, TypeDescription, TypeName, Value};
 use pti_net::{
     BusMessage, FrameBatch, LiveBus, NetConfig, NetError, Payload, PeerId, ReactorNet, SimNet,
     Transport,
@@ -431,7 +441,7 @@ impl<T: Transport> Swarm<T> {
 
     /// The earliest armed retransmit deadline (fabric microseconds), if
     /// any reliable link is waiting on an ACK — what a host schedules
-    /// its timer wheel by.
+    /// its timer heap by.
     pub fn next_delivery_deadline_us(&self) -> Option<u64> {
         self.delivery.next_deadline_us()
     }
@@ -1037,25 +1047,24 @@ impl<T: Transport> Swarm<T> {
             }
             chunks.push(chunk);
             let mut shipped = 0u64;
-            for mut chunk in chunks {
+            for chunk in chunks {
                 // Frame metadata survives the move into the batch so a
                 // *successful* send can attribute the coalesced bytes to
                 // their protocol kinds (experiments split OBJECT from
                 // control traffic on the batched path). A failed send
                 // records nothing, matching the standalone path.
                 let mut batched: Vec<(&'static str, usize)> = Vec::new();
-                let sent = if chunk.len() == 1 {
-                    // pti-allow(panic-policy): len()==1 was just checked on this chunk
-                    let (kind, payload) = chunk.pop().expect("one frame");
-                    self.net.send(from, to, kind, payload)
-                } else {
-                    let mut batch = FrameBatch::new();
-                    batched.reserve(chunk.len());
-                    for (kind, payload) in chunk {
-                        batched.push((kind, payload.len()));
-                        batch.push(kind, payload);
+                let sent = match <[QueuedFrame; 1]>::try_from(chunk) {
+                    Ok([(kind, payload)]) => self.net.send(from, to, kind, payload),
+                    Err(chunk) => {
+                        let mut batch = FrameBatch::new();
+                        batched.reserve(chunk.len());
+                        for (kind, payload) in chunk {
+                            batched.push((kind, payload.len()));
+                            batch.push(kind, payload);
+                        }
+                        self.net.send(from, to, kinds::BATCH, batch.encode().into())
                     }
-                    self.net.send(from, to, kinds::BATCH, batch.encode().into())
                 };
                 match sent {
                     Ok(()) => {
@@ -1161,16 +1170,7 @@ impl<T: Transport> Swarm<T> {
     /// Budget exhaustion — the hard bound converting livelock bugs into
     /// errors.
     pub fn run(&mut self) -> Result<()> {
-        loop {
-            self.flush_wire();
-            let Some((at, msg)) = self.poll_message()? else {
-                return Ok(());
-            };
-            if let Err(e) = self.dispatch_required(at, msg) {
-                // pti-allow(unbounded-queue): drained by take_dispatch_errors; growth is bounded by messages handled this pump
-                self.dispatch_errors.push((at, e));
-            }
-        }
+        self.pump_messages(usize::MAX).map(drop)
     }
 
     /// Runs the protocol to quiescence *and through every pending
@@ -1468,117 +1468,85 @@ impl<T: Transport> Swarm<T> {
         Ok(())
     }
 
-    /// The shared tail of [`on_object`](Self::on_object) and the
-    /// reliable path. A binary envelope is decoded in place; when the
-    /// receiver already holds its type's description and every listed
-    /// assembly, it is matched ([`Peer::warm_match`], which settles a
-    /// repeat from the peer's warm-type memo), materialized and
-    /// delivered straight off the wire bytes. Anything else opens a
-    /// pending exchange. The warm
-    /// case is exactly the one in which [`advance`](Self::advance) runs
-    /// from stage 1 to stage 4 in one call, so skipping the pending
-    /// exchange changes no observable state.
+    /// The one inbound path of an object envelope, shared by
+    /// [`on_object`](Self::on_object), the reliable path and the eager
+    /// baseline. An XML envelope is transcoded to `PTIE` once, here at
+    /// the edge; from then on the envelope is only read through an
+    /// [`EnvelopeView`] of its bytes. When the receiver already holds
+    /// its type's description and every listed assembly, it is matched
+    /// ([`Peer::warm_match`], which settles a repeat from the peer's
+    /// warm-type memo), materialized and delivered straight off the wire
+    /// bytes. Anything else becomes a pending exchange that keeps the
+    /// bytes, and [`advance`](Self::advance) takes it through the
+    /// description, conformance and code stages.
     fn on_object_bytes(&mut self, at: PeerId, from: PeerId, bytes: &[u8]) -> Result<()> {
-        if !ObjectEnvelope::is_ptib(bytes) {
-            return self.open_exchange(at, from, decode_envelope(bytes)?);
+        let bytes = ptie(bytes)?;
+        let view = EnvelopeView::parse(&bytes)?;
+        let peer = self
+            .peers
+            .get_mut(&at)
+            .ok_or(TransportError::UnknownPeer(at))?;
+        peer.stats.objects_received += 1;
+        peer.next_seq += 1;
+        if let Some(matched) = peer.warm_match(&view) {
+            let value = peer.materialize(&view)?;
+            peer.push_delivery(Delivery::accepted(from, value, matched));
+            return Ok(());
         }
-        let view = EnvelopeView::parse(bytes)?;
-        let peer = self
-            .peers
-            .get_mut(&at)
-            .ok_or(TransportError::UnknownPeer(at))?;
-        let Some(matched) = peer.warm_match(&view) else {
-            return self.open_exchange(at, from, view.into_owned());
-        };
-        peer.stats.objects_received += 1;
-        peer.next_seq += 1;
-        let value = peer.materialize_view(&view)?;
-        peer.push_delivery(Delivery::accepted(from, value, matched));
-        Ok(())
-    }
-
-    /// Opens a pending exchange for an owned envelope at the receiving
-    /// peer and advances it as far as it goes.
-    fn open_exchange(&mut self, at: PeerId, from: PeerId, envelope: ObjectEnvelope) -> Result<()> {
-        let peer = self
-            .peers
-            .get_mut(&at)
-            .ok_or(TransportError::UnknownPeer(at))?;
-        peer.stats.objects_received += 1;
-        peer.next_seq += 1;
         let seq = peer.next_seq;
-        let pending = PendingObject {
+        peer.pending.push(PendingObject {
             seq,
             from,
-            envelope,
+            envelope: Payload::from(&*bytes),
             awaiting_descs: HashSet::new(),
             awaiting_asms: None,
             matched: None,
-        };
-        peer.pending.push(pending);
+        });
         self.advance(at, seq)
     }
 
-    /// Index of a pending exchange by its sequence number (pendings move
-    /// as others complete, so stable seqs are the only safe key).
-    fn pending_idx(&self, at: PeerId, seq: u64) -> Option<usize> {
-        self.peers
-            .get(&at)?
-            .pending
-            .iter()
-            .position(|p| p.seq == seq)
-    }
-
     /// Pushes one pending exchange as far as it can go without more
-    /// network input; issues requests when blocked.
+    /// network input; issues requests when blocked. Each call reads the
+    /// envelope through a fresh view of the exchange's bytes.
     fn advance(&mut self, at: PeerId, seq: u64) -> Result<()> {
-        let Some(idx) = self.pending_idx(at, seq) else {
+        let peer = self
+            .peers
+            .get_mut(&at)
+            .ok_or(TransportError::UnknownPeer(at))?;
+        let Some(idx) = peer.pending.iter().position(|p| p.seq == seq) else {
             return Ok(());
         };
-        // Stage 1: root type description (steps 2-3 of Figure 1).
-        let (root_known, from) = {
-            let peer = self.peers.get(&at).ok_or(TransportError::UnknownPeer(at))?;
-            let p = &peer.pending[idx];
-            let guid = p.envelope.type_guid;
-            (guid.is_nil() || peer.knows_description(guid), p.from)
-        };
+        let (from, bytes) = (peer.pending[idx].from, peer.pending[idx].envelope.clone());
+        let view = EnvelopeView::parse(&bytes)?;
+        let guid = view.type_guid;
 
-        if !root_known {
+        // Stage 1: root type description (steps 2-3 of Figure 1).
+        if !guid.is_nil() && !peer.knows_description(guid) {
             // Request every listed description not yet requested. A path
             // whose response was already consumed (by an earlier
             // exchange) will never be answered again, so it must not be
             // awaited — only in-flight or fresh requests can unblock us.
             let mut to_request = Vec::new();
-            let all_answered = {
-                let peer = self
-                    .peers
-                    .get_mut(&at)
-                    .ok_or(TransportError::UnknownPeer(at))?;
-                let p = &mut peer.pending[idx];
-                for aref in &p.envelope.assemblies {
-                    let desc_path = &aref.description_path;
-                    if peer.received_descs.contains(desc_path) {
-                        continue;
-                    }
-                    if peer.requested_descs.insert(desc_path.clone()) {
-                        to_request.push(desc_path.clone());
-                        peer.stats.desc_requests += 1;
-                    }
-                    p.awaiting_descs.insert(desc_path.clone());
+            let p = &mut peer.pending[idx];
+            for entry in view.assemblies() {
+                let desc_path = entry.description_path();
+                if peer.received_descs.contains(desc_path.as_ref()) {
+                    continue;
                 }
-                p.awaiting_descs.is_empty()
-            };
-            if all_answered {
+                let desc_path = String::from(desc_path);
+                if peer.requested_descs.insert(desc_path.clone()) {
+                    to_request.push(desc_path.clone());
+                    peer.stats.desc_requests += 1;
+                }
+                p.awaiting_descs.insert(desc_path);
+            }
+            if p.awaiting_descs.is_empty() {
                 // Every listed description arrived earlier and still does
                 // not cover the root type: the envelope is unservable.
-                let peer = self
-                    .peers
-                    .get_mut(&at)
-                    .ok_or(TransportError::UnknownPeer(at))?;
-                let p = peer.pending.remove(idx);
+                peer.pending.remove(idx);
                 return Err(TransportError::Protocol(format!(
                     "no listed assembly describes root type `{}`",
-                    p.envelope.type_name
+                    view.type_name
                 )));
             }
             for path in to_request {
@@ -1592,108 +1560,75 @@ impl<T: Transport> Swarm<T> {
             return Ok(());
         }
 
-        // Stage 2: conformance check against interests (step 3). The
-        // checker's bound contract for (type, interest) is kept on the
-        // pending exchange; a verdict reached here goes straight to
-        // finalize when no code has to be installed first. Primitive
-        // payloads skip conformance.
-        let mut fresh = false;
-        {
-            let peer = self
-                .peers
-                .get_mut(&at)
-                .ok_or(TransportError::UnknownPeer(at))?;
-            let p = &peer.pending[idx];
-            let guid = p.envelope.type_guid;
-            if p.matched.is_none() && !guid.is_nil() {
-                let matched = peer
-                    .match_interest_of(guid)
-                    .ok_or_else(|| TransportError::Protocol("description vanished".into()))?;
-                let assemblies = &peer.pending[idx].envelope.assemblies;
-                match matched {
-                    Some(contract) => {
-                        peer.pending[idx].matched = Some(contract);
-                        fresh = true;
-                    }
-                    None if assemblies.iter().all(|a| peer.has_assembly(a)) => {
-                        // Known type, no interest: accepted directly (we
-                        // have its code; the value is exactly
-                        // representable).
-                    }
-                    None => {
-                        // Step 3 failed: reject, never download code.
-                        let p = peer.pending.remove(idx);
-                        let type_name = p.envelope.type_name.clone();
-                        peer.push_delivery(Delivery::Rejected {
-                            from: p.from,
-                            type_name,
-                        });
-                        return Ok(());
-                    }
-                }
-            }
-        }
-
-        // Stage 3: code download (steps 4-5).
-        let missing: Vec<String> = {
-            let peer = self.peers.get(&at).ok_or(TransportError::UnknownPeer(at))?;
-            let p = &peer.pending[idx];
-            p.envelope
-                .assemblies
-                .iter()
-                .filter(|a| !peer.has_assembly(a))
-                .map(|a| a.assembly_path.clone())
-                .collect()
-        };
-        if !missing.is_empty() {
-            let mut to_request = Vec::new();
-            {
-                let peer = self
-                    .peers
-                    .get_mut(&at)
-                    .ok_or(TransportError::UnknownPeer(at))?;
-                let p = &mut peer.pending[idx];
-                if p.awaiting_asms.is_some() {
-                    return Ok(()); // this exchange already registered its waits
-                }
-                p.awaiting_asms = Some(missing.iter().cloned().collect());
-                for path in &missing {
-                    // One fetch per path peer-wide; concurrent exchanges
-                    // for the same type share the in-flight download.
-                    if peer.requested_asms.insert(path.clone()) {
-                        to_request.push(path.clone());
-                        peer.stats.asm_requests += 1;
-                    }
-                }
-            }
-            for path in to_request {
-                self.queue_frame(at, from, kinds::ASM_REQUEST, path.into_bytes());
-            }
+        // Every listed assembly present: the envelope is now warm (or
+        // carries a primitive), so the exchange ends through the warm
+        // path's own match, then is materialized and delivered.
+        if view.assemblies().all(|e| peer.has_assembly_entry(&e)) {
+            peer.pending.remove(idx);
+            let matched = peer.warm_match(&view).flatten();
+            let value = peer.materialize(&view)?;
+            peer.push_delivery(Delivery::accepted(from, value, matched));
             return Ok(());
         }
 
-        // Stage 4: everything present — materialize and deliver.
-        self.finalize(at, seq, fresh)
+        // Stage 2: conformance check against interests (step 3), made
+        // before any code is fetched. The checker's bound contract for
+        // (type, interest) is kept on the pending exchange. Primitive
+        // payloads skip conformance.
+        if !guid.is_nil() {
+            let Some(contract) = peer.match_interest_of(guid).flatten() else {
+                // Step 3 failed: reject, never download code.
+                peer.pending.remove(idx);
+                peer.push_delivery(Delivery::Rejected {
+                    from,
+                    type_name: TypeName::new(view.type_name),
+                });
+                return Ok(());
+            };
+            peer.pending[idx].matched = Some(contract);
+        }
+
+        // Stage 3: code download (steps 4-5). One fetch per path
+        // peer-wide; concurrent exchanges for the same type share the
+        // in-flight download.
+        let missing: Vec<String> = view
+            .assemblies()
+            .filter(|e| !peer.has_assembly_entry(e))
+            .map(|e| String::from(e.assembly_path()))
+            .collect();
+        let mut to_request = Vec::new();
+        for path in &missing {
+            if peer.requested_asms.insert(path.clone()) {
+                to_request.push(path.clone());
+                peer.stats.asm_requests += 1;
+            }
+        }
+        peer.pending[idx].awaiting_asms = Some(missing.into_iter().collect());
+        for path in to_request {
+            self.queue_frame(at, from, kinds::ASM_REQUEST, path.into_bytes());
+        }
+        Ok(())
     }
 
-    /// Materializes a pending exchange whose code is all installed and
-    /// delivers it, its proxy sharing the matched contract. `fresh` says
-    /// stage 2 bound that contract in the same [`advance`](Self::advance)
-    /// call, so nothing was installed since; otherwise (code was
-    /// downloaded in between) the matched interest is bound again.
-    fn finalize(&mut self, at: PeerId, seq: u64, fresh: bool) -> Result<()> {
-        let Some(idx) = self.pending_idx(at, seq) else {
-            return Ok(());
-        };
+    /// Stage 4 of an exchange whose code arrived after its verdict:
+    /// materializes and delivers it. Installing the code can change what
+    /// the provider resolves, so the matched interest is bound again
+    /// before its proxy is built.
+    fn finalize(&mut self, at: PeerId, seq: u64) -> Result<()> {
         let peer = self
             .peers
             .get_mut(&at)
             .ok_or(TransportError::UnknownPeer(at))?;
-        let mut p = peer.pending.remove(idx);
-        let value = peer.materialize(&p.envelope)?;
-        if let Some(matched) = p.matched.as_mut().filter(|_| !fresh) {
+        let Some(idx) = peer.pending.iter().position(|p| p.seq == seq) else {
+            return Ok(());
+        };
+        let p = peer.pending.remove(idx);
+        let view = EnvelopeView::parse(&p.envelope)?;
+        let value = peer.materialize(&view)?;
+        let mut matched = p.matched;
+        if let Some(matched) = matched.as_mut() {
             let root_desc = peer
-                .description_of(p.envelope.type_guid)
+                .description_of(view.type_guid)
                 .ok_or_else(|| TransportError::Protocol("description vanished".into()))?;
             let provider = peer.provider();
             *matched = peer
@@ -1701,7 +1636,7 @@ impl<T: Transport> Swarm<T> {
                 .bind(&root_desc, matched.expected(), &provider, &provider)
                 .map_err(|nc| TransportError::Protocol(format!("conformance lost: {nc}")))?;
         }
-        peer.push_delivery(Delivery::accepted(p.from, value, p.matched));
+        peer.push_delivery(Delivery::accepted(p.from, value, matched));
         Ok(())
     }
 
@@ -1807,73 +1742,62 @@ impl<T: Transport> Swarm<T> {
         }
         ready.sort_unstable();
         for seq in ready {
-            self.finalize(at, seq, false)?;
+            self.finalize(at, seq)?;
         }
         Ok(())
     }
 
+    /// The eager baseline: the descriptions and code of every listed
+    /// assembly came inline, so they are installed first; the envelope
+    /// then takes the one inbound path, where it is now warm.
     fn on_eager_object(&mut self, at: PeerId, msg: BusMessage) -> Result<()> {
-        // Overflow-proof bounds check: compare against the bytes that
-        // actually remain after the prefix, never `4 + n` (which a
-        // hostile u32 could wrap on 32-bit targets).
-        let remaining = msg.payload.len().saturating_sub(4);
-        let len = msg
-            .payload
-            .get(..4)
-            // pti-allow(panic-policy): get(..4) returned exactly 4 bytes, so the slice-to-array conversion is infallible
-            .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize)
-            .filter(|&n| n <= remaining)
-            .ok_or_else(|| TransportError::Protocol("eager payload missing envelope".into()))?;
-        let envelope = decode_envelope(&msg.payload[4..4 + len])?;
-        // Code and descriptions came inline: install everything.
-        let assemblies: Vec<Assembly> = envelope
-            .assemblies
-            .iter()
-            .map(|a| {
-                self.code
-                    .get(&a.assembly_path)
-                    .ok_or_else(|| TransportError::UnknownPath(a.assembly_path.clone()))
+        let missing = || TransportError::Protocol("eager payload missing envelope".into());
+        let (len, rest) = msg.payload.split_first_chunk::<4>().ok_or_else(missing)?;
+        let envelope = rest
+            .get(..u32::from_le_bytes(*len) as usize)
+            .ok_or_else(missing)?;
+        let envelope = ptie(envelope)?;
+        let view = EnvelopeView::parse(&envelope)?;
+        let assemblies: Vec<(Cow<'_, str>, Assembly)> = view
+            .assemblies()
+            .map(|e| {
+                let path = e.assembly_path();
+                match self.code.get(&path) {
+                    Some(asm) => Ok((path, asm)),
+                    None => Err(TransportError::UnknownPath(path.to_string())),
+                }
             })
             .collect::<Result<_>>()?;
         let peer = self
             .peers
             .get_mut(&at)
             .ok_or(TransportError::UnknownPeer(at))?;
-        peer.stats.objects_received += 1;
-        for (aref, asm) in envelope.assemblies.iter().zip(assemblies) {
+        for (path, asm) in assemblies {
             asm.install(&mut peer.runtime)?;
-            let hash = asm.content_hash();
-            peer.mark_installed(&aref.assembly_path, hash);
+            peer.mark_installed(&path, asm.content_hash());
             for d in asm.types() {
-                peer.cache_description(pti_metamodel::TypeDescription::from_def(d));
+                peer.cache_description(TypeDescription::from_def(d));
             }
         }
-        let value = peer.materialize(&envelope)?;
-        let matched = if envelope.type_guid.is_nil() {
-            None
-        } else {
-            peer.match_interest_of(envelope.type_guid)
-                .ok_or_else(|| TransportError::Protocol("description missing".into()))?
-        };
-        peer.push_delivery(Delivery::accepted(msg.from, value, matched));
-        Ok(())
+        self.on_object_bytes(at, msg.from, &envelope)
     }
 }
 
-/// Decodes an object envelope off the wire: binary (`PTIE` magic) or
-/// the XML fallback/cross-language form — senders pick, receivers sniff.
+/// An inbound envelope as `PTIE` bytes: a binary envelope as it came, an
+/// XML one (the fallback and cross-language form — senders pick,
+/// receivers sniff) transcoded once, at the receiving edge.
 ///
 /// Deliberately *not* `ObjectEnvelope::decode_wire`: the protocol layer
 /// classifies a non-utf8 non-binary payload as a `Protocol` error (the
 /// error kind `tests/failure_injection.rs` pins), where the library
 /// decoder reports a `Serialize` malformation.
-fn decode_envelope(payload: &[u8]) -> Result<ObjectEnvelope> {
+fn ptie(payload: &[u8]) -> Result<Cow<'_, [u8]>> {
     if ObjectEnvelope::is_ptib(payload) {
-        return Ok(ObjectEnvelope::from_ptib(payload)?);
+        return Ok(Cow::Borrowed(payload));
     }
     let text = std::str::from_utf8(payload)
         .map_err(|_| TransportError::Protocol("object payload not utf8".into()))?;
-    Ok(ObjectEnvelope::from_string(text)?)
+    Ok(Cow::Owned(ObjectEnvelope::from_string(text)?.to_ptib()))
 }
 
 /// Parses `subscribe`/`unsubscribe` gossip payloads: a GUID line,

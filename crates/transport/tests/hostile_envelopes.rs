@@ -7,14 +7,19 @@
 //! dispatch error, and the good event queued behind it must still be
 //! delivered.
 //!
+//! The receiving edge gets the same treatment: `eager-object` frames
+//! with a missing or overlong length prefix, a broken envelope, one that
+//! is neither `PTIE` nor UTF-8 or one listing unpublished code, and XML
+//! `object` frames that fail to decode.
+//!
 //! The random cases are drawn from a SplitMix64 stream, so a failure
 //! names the case that reproduces it.
 
 use pti_conformance::ConformanceConfig;
 use pti_metamodel::{bodies, primitives, Assembly, TypeDef, TypeDescription, Value};
 use pti_net::{NetConfig, PeerId};
-use pti_serialize::{EnvelopeView, PayloadFormat};
-use pti_transport::{kinds, Delivery, Swarm, RELIABLE_HEADER_LEN};
+use pti_serialize::{EnvelopeView, ObjectEnvelope, PayloadFormat};
+use pti_transport::{kinds, Delivery, Swarm, TransportError, RELIABLE_HEADER_LEN};
 
 const FLIP_CASES: u64 = 64;
 
@@ -207,5 +212,113 @@ fn hostile_object_frames_surface_as_errors_and_the_traffic_behind_them_delivers(
         w.swarm.delivery_stats().delivered,
         2 * cases.len() as u64,
         "every reliable frame passed the link layer"
+    );
+}
+
+/// An `eager-object` frame: the envelope behind its `u32` length prefix.
+fn eager(envelope: &[u8]) -> Vec<u8> {
+    let mut frame = (envelope.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(envelope);
+    frame
+}
+
+/// Whether a dispatch error is the kind a case expects.
+type Expect = fn(&TransportError) -> bool;
+
+#[test]
+fn hostile_eager_and_xml_frames_surface_as_errors_and_the_traffic_behind_them_delivers() {
+    let mut w = warm();
+    let good = w.good.clone();
+    let xml = ObjectEnvelope::from_ptib(&good)
+        .unwrap()
+        .to_string_compact()
+        .into_bytes();
+    let mut unpublished = ObjectEnvelope::from_ptib(&good).unwrap();
+    unpublished.assemblies[0].assembly_path = "pti://peer-9/asm/nowhere".into();
+    let overlong = {
+        let mut frame = eager(&good);
+        frame[..4].copy_from_slice(&(good.len() as u32 + 1).to_le_bytes());
+        frame
+    };
+    let protocol: Expect = |e| matches!(e, TransportError::Protocol(_));
+    let serialize: Expect = |e| matches!(e, TransportError::Serialize(_));
+    let unknown_path: Expect = |e| matches!(e, TransportError::UnknownPath(_));
+    let cases: Vec<(&str, &'static str, Vec<u8>, Expect)> = vec![
+        ("eager: empty", kinds::EAGER_OBJECT, Vec::new(), protocol),
+        (
+            "eager: no prefix",
+            kinds::EAGER_OBJECT,
+            vec![7, 0, 0],
+            protocol,
+        ),
+        (
+            "eager: prefix past the end",
+            kinds::EAGER_OBJECT,
+            overlong,
+            protocol,
+        ),
+        (
+            "eager: u32::MAX prefix",
+            kinds::EAGER_OBJECT,
+            [&u32::MAX.to_le_bytes()[..], &good].concat(),
+            protocol,
+        ),
+        (
+            "eager: garbage envelope",
+            kinds::EAGER_OBJECT,
+            eager(&good[..good.len() / 2]),
+            serialize,
+        ),
+        (
+            "eager: neither PTIE nor UTF-8",
+            kinds::EAGER_OBJECT,
+            eager(&[0xff, 0xfe, 0x00, 0x80]),
+            protocol,
+        ),
+        (
+            "eager: XML that fails to decode",
+            kinds::EAGER_OBJECT,
+            eager(&xml[..xml.len() / 2]),
+            serialize,
+        ),
+        (
+            "eager: unpublished assembly",
+            kinds::EAGER_OBJECT,
+            eager(&unpublished.to_ptib()),
+            unknown_path,
+        ),
+        (
+            "object: XML cut short",
+            kinds::OBJECT,
+            xml[..xml.len() / 2].to_vec(),
+            serialize,
+        ),
+        (
+            "object: XML without a type",
+            kinds::OBJECT,
+            b"<ptiMessage version=\"1\"/>".to_vec(),
+            serialize,
+        ),
+    ];
+    for (name, kind, frame, expect) in cases {
+        w.swarm.send_raw(w.alice, w.bob, kind, frame).unwrap();
+        // The good event behind it travels the same way: eager, or as XML.
+        let behind = match kind {
+            kinds::EAGER_OBJECT => eager(&good),
+            _ => xml.clone(),
+        };
+        w.swarm.send_raw(w.alice, w.bob, kind, behind).unwrap();
+        w.swarm.run().unwrap();
+        let errs = w.swarm.take_dispatch_errors();
+        assert_eq!(errs.len(), 1, "{name}: {errs:?}");
+        assert_eq!(errs[0].0, w.bob, "{name}");
+        assert!(expect(&errs[0].1), "{name}: {}", errs[0].1);
+        assert_eq!(w.take_values(), [1.5], "{name}: good event lost");
+    }
+    let stats = w.swarm.peer(w.bob).stats;
+    assert_eq!(
+        (stats.desc_requests, stats.asm_requests, stats.rejected),
+        (1, 1, 0),
+        "hostile frames opened no exchange"
     );
 }

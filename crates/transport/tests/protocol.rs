@@ -3,10 +3,15 @@
 use std::sync::Arc;
 
 use pti_conformance::{ConformanceChecker, ConformanceConfig};
-use pti_metamodel::{bodies, primitives, Assembly, ParamDef, TypeDef, TypeDescription, Value};
+use pti_metamodel::{
+    bodies, primitives, Assembly, Guid, ParamDef, TypeDef, TypeDescription, Value,
+};
 use pti_net::NetConfig;
-use pti_serialize::{EnvelopeView, EnvelopeWireFormat, PayloadFormat};
-use pti_transport::{kinds, Delivery, ProtocolStats, Swarm};
+use pti_proxy::DynamicProxy;
+use pti_serialize::{
+    AssemblyRef, EnvelopeView, EnvelopeWireFormat, ObjectEnvelope, Payload, PayloadFormat,
+};
+use pti_transport::{kinds, Delivery, Peer, ProtocolStats, Swarm};
 
 /// An assembly publishing a `Person` type with vendor-specific method
 /// names.
@@ -747,8 +752,6 @@ fn departed_remote_subscriber_is_retired_from_routes() {
 
 #[test]
 fn owning_a_former_contact_does_not_double_deliver() {
-    use pti_net::NetConfig;
-
     let mut swarm = Swarm::new(NetConfig::default());
     let publisher = swarm.add_peer(ConformanceConfig::pragmatic());
     // Declared as a contact first (e.g. learned from a membership list),
@@ -829,7 +832,7 @@ fn stats_delta(before: ProtocolStats, after: ProtocolStats) -> [u64; 6] {
 }
 
 /// A warm binary envelope is decoded in place and delivered without a
-/// pending exchange; an XML envelope always opens one. The same warm
+/// pending exchange; an XML envelope is transcoded to `PTIE` first. The same warm
 /// event through both paths gives equal values, one shared contract and
 /// the same counter deltas — and a cold delivery of the type, which
 /// fetches description and code first, shares that contract too.
@@ -879,6 +882,132 @@ fn a_borrowed_warm_delivery_matches_the_pending_exchange() {
         cold_proxy.contract()
     ));
     assert_ne!(borrowed_proxy.handle(), pending_proxy.handle());
+}
+
+/// Sends one `Person` named `name` from alice to bob, eagerly or
+/// optimistically, with its envelope in `wire`, and runs the swarm.
+/// Returns bob's protocol and checker-cache counter deltas, the
+/// delivered `name` and the delivery's proxy.
+fn deliver_person_over(
+    swarm: &mut Swarm,
+    (alice, bob): (pti_net::PeerId, pti_net::PeerId),
+    wire: EnvelopeWireFormat,
+    eager: bool,
+) -> ([u64; 6], [u64; 2], Value, DynamicProxy) {
+    swarm.set_envelope_wire_format(wire);
+    let (before, cache) = (swarm.peer(bob).stats, swarm.peer(bob).cache_stats());
+    let v = make_person(swarm, alice, "over");
+    if eager {
+        swarm.send_object_eager(alice, bob, &v, PayloadFormat::Binary)
+    } else {
+        swarm.send_object(alice, bob, &v, PayloadFormat::Binary)
+    }
+    .unwrap();
+    swarm.run().unwrap();
+    assert!(swarm.take_dispatch_errors().is_empty());
+    let after = swarm.peer(bob).cache_stats();
+    let cache_delta = [after.hits - cache.hits, after.misses - cache.misses];
+    let delta = stats_delta(before, swarm.peer(bob).stats);
+    let ds = swarm.peer_mut(bob).take_deliveries();
+    let [Delivery::Accepted {
+        proxy: Some(proxy), ..
+    }] = ds.as_slice()
+    else {
+        panic!("expected one proxied acceptance, got {ds:?}");
+    };
+    let name = proxy.get_field(&swarm.peer(bob).runtime, "name").unwrap();
+    (delta, cache_delta, name, proxy.clone())
+}
+
+/// An eager envelope takes the one inbound path once its inline code
+/// and descriptions are installed, whichever encoding it travels in:
+/// `PTIE` and XML give equal values, one shared contract and the same
+/// counter deltas.
+#[test]
+fn an_eager_delivery_reads_the_same_in_ptie_and_in_xml() {
+    let Fixture {
+        mut swarm,
+        alice,
+        bob,
+    } = fixture();
+    let (ptie, _, ptie_name, ptie_proxy) =
+        deliver_person_over(&mut swarm, (alice, bob), EnvelopeWireFormat::Ptib, true);
+    let (xml, _, xml_name, xml_proxy) =
+        deliver_person_over(&mut swarm, (alice, bob), EnvelopeWireFormat::Xml, true);
+    assert_eq!(ptie, [1, 1, 0, 0, 0, 1], "eager: no fetch, one check");
+    assert_eq!(ptie, xml);
+    assert_eq!(ptie_name, Value::from("over"));
+    assert_eq!(ptie_name, xml_name);
+    assert!(Arc::ptr_eq(ptie_proxy.contract(), xml_proxy.contract()));
+    assert_ne!(ptie_proxy.handle(), xml_proxy.handle());
+}
+
+/// A cold XML envelope is transcoded at the edge and then fetches its
+/// description and code like a cold `PTIE` one: the same event in
+/// either encoding moves the same protocol and checker-cache counters.
+#[test]
+fn a_cold_xml_delivery_moves_the_counters_of_a_cold_ptie_one() {
+    let cold = |wire| {
+        let Fixture {
+            mut swarm,
+            alice,
+            bob,
+        } = fixture();
+        let (delta, cache, name, _) = deliver_person_over(&mut swarm, (alice, bob), wire, false);
+        assert_eq!(name, Value::from("over"));
+        (delta, cache)
+    };
+    let ptie = cold(EnvelopeWireFormat::Ptib);
+    assert_eq!(ptie.0, [1, 1, 0, 1, 1, 1], "cold: one fetch of each");
+    assert_eq!(
+        ptie.1,
+        [1, 1],
+        "cold: a verdict (miss), then a re-bind (hit)"
+    );
+    assert_eq!(ptie, cold(EnvelopeWireFormat::Xml));
+}
+
+/// An exchange waiting on its description whose code arrives meanwhile,
+/// with an eager object of the same type, finds every assembly present
+/// once the description comes: it ends through the warm path's match,
+/// so it is delivered with its proxy and fetches no code.
+#[test]
+fn a_pending_exchange_whose_code_arrived_meanwhile_ends_matched() {
+    let Fixture {
+        mut swarm,
+        alice,
+        bob,
+    } = fixture();
+    let first = make_person(&mut swarm, alice, "first");
+    let second = make_person(&mut swarm, alice, "second");
+    swarm
+        .send_object(alice, bob, &first, PayloadFormat::Binary)
+        .unwrap();
+    swarm
+        .send_object_eager(alice, bob, &second, PayloadFormat::Binary)
+        .unwrap();
+    swarm.run().unwrap();
+    assert!(swarm.take_dispatch_errors().is_empty());
+    let ds = swarm.peer_mut(bob).take_deliveries();
+    let names: Vec<Value> = ds
+        .iter()
+        .map(|d| match d {
+            Delivery::Accepted {
+                proxy: Some(proxy), ..
+            } => proxy.get_field(&swarm.peer(bob).runtime, "name").unwrap(),
+            other => panic!("expected a proxied acceptance, got {other:?}"),
+        })
+        .collect();
+    assert_eq!(names, [Value::from("second"), Value::from("first")]);
+    let stats = swarm.peer(bob).stats;
+    assert_eq!(
+        (
+            stats.desc_requests,
+            stats.asm_requests,
+            stats.conformance_checks
+        ),
+        (1, 0, 2)
+    );
 }
 
 /// An event of a type whose description is known but whose code is
@@ -957,7 +1086,6 @@ fn an_unknown_content_hash_at_an_installed_path_counts_as_present() {
     env.assemblies[0].content_hash = "not-a-hash".into();
     let bytes = env.to_ptib();
     let bob_peer = swarm.peer(bob);
-    assert!(bob_peer.has_assembly(&env.assemblies[0]));
     let view = EnvelopeView::parse(&bytes).unwrap();
     assert!(view.assemblies().all(|e| bob_peer.has_assembly_entry(&e)));
 
@@ -1039,6 +1167,21 @@ fn a_resubscribed_interest_is_matched_once_the_memo_is_warm() {
     }
 }
 
+/// Whether `peer` holds the code behind `aref`, asked of the entry a
+/// one-assembly envelope lists.
+fn has_code(peer: &Peer, aref: &AssemblyRef) -> bool {
+    let bytes = ObjectEnvelope {
+        type_name: "Probe".into(),
+        type_guid: Guid::NIL,
+        assemblies: vec![aref.clone()],
+        payload: Payload::Binary(Vec::new()),
+    }
+    .to_ptib();
+    let view = EnvelopeView::parse(&bytes).unwrap();
+    let present = view.assemblies().all(|e| peer.has_assembly_entry(&e));
+    present
+}
+
 /// The memo is keyed by the exact assembly table: an envelope of a
 /// memoized type that lists one more assembly, not installed, is not
 /// warm. It opens a pending exchange, fetches only that code and is
@@ -1059,7 +1202,7 @@ fn an_extra_uninstalled_assembly_defeats_the_memo() {
         .unwrap()
         .assembly_ref
         .clone();
-    assert!(!swarm.peer(bob).has_assembly(&ship_ref));
+    assert!(!has_code(swarm.peer(bob), &ship_ref));
 
     let v = make_person(&mut swarm, alice, "extra");
     let mut env = swarm
@@ -1078,7 +1221,7 @@ fn an_extra_uninstalled_assembly_defeats_the_memo() {
         [1, 1, 0, 0, 1, 1],
         "one code fetch, one check"
     );
-    assert!(swarm.peer(bob).has_assembly(&ship_ref));
+    assert!(has_code(swarm.peer(bob), &ship_ref));
     let ds = swarm.peer_mut(bob).take_deliveries();
     let [Delivery::Accepted {
         proxy: Some(proxy), ..

@@ -1,7 +1,7 @@
 //! Reactor acceptance: a `ReactorHost` drives many `Swarm<ReactorNet>`
 //! instances on one thread through the full optimistic protocol —
 //! readiness-driven stepping (no polling of idle swarms), a fairness
-//! budget that round-robins busy swarms, timer-wheel parking in place of
+//! budget that round-robins busy swarms, timer-heap parking in place of
 //! `recv_deadline` sleeps, and the `pti-tps` `mount_on` hook for session
 //! groups.
 
@@ -156,7 +156,7 @@ fn fairness_budget_round_robins_flooded_swarms() {
     assert_eq!(accepted, (9, 9), "warmup + 8 flooded events each");
 }
 
-/// Timer-wheel parking: with nothing ready, `run_for` jumps the virtual
+/// Timer-heap parking: with nothing ready, `run_for` jumps the virtual
 /// clock straight to each deadline — firing parked slots in deadline
 /// order with exactly one idle advance per jump, never a spin — and a
 /// window that ends before the next deadline leaves it pending.
