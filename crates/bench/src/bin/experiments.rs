@@ -1125,11 +1125,9 @@ fn r4_reactor(report: &mut Report, livebus_events_per_sec: f64) -> String {
 /// counts are a pure function of the workload. The scaling intent is
 /// gated on those counts: at 4 shards the busiest shard pops at most
 /// 30% of the measured phase's ring messages (an even split is 25%).
-/// Timings are reported, never gated: the **critical path** (per-shard
-/// busy nanoseconds, events/s against the slowest shard), its 4-vs-1
-/// ratio, and the wall-clock time. Emits `BENCH_shards.json`; CI fails
-/// unless every event is delivered, the 4-shard balance holds and every
-/// run used one thread per shard.
+/// The wall-clock time of each phase is reported, never gated. Emits
+/// `BENCH_shards.json`; CI fails unless every event is delivered, the
+/// 4-shard balance holds and every run used one thread per shard.
 fn r5_shards(report: &mut Report) -> String {
     use samples::{topic_event_assembly, topic_event_def};
 
@@ -1144,9 +1142,6 @@ fn r5_shards(report: &mut Report) -> String {
         deliveries: u64,
         setup_ms: f64,
         wall_ms: f64,
-        max_busy_ms: f64,
-        total_busy_ms: f64,
-        events_per_sec: f64,
         bridge_crossings: u64,
         crossing_ratio: f64,
         messages: u64,
@@ -1205,7 +1200,6 @@ fn r5_shards(report: &mut Report) -> String {
         host.run_until_quiescent().unwrap();
         let recvs_before: Vec<u64> = host.shard_stats().iter().map(|s| s.recvs).collect();
         host.reset_metrics();
-        host.reset_busy();
 
         let start = Instant::now();
         host.with_swarm(pub_slot, move |s| {
@@ -1221,9 +1215,6 @@ fn r5_shards(report: &mut Report) -> String {
         });
         host.run_until_quiescent().unwrap();
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        let busy = host.busy_ns();
-        let max_busy_ms = busy.iter().copied().max().unwrap_or(0) as f64 / 1e6;
-        let total_busy_ms = busy.iter().sum::<u64>() as f64 / 1e6;
         let recvs: Vec<u64> = host
             .shard_stats()
             .iter()
@@ -1245,9 +1236,6 @@ fn r5_shards(report: &mut Report) -> String {
             deliveries: delivered,
             setup_ms,
             wall_ms,
-            max_busy_ms,
-            total_busy_ms,
-            events_per_sec: EVENTS as f64 / (max_busy_ms / 1e3).max(1e-9),
             bridge_crossings: m.bridge_crossings,
             crossing_ratio: m.bridge_crossings as f64 / m.messages.max(1) as f64,
             messages: m.messages,
@@ -1264,13 +1252,9 @@ fn r5_shards(report: &mut Report) -> String {
             &format!("{MEMBERS} members on {} shard(s)", r.shards),
             "all events delivered",
             format!(
-                "{} deliveries; critical path {:.0} ms (Σ busy {:.0} ms, wall {:.0} ms); \
-                 {:.0} events/s; {} bridge crossings ({:.0}% of msgs)",
+                "{} deliveries; wall {:.0} ms; {} bridge crossings ({:.0}% of msgs)",
                 r.deliveries,
-                r.max_busy_ms,
-                r.total_busy_ms,
                 r.wall_ms,
-                r.events_per_sec,
                 r.bridge_crossings,
                 r.crossing_ratio * 100.0
             ),
@@ -1278,33 +1262,25 @@ fn r5_shards(report: &mut Report) -> String {
                 && (r.shards == 1) == (r.bridge_crossings == 0),
         );
     }
-    let scaling = runs[2].events_per_sec / runs[0].events_per_sec.max(1e-9);
     let four = &runs[2];
     report.push(
         "R5",
         "load balance, busiest of 4 shards",
         "<=0.30 of ring messages",
-        format!(
-            "{:.3} (recvs {:?}); critical path {scaling:.2}x the 1-shard run (not gated)",
-            four.max_recv_share, four.recvs
-        ),
+        format!("{:.3} (recvs {:?})", four.max_recv_share, four.recvs),
         four.max_recv_share <= 0.30,
     );
 
     let json_run = |r: &ShardRun| {
         format!(
             "    {{\"shards\": {}, \"threads\": {}, \"deliveries\": {}, \"setup_ms\": {:.1}, \
-             \"wall_ms\": {:.1}, \"max_busy_ms\": {:.2}, \"total_busy_ms\": {:.2}, \
-             \"events_per_sec\": {:.0}, \"bridge_crossings\": {}, \"crossing_ratio\": {:.3}, \
+             \"wall_ms\": {:.1}, \"bridge_crossings\": {}, \"crossing_ratio\": {:.3}, \
              \"messages\": {}, \"recvs\": {:?}, \"max_recv_share\": {:.3}}}",
             r.shards,
             r.shards,
             r.deliveries,
             r.setup_ms,
             r.wall_ms,
-            r.max_busy_ms,
-            r.total_busy_ms,
-            r.events_per_sec,
             r.bridge_crossings,
             r.crossing_ratio,
             r.messages,
@@ -1315,7 +1291,7 @@ fn r5_shards(report: &mut Report) -> String {
     format!(
         "{{\n  \"members\": {MEMBERS},\n  \"topics\": {TOPICS},\n  \"fanout\": {FANOUT},\n  \
          \"events\": {EVENTS},\n  \"threads\": 4,\n  \"runs\": [\n{}\n  ],\n  \
-         \"scaling_4x_vs_1x\": {scaling:.2},\n  \"elapsed_ms\": {:.1}\n}}\n",
+         \"elapsed_ms\": {:.1}\n}}\n",
         runs.iter().map(json_run).collect::<Vec<_>>().join(",\n"),
         bench_start.elapsed().as_secs_f64() * 1e3,
     )

@@ -21,7 +21,6 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::frame::{kinds, FrameBatch};
 use crate::metrics::NetMetrics;
 use crate::payload::Payload;
 use crate::sim::{NetError, PeerId};
@@ -160,12 +159,7 @@ impl LiveBus {
         // registration generation, so a re-joined peer under the same id
         // is untouched) so a departed peer does not accumulate queues.
         let (from, to, kind) = (msg.from, msg.to, msg.kind);
-        let frames = if kind == kinds::BATCH {
-            FrameBatch::peek_count(&msg.payload).unwrap_or(0)
-        } else {
-            0
-        };
-        let bytes = msg.payload.len();
+        let payload = msg.payload.clone();
         if slot.tx.send(msg).is_err() {
             let mut inner = self.lock();
             if inner
@@ -178,10 +172,7 @@ impl LiveBus {
             return Err(NetError::UnknownPeer(to));
         }
         let mut inner = self.lock();
-        inner.metrics.record(kind, bytes);
-        if kind == kinds::BATCH {
-            inner.metrics.record_batch(from, to, frames, bytes);
-        }
+        inner.metrics.record_send(from, to, kind, &payload);
         Ok(())
     }
 }
@@ -247,14 +238,6 @@ impl Transport for LiveBus {
 
     fn reset_metrics(&mut self) {
         self.lock().metrics.reset();
-    }
-
-    fn record_batch_splits(&mut self, from: PeerId, to: PeerId, extra: u64) {
-        self.lock().metrics.record_batch_splits(from, to, extra);
-    }
-
-    fn record_batched_frame(&mut self, kind: &'static str, bytes: usize) {
-        self.lock().metrics.record_batched_frame(kind, bytes);
     }
 
     fn record_payload_encode(&mut self) {

@@ -4,16 +4,18 @@
 //! per envelope per destination. A [`FrameBatch`] instead carries every
 //! frame queued for one `(from, to)` link in a single message of kind
 //! [`kinds::BATCH`]; the receiving protocol engine splits it back into
-//! its constituent frames. The fabrics account batches per link in
-//! [`NetMetrics`](crate::NetMetrics) (batch count + frames coalesced), so
-//! experiments can report exactly how much the coalescing saves.
+//! its constituent frames. The fabric that carries a batch accounts it
+//! from its bytes ([`NetMetrics::record_send`](crate::NetMetrics::record_send)):
+//! per link, and each frame under its own kind.
 //!
 //! The encoding is a tiny length-prefixed layout (no serializer
 //! dependency): `u32` frame count, then per frame a `u16` kind length,
 //! the kind bytes, a `u32` payload length and the payload bytes — all
-//! little-endian. Decoding is hostile-input safe: every length prefix is
-//! capped by the bytes actually remaining in the buffer *before* any
-//! allocation, so a corrupt `u32` cannot trigger a huge pre-allocation.
+//! little-endian. [`FrameBatch::walk`] is the one parser, for the
+//! decoders and the accounting alike. It is hostile-input safe: every
+//! length prefix is checked against the bytes actually remaining before
+//! anything is sliced, and nothing is allocated until a walk has checked
+//! the whole buffer, so a corrupt `u32` cannot force a huge allocation.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -71,7 +73,7 @@ pub struct FrameBatch {
 }
 
 /// Smallest possible encoded frame: kind length (2) + payload length (4)
-/// with both empty — the bound that caps the frame-count pre-allocation.
+/// with both empty.
 const MIN_FRAME_BYTES: usize = 6;
 
 impl FrameBatch {
@@ -101,18 +103,29 @@ impl FrameBatch {
 
     /// Encodes the batch into wire bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let body: usize = self
-            .frames
-            .iter()
-            .map(|f| MIN_FRAME_BYTES + f.kind.len() + f.payload.len())
-            .sum();
+        Self::encode_frames(self.frames.iter().map(|f| (&*f.kind, f.payload.as_slice())))
+    }
+
+    /// Encodes `(kind, payload)` pairs into batch wire bytes without
+    /// building a [`FrameBatch`] first — how a sender ships a run of its
+    /// own queue. The iterator is walked twice: once to size the buffer,
+    /// once to fill it.
+    pub fn encode_frames<'a, I>(frames: I) -> Vec<u8>
+    where
+        I: IntoIterator<Item = (&'a str, &'a [u8])>,
+        I::IntoIter: Clone,
+    {
+        let frames = frames.into_iter();
+        let (count, body) = frames.clone().fold((0usize, 0usize), |(n, b), (k, p)| {
+            (n + 1, b + MIN_FRAME_BYTES + k.len() + p.len())
+        });
         let mut out = Vec::with_capacity(4 + body);
-        out.extend_from_slice(&(self.frames.len() as u32).to_le_bytes());
-        for f in &self.frames {
-            out.extend_from_slice(&(f.kind.len() as u16).to_le_bytes());
-            out.extend_from_slice(f.kind.as_bytes());
-            out.extend_from_slice(&(f.payload.len() as u32).to_le_bytes());
-            out.extend_from_slice(&f.payload);
+        out.extend_from_slice(&(count as u32).to_le_bytes());
+        for (kind, payload) in frames {
+            out.extend_from_slice(&(kind.len() as u16).to_le_bytes());
+            out.extend_from_slice(kind.as_bytes());
+            out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            out.extend_from_slice(payload);
         }
         out
     }
@@ -151,46 +164,65 @@ impl FrameBatch {
         bytes: &[u8],
         mut map_kind: impl FnMut(&str) -> Result<Cow<'static, str>, FrameDecodeError>,
     ) -> Result<FrameBatch, FrameDecodeError> {
+        // Check the whole buffer first: a hostile count is rejected before
+        // it can size an allocation.
+        let mut frames = Vec::with_capacity(Self::walk(bytes, |_, _| Ok(()))?);
+        Self::walk(bytes, |kind, payload| {
+            frames.push(Frame {
+                kind: map_kind(kind)?,
+                payload: Payload::from(payload),
+            });
+            Ok(())
+        })?;
+        Ok(FrameBatch { frames })
+    }
+
+    /// The one batch parser: visits each frame of an encoded batch in
+    /// order, as its kind and payload bytes borrowed from `bytes`, and
+    /// returns the frame count. Allocation-free. It checks the whole
+    /// buffer as [`decode`](Self::decode) does, but visits frames as it
+    /// goes: a caller that must not act on part of a malformed batch
+    /// walks it once with a no-op visitor first.
+    ///
+    /// # Errors
+    /// [`FrameDecodeError`] on truncated or malformed input, or the first
+    /// error `visit` returns.
+    pub fn walk<'a>(
+        bytes: &'a [u8],
+        mut visit: impl FnMut(&'a str, &'a [u8]) -> Result<(), FrameDecodeError>,
+    ) -> Result<usize, FrameDecodeError> {
         let count = Self::peek_count(bytes).ok_or(FrameDecodeError::new("missing frame count"))?;
         let mut at = 4usize;
         // Every length prefix below is validated against the remaining
-        // buffer *before* any slice or allocation happens; `take` is the
-        // single bounds gate.
-        let take = |at: &mut usize, n: usize| -> Result<&[u8], FrameDecodeError> {
+        // buffer *before* any slice happens; `take` is the single bounds
+        // gate.
+        let mut take = |n: usize| -> Result<&'a [u8], FrameDecodeError> {
             let end = at
                 .checked_add(n)
                 .filter(|&e| e <= bytes.len())
                 .ok_or(FrameDecodeError::new("truncated"))?;
-            let s = &bytes[*at..end];
-            *at = end;
+            let s = &bytes[at..end];
+            at = end;
             Ok(s)
         };
         fn fixed<const N: usize>(s: &[u8]) -> Result<[u8; N], FrameDecodeError> {
             s.try_into().map_err(|_| FrameDecodeError::new("truncated"))
         }
-        // A hostile count cannot force a huge pre-allocation: each frame
-        // occupies at least MIN_FRAME_BYTES, so cap by what the buffer
-        // could physically hold (the loop still errors on truncation).
-        let plausible = bytes.len().saturating_sub(4) / MIN_FRAME_BYTES;
-        let mut frames = Vec::with_capacity(count.min(plausible));
         for _ in 0..count {
-            let klen = u16::from_le_bytes(fixed(take(&mut at, 2)?)?) as usize;
-            let kind = map_kind(
-                std::str::from_utf8(take(&mut at, klen)?)
-                    .map_err(|_| FrameDecodeError::new("kind not utf8"))?,
-            )?;
-            let plen = u32::from_le_bytes(fixed(take(&mut at, 4)?)?) as usize;
-            let payload = Payload::from(take(&mut at, plen)?);
-            frames.push(Frame { kind, payload });
+            let klen = u16::from_le_bytes(fixed(take(2)?)?) as usize;
+            let kind = std::str::from_utf8(take(klen)?)
+                .map_err(|_| FrameDecodeError::new("kind not utf8"))?;
+            let plen = u32::from_le_bytes(fixed(take(4)?)?) as usize;
+            visit(kind, take(plen)?)?;
         }
         if at != bytes.len() {
             return Err(FrameDecodeError::new("trailing bytes"));
         }
-        Ok(FrameBatch { frames })
+        Ok(count)
     }
 
-    /// Reads the frame count from an encoded batch without decoding it —
-    /// what the fabrics use to account batched frames per link.
+    /// Reads the frame count from an encoded batch's header without
+    /// checking the frames behind it.
     pub fn peek_count(bytes: &[u8]) -> Option<usize> {
         Some(u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?) as usize)
     }
@@ -211,6 +243,42 @@ mod tests {
         let back = FrameBatch::decode(&bytes).unwrap();
         assert_eq!(back, b);
         assert_eq!(back.len(), 3);
+    }
+
+    #[test]
+    fn encode_frames_writes_what_encode_writes() {
+        let mut b = FrameBatch::new();
+        b.push("object", vec![1, 2, 3]);
+        b.push("view", vec![]);
+        let pairs: [(&str, &[u8]); 2] = [("object", &[1, 2, 3]), ("view", &[])];
+        assert_eq!(FrameBatch::encode_frames(pairs), b.encode());
+    }
+
+    #[test]
+    fn walk_visits_each_frame_and_checks_the_whole_buffer() {
+        let mut b = FrameBatch::new();
+        b.push("object", vec![1, 2, 3]);
+        b.push("view", vec![]);
+        let bytes = b.encode();
+        let mut seen = Vec::new();
+        let count = FrameBatch::walk(&bytes, |kind, payload| {
+            seen.push((kind, payload.len()));
+            Ok(())
+        });
+        assert_eq!(count, Ok(2));
+        assert_eq!(seen, [("object", 3), ("view", 0)]);
+        assert!(FrameBatch::walk(&bytes[..bytes.len() - 1], |_, _| Ok(())).is_err());
+        let mut extra = bytes.clone();
+        extra.push(0);
+        assert!(FrameBatch::walk(&extra, |_, _| Ok(())).is_err());
+        // The visitor's first error stops the walk.
+        let mut visits = 0;
+        let stopped = FrameBatch::walk(&bytes, |_, _| {
+            visits += 1;
+            Err(FrameDecodeError::new("stop"))
+        });
+        assert!(stopped.is_err());
+        assert_eq!(visits, 1);
     }
 
     #[test]

@@ -6,12 +6,16 @@
 //! (R1) quantifies what interest-indexed dispatch plus wire batching save
 //! on top.
 //!
-//! Kind tags are `&'static str` — every sender passes a constant from a
-//! `kinds` module (or a string literal), so recording a message allocates
-//! nothing on the send hot path.
+//! The fabric that accepts a send is the one writer of the traffic counters:
+//! both fabrics call [`NetMetrics::record_send`] once per accepted
+//! message, and it counts a batch from the batch's own bytes. Kind tags
+//! are `&'static str` constants, so recording a message allocates nothing
+//! on the send hot path; a batched frame's kind is read from the wire,
+//! and its key is allocated once, the first time that kind rides a batch.
 
 use std::collections::BTreeMap;
 
+use crate::frame::{kinds, FrameBatch};
 use crate::sim::PeerId;
 
 /// Per-kind and total message/byte counters, plus per-link batching
@@ -26,12 +30,12 @@ pub struct NetMetrics {
     /// `assembly`), keyed by the kind tag.
     pub per_kind: BTreeMap<&'static str, KindMetrics>,
     /// Counters for frames that travelled *inside* batch messages, keyed
-    /// by the frame's own kind. A batched frame's bytes are part of the
-    /// `batch` entry in [`per_kind`](Self::per_kind); this map attributes
-    /// them back to the protocol kind (OBJECT vs control traffic), so it
-    /// is an attribution overlay — do not add it to
-    /// [`bytes`](Self::bytes).
-    pub per_batched_kind: BTreeMap<&'static str, KindMetrics>,
+    /// by the frame's own kind as read from the batch. A batched frame's
+    /// payload bytes are part of the `batch` entry in
+    /// [`per_kind`](Self::per_kind); this map attributes them back to the
+    /// protocol kind (OBJECT vs control traffic), so it is an attribution
+    /// overlay — do not add it to [`bytes`](Self::bytes).
+    pub per_batched_kind: BTreeMap<Box<str>, KindMetrics>,
     /// Batching counters per `(from, to)` link — populated whenever a
     /// [`FrameBatch`](crate::FrameBatch) message crosses that link.
     pub per_link: BTreeMap<(PeerId, PeerId), LinkBatchMetrics>,
@@ -65,6 +69,13 @@ pub struct KindMetrics {
     pub bytes: u64,
 }
 
+impl KindMetrics {
+    fn add(&mut self, messages: u64, bytes: u64) {
+        self.messages += messages;
+        self.bytes += bytes;
+    }
+}
+
 /// Wire-batching counters for one `(from, to)` link.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkBatchMetrics {
@@ -74,52 +85,45 @@ pub struct LinkBatchMetrics {
     pub frames: u64,
     /// Payload bytes of those batch messages.
     pub bytes: u64,
-    /// Times a burst on this link exceeded the sender's wire-batch cap
-    /// and was split into additional wire messages (a burst shipped as
-    /// `k` messages counts `k - 1` splits).
-    pub splits: u64,
 }
 
 impl NetMetrics {
-    /// Records one sent message. Allocation-free: the kind tag is a
-    /// static constant shared by every message of that kind.
-    pub fn record(&mut self, kind: &'static str, bytes: usize) {
+    /// Records one message the fabric accepted on the `(from, to)` link:
+    /// the totals and `kind`'s counters. A [`kinds::BATCH`] message also
+    /// counts as one batch of the frames its header claims on that link,
+    /// and each of its frames' payload bytes is attributed to the frame's
+    /// own kind in [`per_batched_kind`](Self::per_batched_kind). A batch
+    /// that does not decode attributes nothing.
+    pub fn record_send(&mut self, from: PeerId, to: PeerId, kind: &'static str, payload: &[u8]) {
+        let bytes = payload.len() as u64;
         self.messages += 1;
-        self.bytes += bytes as u64;
-        let k = self.per_kind.entry(kind).or_default();
-        k.messages += 1;
-        k.bytes += bytes as u64;
+        self.bytes += bytes;
+        self.per_kind.entry(kind).or_default().add(1, bytes);
+        if kind != kinds::BATCH {
+            return;
+        }
+        let link = self.per_link.entry((from, to)).or_default();
+        link.batches += 1;
+        link.frames += FrameBatch::peek_count(payload).unwrap_or(0) as u64;
+        link.bytes += bytes;
+        // Check the whole batch before attributing any of it.
+        if FrameBatch::walk(payload, |_, _| Ok(())).is_ok() {
+            let _ = FrameBatch::walk(payload, |kind, frame| {
+                self.attribute(kind, 1, frame.len() as u64);
+                Ok(())
+            });
+        }
     }
 
-    /// Records one batch message carrying `frames` coalesced frames on
-    /// the `(from, to)` link. Called *in addition to* [`record`] by the
-    /// fabrics whenever a [`kinds::BATCH`](crate::kinds::BATCH) message
-    /// is sent.
-    ///
-    /// [`record`]: Self::record
-    pub fn record_batch(&mut self, from: PeerId, to: PeerId, frames: usize, bytes: usize) {
-        let l = self.per_link.entry((from, to)).or_default();
-        l.batches += 1;
-        l.frames += frames as u64;
-        l.bytes += bytes as u64;
-    }
-
-    /// Records that a sender's wire-batch cap split one link's burst
-    /// into `extra` additional wire messages. Called by the fabrics on
-    /// behalf of the batching layer (see
-    /// [`Transport::record_batch_splits`](crate::Transport::record_batch_splits)).
-    pub fn record_batch_splits(&mut self, from: PeerId, to: PeerId, extra: u64) {
-        self.per_link.entry((from, to)).or_default().splits += extra;
-    }
-
-    /// Attributes one frame shipped *inside* a batch message to its own
-    /// kind. Called by the batching layer through
-    /// [`Transport::record_batched_frame`](crate::Transport::record_batched_frame);
-    /// allocation-free like [`record`](Self::record).
-    pub fn record_batched_frame(&mut self, kind: &'static str, bytes: usize) {
-        let k = self.per_batched_kind.entry(kind).or_default();
-        k.messages += 1;
-        k.bytes += bytes as u64;
+    /// Adds to one batched kind's counters, allocating its key only the
+    /// first time the kind is seen.
+    fn attribute(&mut self, kind: &str, messages: u64, bytes: u64) {
+        if let Some(k) = self.per_batched_kind.get_mut(kind) {
+            k.add(messages, bytes);
+        } else {
+            self.per_batched_kind
+                .insert(kind.into(), KindMetrics { messages, bytes });
+        }
     }
 
     /// Records one payload encode performed by the layer above (see
@@ -129,7 +133,7 @@ impl NetMetrics {
     }
 
     /// Records one message forwarded onto a cross-shard bridge.
-    /// Called *in addition to* [`record`](Self::record) — the message's
+    /// Called *in addition to* [`record_send`](Self::record_send) — the message's
     /// kind/byte counters stay in the totals, this measures how much of
     /// the traffic was cross-shard.
     pub fn record_bridge_crossing(&mut self, bytes: usize) {
@@ -161,21 +165,19 @@ impl NetMetrics {
         self.faults_duplicated += other.faults_duplicated;
         self.faults_partitioned += other.faults_partitioned;
         for (kind, k) in &other.per_kind {
-            let e = self.per_kind.entry(kind).or_default();
-            e.messages += k.messages;
-            e.bytes += k.bytes;
+            self.per_kind
+                .entry(kind)
+                .or_default()
+                .add(k.messages, k.bytes);
         }
         for (kind, k) in &other.per_batched_kind {
-            let e = self.per_batched_kind.entry(kind).or_default();
-            e.messages += k.messages;
-            e.bytes += k.bytes;
+            self.attribute(kind, k.messages, k.bytes);
         }
         for (link, l) in &other.per_link {
             let e = self.per_link.entry(*link).or_default();
             e.batches += l.batches;
             e.frames += l.frames;
             e.bytes += l.bytes;
-            e.splits += l.splits;
         }
     }
 
@@ -232,11 +234,6 @@ impl NetMetrics {
         self.per_link.values().map(|l| l.frames).sum()
     }
 
-    /// Total cap-forced batch splits across all links.
-    pub fn batch_splits(&self) -> u64 {
-        self.per_link.values().map(|l| l.splits).sum()
-    }
-
     /// Resets all counters.
     pub fn reset(&mut self) {
         *self = NetMetrics::default();
@@ -247,25 +244,38 @@ impl NetMetrics {
 mod tests {
     use super::*;
 
+    const A: PeerId = PeerId(1);
+    const B: PeerId = PeerId(2);
+
+    fn batch(frames: &[(&'static str, usize)]) -> Vec<u8> {
+        let mut b = FrameBatch::new();
+        for &(kind, len) in frames {
+            b.push(kind, vec![0u8; len]);
+        }
+        b.encode()
+    }
+
     #[test]
     fn records_totals_and_kinds() {
         let mut m = NetMetrics::default();
-        m.record("object", 100);
-        m.record("object", 50);
-        m.record("assembly", 4000);
+        m.record_send(A, B, "object", &[0; 100]);
+        m.record_send(A, B, "object", &[0; 50]);
+        m.record_send(B, A, "assembly", &[0; 4000]);
         assert_eq!(m.messages, 3);
         assert_eq!(m.bytes, 4150);
         assert_eq!(m.kind("object").messages, 2);
         assert_eq!(m.kind("object").bytes, 150);
         assert_eq!(m.kind("assembly").bytes, 4000);
         assert_eq!(m.kind("never").messages, 0);
+        assert_eq!(m.batches(), 0, "plain messages touch no link counters");
+        assert!(m.per_batched_kind.is_empty());
     }
 
     #[test]
     fn reset_clears_everything() {
         let mut m = NetMetrics::default();
-        m.record("x", 1);
-        m.record_batch(PeerId(1), PeerId(2), 3, 64);
+        m.record_send(A, B, "x", &[0]);
+        m.record_send(A, B, kinds::BATCH, &batch(&[("object", 3), ("view", 1)]));
         m.reset();
         assert_eq!(m, NetMetrics::default());
     }
@@ -273,29 +283,30 @@ mod tests {
     #[test]
     fn per_link_batches_accumulate() {
         let mut m = NetMetrics::default();
-        m.record_batch(PeerId(1), PeerId(2), 4, 100);
-        m.record_batch(PeerId(1), PeerId(2), 6, 200);
-        m.record_batch(PeerId(1), PeerId(3), 1, 10);
-        let l = m.link(PeerId(1), PeerId(2));
+        let four = batch(&[("object", 10); 4]);
+        let six = batch(&[("object", 20); 6]);
+        let one = batch(&[("view", 5)]);
+        m.record_send(A, B, kinds::BATCH, &four);
+        m.record_send(A, B, kinds::BATCH, &six);
+        m.record_send(A, PeerId(3), kinds::BATCH, &one);
+        let l = m.link(A, B);
         assert_eq!(l.batches, 2);
         assert_eq!(l.frames, 10);
-        assert_eq!(l.bytes, 300);
+        assert_eq!(l.bytes, (four.len() + six.len()) as u64);
         assert_eq!(m.batches(), 3);
         assert_eq!(m.batched_frames(), 11);
+        assert_eq!(m.kind(kinds::BATCH).messages, 3);
         assert_eq!(m.link(PeerId(9), PeerId(9)), LinkBatchMetrics::default());
     }
 
     #[test]
     fn batched_frames_attribute_to_their_kind() {
         let mut m = NetMetrics::default();
-        // One batch message of 150 B carrying two object frames and a
-        // subscribe frame.
-        m.record("batch", 150);
-        m.record_batched_frame("object", 60);
-        m.record_batched_frame("object", 50);
-        m.record_batched_frame("subscribe", 20);
-        // Plus one standalone object message.
-        m.record("object", 40);
+        // One batch message carrying two object frames and a subscribe
+        // frame, plus one standalone object message.
+        let wire = batch(&[("object", 60), ("object", 50), ("subscribe", 20)]);
+        m.record_send(A, B, kinds::BATCH, &wire);
+        m.record_send(A, B, "object", &[0; 40]);
         assert_eq!(m.batched_kind("object").messages, 2);
         assert_eq!(m.batched_kind("object").bytes, 110);
         assert_eq!(m.attributed("object").messages, 3);
@@ -307,38 +318,68 @@ mod tests {
         assert_eq!(m.attributed_sum(&["never"]), KindMetrics::default());
         assert_eq!(m.batched_kind("never"), KindMetrics::default());
         // The overlay does not inflate the totals.
-        assert_eq!(m.bytes, 190);
+        assert_eq!(m.bytes, wire.len() as u64 + 40);
         m.record_payload_encode();
         assert_eq!(m.payload_encodes, 1);
     }
 
     #[test]
+    fn a_batch_that_does_not_decode_counts_its_header_and_attributes_nothing() {
+        let mut m = NetMetrics::default();
+        let wire = batch(&[("object", 60), ("object", 50), ("subscribe", 20)]);
+        let cut = &wire[..wire.len() - 1];
+        m.record_send(A, B, kinds::BATCH, cut);
+        assert_eq!(m.messages, 1);
+        assert_eq!(m.kind(kinds::BATCH).bytes, cut.len() as u64);
+        let l = m.link(A, B);
+        assert_eq!((l.batches, l.frames, l.bytes), (1, 3, cut.len() as u64));
+        assert!(
+            m.per_batched_kind.is_empty(),
+            "no frame of a torn batch is attributed"
+        );
+        // A batch too short to hold a header counts as a batch of none.
+        m.record_send(A, B, kinds::BATCH, &[1, 0]);
+        assert_eq!((m.link(A, B).batches, m.link(A, B).frames), (2, 3));
+    }
+
+    #[test]
     fn merge_sums_every_counter_including_the_maps() {
         let mut a = NetMetrics::default();
-        a.record("object", 100);
-        a.record_batch(PeerId(1), PeerId(2), 2, 100);
-        a.record_batched_frame("object", 60);
+        a.record_send(A, B, "object", &[0; 100]);
+        a.record_send(A, B, kinds::BATCH, &batch(&[("object", 60), ("view", 4)]));
         a.record_payload_encode();
         a.record_bridge_crossing(40);
         let mut b = NetMetrics::default();
-        b.record("object", 50);
-        b.record("view", 10);
-        b.record_batch(PeerId(1), PeerId(2), 3, 50);
-        b.record_batch_splits(PeerId(3), PeerId(4), 2);
+        b.record_send(A, B, "object", &[0; 50]);
+        b.record_send(B, A, "view", &[0; 10]);
+        b.record_send(A, B, kinds::BATCH, &batch(&[("object", 7); 3]));
         b.record_bridge_crossing(10);
         b.record_fault(crate::FaultDecision::Drop);
         b.record_fault(crate::FaultDecision::Duplicate);
         b.record_fault(crate::FaultDecision::Partitioned);
         b.record_fault(crate::FaultDecision::Deliver);
+        let (a_batch, b_batch) = (a.link(A, B).bytes, b.link(A, B).bytes);
         a.merge(&b);
-        assert_eq!(a.messages, 3);
-        assert_eq!(a.bytes, 160);
+        assert_eq!(a.messages, 5);
+        assert_eq!(a.bytes, 160 + a_batch + b_batch);
         assert_eq!(a.kind("object").messages, 2);
         assert_eq!(a.kind("view").bytes, 10);
-        assert_eq!(a.batched_kind("object").bytes, 60);
-        let l = a.link(PeerId(1), PeerId(2));
-        assert_eq!((l.batches, l.frames, l.bytes), (2, 5, 150));
-        assert_eq!(a.link(PeerId(3), PeerId(4)).splits, 2);
+        assert_eq!(
+            a.batched_kind("object"),
+            KindMetrics {
+                messages: 4,
+                bytes: 81
+            }
+        );
+        assert_eq!(
+            a.batched_kind("view"),
+            KindMetrics {
+                messages: 1,
+                bytes: 4
+            }
+        );
+        let l = a.link(A, B);
+        assert_eq!((l.batches, l.frames, l.bytes), (2, 5, a_batch + b_batch));
         assert_eq!(a.payload_encodes, 1);
         assert_eq!((a.bridge_crossings, a.bridge_bytes), (2, 50));
         assert_eq!(
@@ -349,16 +390,5 @@ mod tests {
         let before = a.clone();
         a.merge(&NetMetrics::default());
         assert_eq!(a, before);
-    }
-
-    #[test]
-    fn batch_splits_accumulate_per_link() {
-        let mut m = NetMetrics::default();
-        m.record_batch_splits(PeerId(1), PeerId(2), 2);
-        m.record_batch_splits(PeerId(1), PeerId(2), 1);
-        m.record_batch_splits(PeerId(1), PeerId(3), 4);
-        assert_eq!(m.link(PeerId(1), PeerId(2)).splits, 3);
-        assert_eq!(m.batch_splits(), 7);
-        assert_eq!(m.link(PeerId(2), PeerId(1)).splits, 0);
     }
 }

@@ -41,7 +41,6 @@ use std::rc::Rc;
 use crate::bridge::BridgeTx;
 use crate::bus::BusMessage;
 use crate::fault::{FaultDecision, FaultPlan};
-use crate::frame::{kinds, FrameBatch};
 use crate::metrics::NetMetrics;
 use crate::payload::Payload;
 use crate::sim::{Message, NetConfig, NetError, PeerId};
@@ -154,10 +153,10 @@ impl Core {
     }
 
     /// The one send path. Stamps the link model, lets the fault plan
-    /// adjudicate, hands the surviving copies to the destination's ring
-    /// or bridge, and records the traffic and the fault outcome only
-    /// once the send is accepted: a send that fails (a closed bridge)
-    /// leaves no trace in the counters. A dropped message is still
+    /// adjudicate, hands the surviving copies to the destination's
+    /// bridge or ring, and records the traffic and the fault outcome
+    /// only once the send is accepted: a send that fails (a closed
+    /// bridge) leaves no trace in the counters. A dropped message is still
     /// recorded — the bytes hit the wire and occupied the link, they
     /// just never arrive.
     fn send(
@@ -167,10 +166,12 @@ impl Core {
         kind: &'static str,
         payload: Payload,
     ) -> Result<(), NetError> {
-        let local = self.mailboxes.contains_key(&to);
-        if !local && !self.proxies.contains_key(&to) {
-            return Err(NetError::UnknownPeer(to));
-        }
+        // A peer without a local ring is reached over its shard's bridge.
+        let bridge = if self.mailboxes.contains_key(&to) {
+            None
+        } else {
+            Some(self.proxies.get(&to).ok_or(NetError::UnknownPeer(to))?)
+        };
         let size = payload.len();
         let tx_us = self.config.tx_us(size);
         let link = self.link_free.entry((from, to)).or_insert(0);
@@ -185,11 +186,23 @@ impl Core {
             FaultDecision::Duplicate => 2,
             FaultDecision::Drop | FaultDecision::Partitioned => 0,
         };
-        let batch_frames =
-            (kind == kinds::BATCH).then(|| FrameBatch::peek_count(&payload).unwrap_or(0));
-        if copies == 0 {
-            // Dropped or partitioned: nothing reaches a ring or a bridge.
-        } else if local {
+        // The send is recorded here (origin-side accounting); the owning
+        // shard injects it without re-counting.
+        if let Some(bridge) = bridge.filter(|_| copies > 0) {
+            let msg = BusMessage {
+                from,
+                to,
+                kind,
+                payload: payload.clone(),
+            };
+            for _ in 0..copies {
+                bridge.send(msg.clone())?;
+            }
+            self.metrics.record_bridge_crossing(size);
+        }
+        self.metrics.record_send(from, to, kind, &payload);
+        self.metrics.record_fault(decision);
+        if bridge.is_none() && copies > 0 {
             let msg = Message {
                 from,
                 to,
@@ -199,27 +212,7 @@ impl Core {
                 deliver_at: start + self.config.latency_us + tx_us,
             };
             self.enqueue(msg, copies);
-        } else if let Some(bridge) = self.proxies.get(&to) {
-            // No local ring: a remote-shard proxy forwards over its
-            // bridge; the send is recorded here (origin-side accounting)
-            // and the owning shard injects it without re-counting.
-            let msg = BusMessage {
-                from,
-                to,
-                kind,
-                payload,
-            };
-            for _ in 1..copies {
-                bridge.send(msg.clone())?;
-            }
-            bridge.send(msg)?;
-            self.metrics.record_bridge_crossing(size);
         }
-        self.metrics.record(kind, size);
-        if let Some(frames) = batch_frames {
-            self.metrics.record_batch(from, to, frames, size);
-        }
-        self.metrics.record_fault(decision);
         self.stats.sends += 1;
         Ok(())
     }
@@ -663,20 +656,6 @@ impl Transport for ReactorNet {
         self.core.borrow_mut().metrics.reset();
     }
 
-    fn record_batch_splits(&mut self, from: PeerId, to: PeerId, extra: u64) {
-        self.core
-            .borrow_mut()
-            .metrics
-            .record_batch_splits(from, to, extra);
-    }
-
-    fn record_batched_frame(&mut self, kind: &'static str, bytes: usize) {
-        self.core
-            .borrow_mut()
-            .metrics
-            .record_batched_frame(kind, bytes);
-    }
-
     fn record_payload_encode(&mut self) {
         self.core.borrow_mut().metrics.record_payload_encode();
     }
@@ -706,6 +685,7 @@ impl Transport for ReactorNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{kinds, FrameBatch};
 
     #[test]
     fn implements_the_transport_contract() {
@@ -1024,5 +1004,7 @@ mod tests {
         assert_eq!(m.batches(), 1);
         assert_eq!(m.batched_frames(), 2);
         assert_eq!(m.link(PeerId(1), PeerId(2)).frames, 2);
+        assert_eq!(m.batched_kind("object").bytes, 3);
+        assert_eq!(m.batched_kind("subscribe").bytes, 1);
     }
 }

@@ -69,26 +69,15 @@ pub trait Transport {
     /// Resets the fabric-wide traffic counters.
     fn reset_metrics(&mut self);
 
-    /// Accounting hook: the batching layer above split one link's burst
-    /// into `extra` additional wire messages because it exceeded the
-    /// sender's wire-batch cap. Fabrics that keep [`NetMetrics`] fold it
-    /// into the per-link counters; the default is a no-op.
-    fn record_batch_splits(&mut self, from: PeerId, to: PeerId, extra: u64) {
-        let _ = (from, to, extra);
-    }
-
-    /// Accounting hook: the batching layer above shipped one frame of
-    /// `kind` *inside* a batch message. Lets metrics attribute batch
-    /// bytes back to the protocol kinds they carry (OBJECT vs control);
-    /// the default is a no-op.
-    fn record_batched_frame(&mut self, kind: &'static str, bytes: usize) {
-        let _ = (kind, bytes);
-    }
-
     /// Accounting hook: the layer above encoded one wire payload (e.g.
     /// an object envelope). Comparing this against delivered OBJECT
     /// counts proves the publish path encodes once and *shares* the
     /// bytes across destinations. The default is a no-op.
+    ///
+    /// This is the one accounting hook: the fabric writes every traffic
+    /// counter itself ([`NetMetrics::record_send`]), but an encode
+    /// happens above it, and perfbench's fanout reads `payload_encodes`
+    /// from the fabric's metrics to check one encode per publish.
     fn record_payload_encode(&mut self) {}
 
     /// Readiness hook: the layer above queued outbound frames *outside*

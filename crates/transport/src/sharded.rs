@@ -34,11 +34,8 @@
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
-use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use pti_net::bridge::{BridgeRx, BridgeTx};
 use pti_net::{BridgeLink, NetMetrics, PeerId, ReactorNet, ReactorStats, Transport};
@@ -59,9 +56,6 @@ struct ShardHandle {
     /// Send half of the shard's injector bridge — cloned into every
     /// other shard as the proxy route for this shard's peers.
     bridge: BridgeTx,
-    /// Nanoseconds the worker spent executing commands — the per-shard
-    /// busy time R5 reports.
-    busy_ns: Arc<AtomicU64>,
 }
 
 /// M single-threaded reactor shards behind one control-side facade.
@@ -101,17 +95,12 @@ fn work_of(host: &ReactorHost) -> u64 {
 /// A shard's run loop: execute commands in FIFO order, park when none
 /// is queued. Bridged traffic waits in the injector until a command
 /// pumps the host, so all of a shard's work happens inside commands.
-fn worker(cmds: Receiver<Cmd>, injector: BridgeRx, busy_ns: Arc<AtomicU64>) {
+fn worker(cmds: Receiver<Cmd>, injector: BridgeRx) {
     let mut host = ReactorHost::new();
     host.set_injector(injector);
     loop {
         match cmds.try_recv() {
-            Ok(cmd) => {
-                // pti-allow(reactor-blocking): busy-ns accounting only — the timings feed busy_ns(), never protocol decisions
-                let start = Instant::now();
-                cmd(&mut host);
-                busy_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            }
+            Ok(cmd) => cmd(&mut host),
             Err(TryRecvError::Disconnected) => return,
             // Nothing queued: sleep until `post` unparks us. Unpark
             // tokens are sticky, so a post racing this park is not lost.
@@ -128,18 +117,15 @@ impl ShardedHost {
             .map(|i| {
                 let (cmd_tx, cmd_rx) = channel();
                 let (bridge_tx, bridge_rx) = BridgeLink::pair();
-                let busy_ns = Arc::new(AtomicU64::new(0));
-                let busy = Arc::clone(&busy_ns);
                 let join = std::thread::Builder::new()
                     .name(format!("pti-shard-{i}"))
-                    .spawn(move || worker(cmd_rx, bridge_rx, busy))
+                    .spawn(move || worker(cmd_rx, bridge_rx))
                     // pti-allow(panic-policy): thread spawn fails only on resource exhaustion at host construction, before any traffic
                     .expect("spawn shard thread");
                 ShardHandle {
                     cmds: Some(cmd_tx),
                     join: Some(join),
                     bridge: bridge_tx,
-                    busy_ns,
                 }
             })
             .collect();
@@ -375,24 +361,6 @@ impl ShardedHost {
     pub fn reset_metrics(&mut self) {
         for shard in 0..self.shards.len() {
             self.exec(shard, |host| host.reactor().reset_metrics());
-        }
-    }
-
-    /// Per-shard busy nanoseconds: time the workers spent executing
-    /// commands. Under serialized barrier rounds the per-shard maximum
-    /// is the critical path of the round sequence.
-    pub fn busy_ns(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|s| s.busy_ns.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Zeroes the busy-time counters (e.g. after setup, before the
-    /// measured phase of an experiment).
-    pub fn reset_busy(&self) {
-        for shard in &self.shards {
-            shard.busy_ns.store(0, Ordering::Relaxed);
         }
     }
 }

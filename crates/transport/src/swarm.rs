@@ -1019,70 +1019,51 @@ impl<T: Transport> Swarm<T> {
     /// queue order as the fewest messages the cap allows: a lone frame
     /// as itself, up to `max_frames`/`max_bytes` per coalesced
     /// [`kinds::BATCH`], a burst beyond the cap as several bounded
-    /// batches (counted per link in
-    /// [`NetMetrics::batch_splits`](pti_net::NetMetrics::batch_splits)).
-    /// Links to departed peers are pruned (their frames dropped) instead
-    /// of failing the flush.
+    /// batches. Links to departed peers are pruned (their frames
+    /// dropped) instead of failing the flush.
     pub fn flush_wire(&mut self) {
         self.service_delivery();
-        if self.wire.is_empty() {
-            return;
-        }
-        let wire = std::mem::take(&mut self.wire);
-        for ((from, to), frames) in wire {
-            // Chunk the burst: a chunk closes when one more frame would
-            // exceed either cap (but always holds at least one frame).
-            let mut chunks: Vec<Vec<QueuedFrame>> = Vec::new();
-            let mut chunk: Vec<QueuedFrame> = Vec::new();
-            let mut chunk_bytes = 0usize;
-            for frame in frames {
-                let over = chunk.len() >= self.wire_max_frames
-                    || chunk_bytes + frame.1.len() > self.wire_max_bytes;
-                if !chunk.is_empty() && over {
-                    chunks.push(std::mem::take(&mut chunk));
-                    chunk_bytes = 0;
-                }
-                chunk_bytes += frame.1.len();
-                chunk.push(frame);
-            }
-            chunks.push(chunk);
-            let mut shipped = 0u64;
-            for chunk in chunks {
-                // Frame metadata survives the move into the batch so a
-                // *successful* send can attribute the coalesced bytes to
-                // their protocol kinds (experiments split OBJECT from
-                // control traffic on the batched path). A failed send
-                // records nothing, matching the standalone path.
-                let mut batched: Vec<(&'static str, usize)> = Vec::new();
-                let sent = match <[QueuedFrame; 1]>::try_from(chunk) {
-                    Ok([(kind, payload)]) => self.net.send(from, to, kind, payload),
-                    Err(chunk) => {
-                        let mut batch = FrameBatch::new();
-                        batched.reserve(chunk.len());
-                        for (kind, payload) in chunk {
-                            batched.push((kind, payload.len()));
-                            batch.push(kind, payload);
-                        }
-                        self.net.send(from, to, kinds::BATCH, batch.encode().into())
-                    }
-                };
-                match sent {
-                    Ok(()) => {
-                        shipped += 1;
-                        for (kind, bytes) in batched {
-                            self.net.record_batched_frame(kind, bytes);
-                        }
-                    }
-                    Err(NetError::UnknownPeer(p)) => {
-                        self.forget_peer(p);
-                        break;
-                    }
-                }
-            }
-            if shipped > 1 {
-                self.net.record_batch_splits(from, to, shipped - 1);
+        for ((from, to), frames) in std::mem::take(&mut self.wire) {
+            if let Err(NetError::UnknownPeer(p)) = self.ship_link(from, to, frames) {
+                self.forget_peer(p);
             }
         }
+    }
+
+    /// Ships one link's queue: a lone queued frame is handed to the
+    /// fabric as it is; a longer queue ships in runs. A run closes when
+    /// one more frame would exceed either cap (but always holds at least
+    /// one frame) and ships as it closes — a lone frame as itself,
+    /// several as one batch that the fabric counts and attributes. The
+    /// first failed send ends the link.
+    fn ship_link(
+        &mut self,
+        from: PeerId,
+        to: PeerId,
+        frames: Vec<QueuedFrame>,
+    ) -> std::result::Result<(), NetError> {
+        let frames = match <[QueuedFrame; 1]>::try_from(frames) {
+            Ok([(kind, payload)]) => return self.net.send(from, to, kind, payload),
+            Err(frames) => frames,
+        };
+        let mut ship = |run: &[QueuedFrame]| match run {
+            [(kind, payload)] => self.net.send(from, to, kind, payload.clone()),
+            _ => {
+                let batch = FrameBatch::encode_frames(run.iter().map(|(k, p)| (*k, p.as_slice())));
+                self.net.send(from, to, kinds::BATCH, batch.into())
+            }
+        };
+        let (mut start, mut bytes) = (0, 0);
+        for (i, (_, payload)) in frames.iter().enumerate() {
+            let over =
+                i - start >= self.wire_max_frames || bytes + payload.len() > self.wire_max_bytes;
+            if i > start && over {
+                ship(&frames[start..i])?;
+                (start, bytes) = (i, 0);
+            }
+            bytes += payload.len();
+        }
+        ship(&frames[start..])
     }
 
     /// Fires every due retransmit timer against the fabric clock:

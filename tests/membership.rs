@@ -411,8 +411,6 @@ fn bursts_beyond_the_cap_split_into_bounded_batches_without_loss() {
     let link = m.link(publisher, subscriber);
     assert_eq!(link.batches as usize, EVENTS.div_ceil(CAP));
     assert_eq!(link.frames as usize, EVENTS, "no frame lost to the split");
-    assert_eq!(link.splits as usize, EVENTS.div_ceil(CAP) - 1);
-    assert_eq!(m.batch_splits(), link.splits);
     // ...and every event was delivered.
     assert_eq!(swarm.peer(subscriber).stats.accepted as usize, EVENTS);
 }
@@ -445,8 +443,7 @@ fn byte_cap_splits_and_oversized_frames_still_ship() {
     swarm.run().unwrap();
     assert_eq!(swarm.peer(subscriber).stats.accepted, 3);
     let m = swarm.metrics();
-    // Single-frame chunks ship as plain `object` messages.
-    assert_eq!(m.kind("object").messages, 3);
+    // Single-frame runs ship as plain `object` messages.
+    assert_eq!(m.kind("object").messages, 3, "split, not lost");
     assert_eq!(m.link(publisher, subscriber).batches, 0);
-    assert_eq!(m.link(publisher, subscriber).splits, 2, "split, not lost");
 }

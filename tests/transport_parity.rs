@@ -225,6 +225,8 @@ struct RoutedOutcome {
     object_messages: u64,
     batch_messages: u64,
     batched_frames: u64,
+    /// Object bytes the fabric attributed from inside batches.
+    batched_object_bytes: u64,
     /// Per-link frames on the publisher→s1 link.
     s1_link_frames: u64,
     /// Routed target count after s1 retracted its interest.
@@ -306,6 +308,7 @@ fn run_routed_scenario<T: Transport>(mut swarm: Swarm<T>) -> RoutedOutcome {
         object_messages: m.kind("object").messages,
         batch_messages: m.kind("batch").messages,
         batched_frames: m.batched_frames(),
+        batched_object_bytes: m.batched_kind("object").bytes,
         s1_link_frames: m.link(publisher, s1).frames,
         routed_after_unsubscribe,
         s1_received_after_unsubscribe: swarm.peer(s1).stats.objects_received,
@@ -336,6 +339,10 @@ fn routing_decisions_agree_on_both_fabrics_including_after_unsubscribe() {
     assert_eq!(sim.batch_messages, 2);
     assert_eq!(sim.batched_frames, 6);
     assert_eq!(sim.s1_link_frames, 3);
+    assert!(
+        sim.batched_object_bytes > 0,
+        "batched objects are attributed"
+    );
     assert_eq!(sim.object_messages, 1, "post-retraction publish to s3 only");
     // ...and after s1's retraction only s3 remains a target.
     assert_eq!(sim.routed_after_unsubscribe, 1);
