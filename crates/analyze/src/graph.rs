@@ -39,7 +39,7 @@ pub enum Prim {
     InstantNow,
     /// `SystemTime::now()`.
     SystemTimeNow,
-    /// `.recv()`, `.recv_timeout(…)`, `.recv_deadline(…)`.
+    /// `.recv()`, `.recv_timeout(…)`.
     BlockingRecv,
     /// `panic!`, `unreachable!`, `.unwrap()`, `.expect(…)`.
     Panic,
@@ -578,9 +578,6 @@ fn scan_body(file: &FileModel, def: &FnDef, _locals: &BTreeMap<String, String>, 
             "recv_timeout" if is_method && next == Some("(") => {
                 Some((Prim::BlockingRecv, ".recv_timeout(…)"))
             }
-            "recv_deadline" if is_method && next == Some("(") => {
-                Some((Prim::BlockingRecv, ".recv_deadline(…)"))
-            }
             "unwrap" if is_method && next == Some("(") => Some((Prim::Panic, ".unwrap()")),
             "expect" if is_method && next == Some("(") => Some((Prim::Panic, ".expect(…)")),
             "panic" if next == Some("!") => Some((Prim::Panic, "panic!")),
@@ -606,13 +603,7 @@ fn scan_body(file: &FileModel, def: &FnDef, _locals: &BTreeMap<String, String>, 
         let prim_shaped = is_method
             && matches!(
                 t.text.as_str(),
-                "recv"
-                    | "recv_timeout"
-                    | "recv_deadline"
-                    | "unwrap"
-                    | "expect"
-                    | "borrow"
-                    | "borrow_mut"
+                "recv" | "recv_timeout" | "unwrap" | "expect" | "borrow" | "borrow_mut"
             );
         if next == Some("(") && !prim_shaped && !NON_CALLS.contains(&t.text.as_str()) {
             node.calls.push(CallSite {

@@ -90,19 +90,13 @@ const REACTOR_ROOTS: &[(&str, &str)] = &[
 
 /// Deny: a function transitively reachable from the reactor pump loops
 /// calls `thread::sleep`, a blocking `recv`, or reads the wall clock.
-/// `bus.rs` (the threaded `LiveBus` fabric) is cut out of the traversal
-/// — the type system already guarantees a `ReactorHost` only mounts
-/// `Swarm<ReactorNet>`, so call edges into `LiveBus` impls are artifacts
-/// of trait-call over-approximation.
 pub fn reactor_blocking(ctx: &IprContext<'_>) -> Vec<RawFinding> {
     let roots = ctx.fns_where(|path, name, _| {
         REACTOR_ROOTS
             .iter()
             .any(|(file, root)| path.ends_with(file) && name == *root)
     });
-    let parents = ctx.graph.reach(&roots, |id| {
-        !ctx.analyzable(id) || ctx.graph.fn_ref(ctx.files, id).relpath.ends_with("/bus.rs")
-    });
+    let parents = ctx.graph.reach(&roots, |id| !ctx.analyzable(id));
     let mut out = Vec::new();
     for &id in parents.keys() {
         let node = &ctx.graph.fns[id];

@@ -15,9 +15,9 @@
 //!
 //! | rule | tier | scope |
 //! |------|------|-------|
-//! | `wall-clock` | deny | `crates/net/src` (minus `bus.rs`), `crates/serialize/src` |
+//! | `wall-clock` | deny | `crates/net/src`, `crates/serialize/src` |
 //! | `unordered-iter` | deny | wire-encode / gossip-codec / metrics files + `crates/serialize/src` |
-//! | `thread-confinement` | deny | everywhere except `bus.rs`, `sharded.rs` |
+//! | `thread-confinement` | deny | everywhere except `sharded.rs` |
 //! | `panic-policy` | deny on `pti-net`/`pti-transport`, advisory elsewhere | library + bin code |
 //! | `print-discipline` | deny | library code (bins, bench, examples, tests exempt) |
 //! | `unbounded-queue` | advisory | fabric wire-queue / inbox files |

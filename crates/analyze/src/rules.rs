@@ -100,7 +100,7 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "thread-confinement",
-        summary: "thread primitives are confined to bus.rs and sharded.rs",
+        summary: "thread primitives are confined to sharded.rs",
         exempt_tests: false,
         severity_for: thread_confinement_scope,
         check: Check::Line(thread_confinement_check),
@@ -174,18 +174,16 @@ fn contains_token(hay: &str, needle: &str) -> bool {
 // ---------------------------------------------------------------- wall-clock
 
 /// The virtual-time fabric (`ReactorNet`, alias `SimNet`) and the
-/// codecs must be pure functions of their inputs; only `LiveBus`
-/// (bus.rs) owns real time. `crates/transport`
-/// left this file-granularity scope when the interprocedural
-/// `reactor-blocking` rule landed: `Swarm::run`/`run_for` legitimately
-/// own deadlines on the live path, and every reactor-driven path is now
-/// covered with call-graph precision instead of a blanket file ban.
+/// codecs must be pure functions of their inputs; no file of theirs
+/// owns real time. `crates/transport` is covered with call-graph
+/// precision by the interprocedural `reactor-blocking` rule instead of
+/// a blanket file ban.
 fn wall_clock_scope(relpath: &str, class: FileClass) -> Option<Severity> {
     if class != FileClass::Lib && class != FileClass::Bin {
         return None;
     }
-    let in_net = relpath.starts_with("crates/net/src/") && !relpath.ends_with("/bus.rs");
-    let in_scope = in_net || relpath.starts_with("crates/serialize/src/");
+    let in_scope =
+        relpath.starts_with("crates/net/src/") || relpath.starts_with("crates/serialize/src/");
     in_scope.then_some(Severity::Deny)
 }
 
@@ -381,28 +379,26 @@ fn ident_before(code: &str, at: usize) -> &str {
 
 // -------------------------------------------------------- thread-confinement
 
-/// Only the threaded fabric (`LiveBus`) and the sharded host may touch
-/// OS threads; everything else, the shard bridge included (a channel
-/// pair with counters), is single-thread deterministic by construction
-/// (the `Rc`-based reactor state relies on it).
-const THREAD_FILES: &[&str] = &["crates/net/src/bus.rs", "crates/transport/src/sharded.rs"];
+/// Only the sharded host may touch OS threads; everything else, the
+/// shard bridge included (a channel pair with counters), is
+/// single-thread deterministic by construction (the `Rc`-based reactor
+/// state relies on it).
+const THREAD_FILE: &str = "crates/transport/src/sharded.rs";
 
 fn thread_confinement_scope(relpath: &str, _class: FileClass) -> Option<Severity> {
-    (!THREAD_FILES.contains(&relpath)).then_some(Severity::Deny)
+    (relpath != THREAD_FILE).then_some(Severity::Deny)
 }
 
 fn thread_confinement_check(code: &str) -> Option<String> {
     for pat in ["thread::spawn", "thread::park", "thread::Builder"] {
         if code.contains(pat) {
             return Some(format!(
-                "`{pat}` outside bus.rs/sharded.rs breaks thread confinement"
+                "`{pat}` outside sharded.rs breaks thread confinement"
             ));
         }
     }
     if contains_token(code, "JoinHandle") {
-        return Some(
-            "`JoinHandle` held outside bus.rs/sharded.rs breaks thread confinement".to_string(),
-        );
+        return Some("`JoinHandle` held outside sharded.rs breaks thread confinement".to_string());
     }
     None
 }
@@ -465,7 +461,6 @@ fn print_discipline_check(code: &str) -> Option<String> {
 /// the heuristic is lexical, so it asks for a justification rather than
 /// failing the build.
 const UNBOUNDED_QUEUE_FILES: &[&str] = &[
-    "crates/net/src/bus.rs",
     "crates/net/src/reactor.rs",
     "crates/net/src/bridge.rs",
     "crates/transport/src/swarm.rs",

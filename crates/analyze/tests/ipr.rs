@@ -69,27 +69,6 @@ fn reactor_blocking_allow_suppresses_and_is_used() {
     assert!(rule_hits(&a, "unused-allow").is_empty(), "{:?}", a.findings);
 }
 
-/// `bus.rs` (the threaded live fabric) is excluded from the traversal:
-/// the type system keeps it off reactor hosts.
-#[test]
-fn reactor_blocking_does_not_traverse_bus() {
-    let a = run(&[
-        (
-            "crates/fx/src/reactor_host.rs",
-            "pub fn run_for(idle: u64) { crate::bus::nap(idle); }\n",
-        ),
-        (
-            "crates/fx/src/bus.rs",
-            "pub fn nap(idle: u64) { std::thread::sleep(Duration::from_millis(idle)); }\n",
-        ),
-    ]);
-    assert!(
-        rule_hits(&a, "reactor-blocking").is_empty(),
-        "{:?}",
-        a.findings
-    );
-}
-
 /// Blocking prims inside `#[cfg(test)]` code never fire.
 #[test]
 fn reactor_blocking_ignores_test_code() {

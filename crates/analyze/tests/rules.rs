@@ -42,7 +42,7 @@ fn deadline() -> Instant {
 #[test]
 fn wall_clock_suppressed_by_allow() {
     let src = r#"
-// pti-allow(wall-clock): live-bus driver owns real time by design
+// pti-allow(wall-clock): a one-off startup timestamp, never on a message path
 fn deadline() -> Instant {
     Instant::now() + Duration::from_millis(5)
 }
@@ -51,7 +51,7 @@ fn deadline() -> Instant {
     // onto the violating line's predecessor instead:
     let src2 = r#"
 fn deadline() -> Instant {
-    // pti-allow(wall-clock): live-bus driver owns real time by design
+    // pti-allow(wall-clock): a one-off startup timestamp, never on a message path
     Instant::now() + Duration::from_millis(5)
 }
 "#;
@@ -64,19 +64,17 @@ fn deadline() -> Instant {
 }
 
 #[test]
-fn wall_clock_exempts_bus_and_tests() {
+fn wall_clock_exempts_tests_only() {
     let src = "fn x() { let t = Instant::now(); }\n";
-    assert!(deny_hits(&analyze_source("crates/net/src/bus.rs", src), "wall-clock").is_empty());
-    assert!(deny_hits(&analyze_source("tests/live_bus.rs", src), "wall-clock").is_empty());
-    // The bridge owns no real time: it is in scope like the rest of pti-net.
-    assert_eq!(
-        deny_hits(
-            &analyze_source("crates/net/src/bridge.rs", src),
-            "wall-clock"
-        )
-        .len(),
-        1
-    );
+    assert!(deny_hits(&analyze_source("tests/threaded.rs", src), "wall-clock").is_empty());
+    // No file of pti-net owns real time, the bridge included.
+    for path in ["crates/net/src/bridge.rs", "crates/net/src/bus.rs"] {
+        assert_eq!(
+            deny_hits(&analyze_source(path, src), "wall-clock").len(),
+            1,
+            "{path} is in scope"
+        );
+    }
     let in_test = "#[cfg(test)]\nmod tests {\n    fn x() { let t = Instant::now(); }\n}\n";
     assert!(deny_hits(
         &analyze_source("crates/net/src/sim.rs", in_test),
@@ -195,21 +193,20 @@ fn go() {
 #[test]
 fn thread_confinement_exempts_the_threaded_files_only() {
     let src = "fn go() { std::thread::spawn(move || run()); }\n";
-    for ok in ["crates/net/src/bus.rs", "crates/transport/src/sharded.rs"] {
-        assert!(
-            deny_hits(&analyze_source(ok, src), "thread-confinement").is_empty(),
-            "{ok} should be exempt"
+    assert!(deny_hits(
+        &analyze_source("crates/transport/src/sharded.rs", src),
+        "thread-confinement"
+    )
+    .is_empty());
+    // The bridge is a channel pair with counters: it touches no thread,
+    // and no other file of pti-net does either.
+    for path in ["crates/net/src/bridge.rs", "crates/net/src/bus.rs"] {
+        assert_eq!(
+            deny_hits(&analyze_source(path, src), "thread-confinement").len(),
+            1,
+            "{path} is in scope"
         );
     }
-    // The bridge is a channel pair with counters: it touches no thread.
-    assert_eq!(
-        deny_hits(
-            &analyze_source("crates/net/src/bridge.rs", src),
-            "thread-confinement"
-        )
-        .len(),
-        1
-    );
     // The rule is not test-exempt: a spawn in a #[cfg(test)] module of a
     // non-threaded file still fires.
     let in_test = "#[cfg(test)]\nmod tests {\n    fn go() { std::thread::spawn(|| ()); }\n}\n";

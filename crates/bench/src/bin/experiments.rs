@@ -377,14 +377,14 @@ fn f3_serializers(report: &mut Report) {
     );
 }
 
-/// R1 — interest-indexed routing vs flood broadcast over sharded
-/// `LiveBus` swarms: 32 members in 4 shards sharing one fabric, 8 event
+/// R1 — interest-indexed routing vs flood broadcast over four swarms
+/// ("shards") on sessions of one ideal-link `SharedSimNet`, taking turns
+/// on one thread: 32 members in 4 shards sharing one fabric, 8 event
 /// types with exactly one subscriber each, interest gossip wiring the
 /// publisher's routing table. Reports the message/byte saving and emits
 /// `BENCH_routing.json` so the perf trajectory is tracked per PR.
 fn r1_routing(report: &mut Report) -> String {
     use samples::{topic_event_assembly, topic_event_def};
-    use std::time::Duration;
 
     let bench_start = Instant::now();
 
@@ -395,13 +395,13 @@ fn r1_routing(report: &mut Report) -> String {
     const EVENTS: usize = 32;
 
     /// Round-robin the shards until one full sweep moves no traffic.
-    fn pump(bus: &LiveBus, shards: &mut [Swarm<LiveBus>]) {
+    fn pump(fabric: &SharedSimNet, shards: &mut [Swarm<SharedSimNet>]) {
         let mut last = u64::MAX;
         loop {
             for sw in shards.iter_mut() {
-                sw.run_for(Duration::from_millis(10)).unwrap();
+                sw.run().unwrap();
             }
-            let now = LiveBus::metrics(bus).messages;
+            let now = fabric.metrics().messages;
             if now == last {
                 return;
             }
@@ -420,11 +420,11 @@ fn r1_routing(report: &mut Report) -> String {
     }
 
     let run_mode = |routed: bool| -> ModeResult {
-        let bus = LiveBus::new();
+        let fabric = SharedSimNet::new(NetConfig::ideal());
         let code = CodeRegistry::new();
-        let mut shards: Vec<Swarm<LiveBus>> = (0..SHARDS)
+        let mut shards: Vec<Swarm<SharedSimNet>> = (0..SHARDS)
             .map(|s| {
-                let mut sw = Swarm::with_code_registry(bus.clone(), code.clone());
+                let mut sw = Swarm::with_code_registry(fabric.session(), code.clone());
                 for i in 0..PER_SHARD {
                     sw.add_peer_as(
                         PeerId((s * PER_SHARD + i + 1) as u32),
@@ -457,9 +457,8 @@ fn r1_routing(report: &mut Report) -> String {
         }
         // Let the subscribe gossip reach the publisher's routing table,
         // then measure only the publish traffic.
-        pump(&bus, &mut shards);
-        let mut hub = bus.clone();
-        Transport::reset_metrics(&mut hub);
+        pump(&fabric, &mut shards);
+        Transport::reset_metrics(&mut fabric.clone());
 
         for i in 0..EVENTS {
             let t = i % TOPICS;
@@ -479,7 +478,7 @@ fn r1_routing(report: &mut Report) -> String {
                     .unwrap();
             }
         }
-        pump(&bus, &mut shards);
+        pump(&fabric, &mut shards);
 
         let delivered = (0..TOPICS)
             .map(|t| {
@@ -488,7 +487,7 @@ fn r1_routing(report: &mut Report) -> String {
                 shards[shard].peer(sub).stats.accepted
             })
             .sum();
-        let m = LiveBus::metrics(&bus);
+        let m = fabric.metrics();
         ModeResult {
             messages: m.messages,
             bytes: m.bytes,
@@ -499,7 +498,7 @@ fn r1_routing(report: &mut Report) -> String {
         }
     };
 
-    println!("\nR1  routing — interest-indexed vs flood over {SHARDS} LiveBus shards");
+    println!("\nR1  routing — interest-indexed vs flood over {SHARDS} swarms on one fabric");
     let routed = run_mode(true);
     let flood = run_mode(false);
     let factor = flood.object_envelopes as f64 / routed.object_envelopes.max(1) as f64;
@@ -556,7 +555,8 @@ fn r1_routing(report: &mut Report) -> String {
     )
 }
 
-/// R2 — membership gossip over a 4-shard `LiveBus` group wired entirely
+/// R2 — membership gossip over a 4-shard group (swarms on sessions of
+/// one ideal-link `SharedSimNet`) wired entirely
 /// by `Swarm::join` (zero manual `add_contact`): measures the control
 /// overhead of assembling the group (JOIN/VIEW messages and bytes),
 /// the convergence of a *late* shard that subscribes before joining,
@@ -564,7 +564,6 @@ fn r1_routing(report: &mut Report) -> String {
 /// `BENCH_membership.json` so the overhead trajectory is tracked per PR.
 fn r2_membership(report: &mut Report) -> String {
     use samples::{topic_event_assembly, topic_event_def};
-    use std::time::Duration;
 
     let bench_start = Instant::now();
 
@@ -577,14 +576,14 @@ fn r2_membership(report: &mut Report) -> String {
     /// Round-robin the shards until one full sweep moves no traffic;
     /// returns how many sweeps actually moved messages (the final
     /// idle sweep that proves quiescence is not convergence work).
-    fn pump(bus: &LiveBus, shards: &mut [Swarm<LiveBus>]) -> u64 {
+    fn pump(fabric: &SharedSimNet, shards: &mut [Swarm<SharedSimNet>]) -> u64 {
         let mut sweeps = 0u64;
-        let mut last = LiveBus::metrics(bus).messages;
+        let mut last = fabric.metrics().messages;
         loop {
             for sw in shards.iter_mut() {
-                sw.run_for(Duration::from_millis(2)).unwrap();
+                sw.run().unwrap();
             }
-            let now = LiveBus::metrics(bus).messages;
+            let now = fabric.metrics().messages;
             if now == last {
                 return sweeps;
             }
@@ -593,11 +592,11 @@ fn r2_membership(report: &mut Report) -> String {
         }
     }
 
-    let bus = LiveBus::new();
+    let fabric = SharedSimNet::new(NetConfig::ideal());
     let code = CodeRegistry::new();
-    let mut shards: Vec<Swarm<LiveBus>> = (0..SHARDS)
+    let mut shards: Vec<Swarm<SharedSimNet>> = (0..SHARDS)
         .map(|s| {
-            let mut sw = Swarm::with_code_registry(bus.clone(), code.clone());
+            let mut sw = Swarm::with_code_registry(fabric.session(), code.clone());
             for i in 0..PER_SHARD {
                 sw.add_peer_as(
                     PeerId((s * PER_SHARD + i + 1) as u32),
@@ -624,13 +623,11 @@ fn r2_membership(report: &mut Report) -> String {
     }
 
     // Assemble the group through the membership protocol alone.
-    let wire_start = Instant::now();
     for s in 1..SHARDS {
         shards[s].join(publisher).unwrap();
-        pump(&bus, &mut shards);
+        pump(&fabric, &mut shards);
     }
-    let wire_us = wire_start.elapsed().as_secs_f64() * 1e6;
-    let wire = LiveBus::metrics(&bus);
+    let wire = fabric.metrics();
     // Attributed across standalone *and* batched frames: JOIN-relayed
     // VIEW announcements ride the wire-batching path, so plain per-kind
     // counters undercount the membership traffic.
@@ -651,7 +648,7 @@ fn r2_membership(report: &mut Report) -> String {
     );
 
     // Routed delivery over the gossip-wired tables.
-    let mut hub = bus.clone();
+    let mut hub = fabric.clone();
     Transport::reset_metrics(&mut hub);
     for i in 0..EVENTS {
         let t = i % TOPICS;
@@ -664,7 +661,7 @@ fn r2_membership(report: &mut Report) -> String {
             .route_object(publisher, &Value::Obj(h), PayloadFormat::Binary)
             .unwrap();
     }
-    pump(&bus, &mut shards);
+    pump(&fabric, &mut shards);
     let delivered: u64 = (0..TOPICS)
         .map(|t| {
             let sub = subscriber_of(t);
@@ -679,27 +676,25 @@ fn r2_membership(report: &mut Report) -> String {
         ),
         "zero manual contact wiring",
         format!(
-            "{control_messages} control msgs / {control_bytes} B in {wire_us:.0} µs; \
+            "{control_messages} control msgs / {control_bytes} B; \
              {delivered}/{EVENTS} routed events delivered"
         ),
         delivered as usize == EVENTS,
     );
 
-    // A late shard that subscribed before joining: how long until its
-    // interest is live group-wide?
-    let mut late = Swarm::with_code_registry(bus.clone(), code.clone());
+    // A late shard that subscribed before joining: how many sweeps until
+    // its interest is live group-wide?
+    let mut late = Swarm::with_code_registry(fabric.session(), code.clone());
     let late_sub = late.add_peer_as(PeerId(100), ConformanceConfig::pragmatic());
     late.subscribe(
         late_sub,
         TypeDescription::from_def(&topic_event_def(0, "late")),
     );
     Transport::reset_metrics(&mut hub);
-    let join_start = Instant::now();
     late.join(publisher).unwrap();
     shards.push(late);
-    let sweeps = pump(&bus, &mut shards);
-    let converge_us = join_start.elapsed().as_secs_f64() * 1e6;
-    let join_overhead = LiveBus::metrics(&bus);
+    let sweeps = pump(&fabric, &mut shards);
+    let join_overhead = fabric.metrics();
     let h = shards[0]
         .peer_mut(publisher)
         .runtime
@@ -708,14 +703,14 @@ fn r2_membership(report: &mut Report) -> String {
     let late_targets = shards[0]
         .route_object(publisher, &Value::Obj(h), PayloadFormat::Binary)
         .unwrap();
-    pump(&bus, &mut shards);
+    pump(&fabric, &mut shards);
     let late_delivered = shards[SHARDS].peer(late_sub).stats.accepted;
     report.push(
         "R2",
         "late joiner (subscribed pre-join) converges",
         "joins without re-subscribing",
         format!(
-            "{converge_us:.0} µs / {sweeps} sweeps / {} msgs; next publish routed to \
+            "{sweeps} sweeps / {} msgs; next publish routed to \
              {late_targets} incl. joiner ({late_delivered} delivered)",
             join_overhead.messages
         ),
@@ -733,9 +728,9 @@ fn r2_membership(report: &mut Report) -> String {
             .route_object(publisher, &Value::Obj(h), PayloadFormat::Binary)
             .unwrap()
     };
-    pump(&bus, &mut shards);
+    pump(&fabric, &mut shards);
     shards[3].leave();
-    pump(&bus, &mut shards);
+    pump(&fabric, &mut shards);
     let after = {
         let h = shards[0]
             .peer_mut(publisher)
@@ -746,7 +741,7 @@ fn r2_membership(report: &mut Report) -> String {
             .route_object(publisher, &Value::Obj(h), PayloadFormat::Binary)
             .unwrap()
     };
-    pump(&bus, &mut shards);
+    pump(&fabric, &mut shards);
     // Topic 6's subscriber (peer 27) lived in the departed shard.
     report.push(
         "R2",
@@ -760,8 +755,8 @@ fn r2_membership(report: &mut Report) -> String {
         "{{\n  \"members\": {MEMBERS},\n  \"shards\": {SHARDS},\n  \"topics\": {TOPICS},\n  \
          \"wiring\": {{\"control_messages\": {control_messages}, \"control_bytes\": \
          {control_bytes}, \"joins\": {joins}, \"control_bytes_per_join\": \
-         {control_bytes_per_join:.1}, \"wall_us\": {wire_us:.0}, \"delivered\": {delivered}}},\n  \
-         \"late_join\": {{\"convergence_us\": {converge_us:.0}, \"sweeps\": {sweeps}, \
+         {control_bytes_per_join:.1}, \"delivered\": {delivered}}},\n  \
+         \"late_join\": {{\"sweeps\": {sweeps}, \
          \"messages\": {}, \"routed_to\": {late_targets}, \"delivered\": {late_delivered}}},\n  \
          \"leave\": {{\"targets_before\": {before}, \"targets_after\": {after}}},\n  \
          \"threads\": 1,\n  \"elapsed_ms\": {:.1}\n}}\n",
@@ -779,11 +774,10 @@ fn r2_membership(report: &mut Report) -> String {
 /// encoded bytes *shared* across destinations (payload fan-out is
 /// refcounted, a structural property of `Payload`). Emits
 /// `BENCH_wirepath.json`; CI fails if binary bytes/event exceed half the
-/// XML baseline. Also returns the binary mode's events/s — the LiveBus
-/// throughput baseline the R4 reactor experiment is gated against.
-fn r3_wirepath(report: &mut Report) -> (String, f64) {
+/// XML baseline. The four swarms take turns on sessions of one
+/// ideal-link `SharedSimNet`.
+fn r3_wirepath(report: &mut Report) -> String {
     use samples::{topic_event_assembly, topic_event_def};
-    use std::time::Duration;
 
     let bench_start = Instant::now();
 
@@ -794,13 +788,13 @@ fn r3_wirepath(report: &mut Report) -> (String, f64) {
     const SUBS_PER_TOPIC: usize = 3;
     const EVENTS: usize = 64;
 
-    fn pump(bus: &LiveBus, shards: &mut [Swarm<LiveBus>]) {
+    fn pump(fabric: &SharedSimNet, shards: &mut [Swarm<SharedSimNet>]) {
         let mut last = u64::MAX;
         loop {
             for sw in shards.iter_mut() {
-                sw.run_for(Duration::from_millis(2)).unwrap();
+                sw.run().unwrap();
             }
-            let now = LiveBus::metrics(bus).messages;
+            let now = fabric.metrics().messages;
             if now == last {
                 return;
             }
@@ -823,11 +817,11 @@ fn r3_wirepath(report: &mut Report) -> (String, f64) {
     let shard_of = |p: PeerId| ((p.0 - 1) / PER_SHARD as u32) as usize;
 
     let run_mode = |wire: EnvelopeWireFormat| -> ModeResult {
-        let bus = LiveBus::new();
+        let fabric = SharedSimNet::new(NetConfig::ideal());
         let code = CodeRegistry::new();
-        let mut shards: Vec<Swarm<LiveBus>> = (0..SHARDS)
+        let mut shards: Vec<Swarm<SharedSimNet>> = (0..SHARDS)
             .map(|s| {
-                let mut sw = Swarm::with_code_registry(bus.clone(), code.clone());
+                let mut sw = Swarm::with_code_registry(fabric.session(), code.clone());
                 sw.set_envelope_wire_format(wire);
                 for i in 0..PER_SHARD {
                     sw.add_peer_as(
@@ -857,7 +851,7 @@ fn r3_wirepath(report: &mut Report) -> (String, f64) {
                     .subscribe(sub, TypeDescription::from_def(&topic_event_def(t, "sub")));
             }
         }
-        pump(&bus, &mut shards);
+        pump(&fabric, &mut shards);
         // Warm the exchange (desc/asm fetched once per subscriber peer),
         // so the measured loop is the steady-state publish path.
         for t in 0..TOPICS {
@@ -870,9 +864,8 @@ fn r3_wirepath(report: &mut Report) -> (String, f64) {
                 .route_object(publisher, &Value::Obj(h), PayloadFormat::Binary)
                 .unwrap();
         }
-        pump(&bus, &mut shards);
-        let mut hub = bus.clone();
-        Transport::reset_metrics(&mut hub);
+        pump(&fabric, &mut shards);
+        Transport::reset_metrics(&mut fabric.clone());
 
         let start = Instant::now();
         for i in 0..EVENTS {
@@ -886,7 +879,7 @@ fn r3_wirepath(report: &mut Report) -> (String, f64) {
                 .route_object(publisher, &Value::Obj(h), PayloadFormat::Binary)
                 .unwrap();
         }
-        pump(&bus, &mut shards);
+        pump(&fabric, &mut shards);
         let wall = start.elapsed().as_secs_f64();
 
         let delivered = (0..TOPICS)
@@ -894,7 +887,7 @@ fn r3_wirepath(report: &mut Report) -> (String, f64) {
             .map(|sub| shards[shard_of(sub)].peer(sub).stats.accepted)
             .sum::<u64>()
             - (TOPICS * SUBS_PER_TOPIC) as u64; // minus the warmup events
-        let m = LiveBus::metrics(&bus);
+        let m = fabric.metrics();
         let object = m.attributed("object");
         ModeResult {
             object_bytes: object.bytes,
@@ -954,7 +947,7 @@ fn r3_wirepath(report: &mut Report) -> (String, f64) {
             r.delivered
         )
     };
-    let json = format!(
+    format!(
         "{{\n  \"members\": {MEMBERS},\n  \"topics\": {TOPICS},\n  \"subscribers_per_topic\": \
          {SUBS_PER_TOPIC},\n  \"events\": {EVENTS},\n  \"threads\": 1,\n  \"xml\": {},\n  \
          \"binary\": {},\n  \"bytes_per_event_reduction\": {reduction:.2},\n  \
@@ -963,23 +956,21 @@ fn r3_wirepath(report: &mut Report) -> (String, f64) {
         json_mode(&bin),
         bin.payload_encodes as f64 / EVENTS as f64,
         bench_start.elapsed().as_secs_f64() * 1e3,
-    );
-    (json, bin.events_per_sec)
+    )
 }
 
 /// R4 — the reactor fabric at scale: 1024 single-peer member swarms plus
 /// one publisher swarm, all mounted on one `ReactorHost` and driven by a
 /// **single thread**. Subscribers spread over 64 topics (fan-out 16 per
 /// event) and every event crosses the interest router, the wire-batching
-/// path and the full optimistic exchange — the same machinery as R3's
-/// LiveBus run, minus the thread-per-driver limit the reactor exists to
-/// remove. Emits `BENCH_reactor.json`; CI fails unless 1024 members ran
+/// path and the full optimistic exchange — the same machinery as R3,
+/// at 32x the members. Emits `BENCH_reactor.json`; CI fails unless 1024 members ran
 /// on one thread and the run's counts are exact: deliveries = events x
 /// fan-out, burst `wakeups` = the publisher's outbound turn plus one per
 /// subscriber the burst reached, and seven fabric sends (and recvs) per
-/// member over the whole run. Events/s and its ratio to the R3 LiveBus
-/// baseline are reported, not gated: one wall-clock sample is noise.
-fn r4_reactor(report: &mut Report, livebus_events_per_sec: f64) -> String {
+/// member over the whole run. Events/s is reported, not gated: one
+/// wall-clock sample is noise.
+fn r4_reactor(report: &mut Report) -> String {
     use samples::{topic_event_assembly, topic_event_def};
 
     let bench_start = Instant::now();
@@ -1070,7 +1061,6 @@ fn r4_reactor(report: &mut Report, livebus_events_per_sec: f64) -> String {
     let messages = 7 * MEMBERS as u64;
     let events_per_sec = EVENTS as f64 / wall;
     let deliveries_per_sec = delivered as f64 / wall;
-    let baseline_ratio = events_per_sec / livebus_events_per_sec.max(1e-9);
     let stats = hub.stats();
     let wakeups = stats.wakeups - stats_before.wakeups;
 
@@ -1095,8 +1085,7 @@ fn r4_reactor(report: &mut Report, livebus_events_per_sec: f64) -> String {
         "wakeups = receivers + 1, 7 msgs/member",
         format!(
             "{wakeups} wakeups for {receivers} receivers, {}/{} sends/recvs; \
-             {events_per_sec:.0} events/s ({deliveries_per_sec:.0} deliveries/s) vs \
-             {livebus_events_per_sec:.0} LiveBus = {baseline_ratio:.2}x (not gated)",
+             {events_per_sec:.0} events/s ({deliveries_per_sec:.0} deliveries/s, not gated)",
             stats.sends, stats.recvs
         ),
         wakeups == receivers + 1 && stats.sends == messages && stats.recvs == messages,
@@ -1107,8 +1096,7 @@ fn r4_reactor(report: &mut Report, livebus_events_per_sec: f64) -> String {
          {TOPICS},\n  \"fanout\": {FANOUT},\n  \"events\": {EVENTS},\n  \"deliveries\": \
          {delivered},\n  \"setup_ms\": {setup_ms:.1},\n  \"events_per_sec\": \
          {events_per_sec:.0},\n  \"deliveries_per_sec\": {deliveries_per_sec:.0},\n  \
-         \"livebus_events_per_sec\": {livebus_events_per_sec:.0},\n  \"baseline_ratio\": \
-         {baseline_ratio:.2},\n  \"wakeups\": {wakeups},\n  \"reactor_sends\": {},\n  \
+         \"wakeups\": {wakeups},\n  \"reactor_sends\": {},\n  \
          \"reactor_recvs\": {},\n  \"elapsed_ms\": {:.1}\n}}\n",
         host.len(),
         stats.sends,
@@ -1701,8 +1689,8 @@ fn main() {
     f3_serializers(&mut report);
     let routing_json = r1_routing(&mut report);
     let membership_json = r2_membership(&mut report);
-    let (wirepath_json, livebus_eps) = r3_wirepath(&mut report);
-    let reactor_json = r4_reactor(&mut report, livebus_eps);
+    let wirepath_json = r3_wirepath(&mut report);
+    let reactor_json = r4_reactor(&mut report);
     let shards_json = r5_shards(&mut report);
     let durability_json = r6_durability(&mut report);
     a1_name_matchers(&mut report);

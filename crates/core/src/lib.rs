@@ -15,18 +15,21 @@
 //! | implicit structural conformance | [`conformance`] | §4, Figure 2 |
 //! | type-description + object serializers | [`serialize`] | §5–6, Figure 3 |
 //! | dynamic proxies | [`proxy`] | §6, §7.1 |
-//! | transport fabrics (ReactorNet alias SimNet, LiveBus) | [`net`] | testbed substitute |
+//! | virtual-time transport fabric (ReactorNet alias SimNet) | [`net`] | testbed substitute |
 //! | optimistic transport protocol | [`transport`] | §3, Figure 1 |
 //! | pass-by-reference remoting | [`remoting`] | §6.2 |
 //! | type-based publish/subscribe | [`tps`] | §8 |
 //! | borrow/lend resources | [`borrowlend`] | §8 |
 //!
-//! The protocol engine ([`Swarm`](transport::Swarm)) is generic over the
-//! [`Transport`](net::Transport) trait: the *same* optimistic-exchange
-//! state machine runs deterministically on the virtual-time
-//! [`SimNet`](net::SimNet) (experiments) and concurrently on the
-//! threaded [`LiveBus`](net::LiveBus) (load). Applications sit on the
-//! typed session layer of [`tps`]: members, publishers and
+//! The protocol engine ([`Swarm`](transport::Swarm)) runs over the
+//! [`Transport`](net::Transport) trait, implemented by one
+//! deterministic virtual-time fabric, [`SimNet`](net::SimNet). The
+//! *same* optimistic-exchange state machine runs standalone, on
+//! sessions of a shared fabric, on a
+//! [`ReactorHost`](transport::ReactorHost) (thousands of swarms, one
+//! thread), and on a [`ShardedHost`](transport::ShardedHost), the one
+//! place real threads run (one reactor per thread). Applications sit on
+//! the typed session layer of [`tps`]: members, publishers and
 //! subscriptions, never raw envelopes.
 //!
 //! The [`samples`] module carries the paper's `Person` types and the
@@ -93,9 +96,9 @@ pub mod prelude {
         TypeDescription, TypeName, TypeRegistry, Value,
     };
     pub use pti_net::{
-        BridgeLink, BridgeRx, BridgeTx, BusMessage, Endpoint, FaultDecision, FaultPlan, LiveBus,
-        NetConfig, NetMetrics, Partition, Payload, PeerId, ReactorNet, ReactorStats, SessionId,
-        SharedSimNet, SimNet, Transport,
+        BridgeLink, BridgeRx, BridgeTx, BusMessage, FaultDecision, FaultPlan, NetConfig,
+        NetMetrics, Partition, Payload, PeerId, ReactorNet, ReactorStats, SessionId, SharedSimNet,
+        SimNet, Transport,
     };
     pub use pti_proxy::{invoke_direct, DynamicProxy, ProxyError};
     pub use pti_remoting::{RemoteProxy, RemoteRef, RemotingFabric};
@@ -108,8 +111,8 @@ pub mod prelude {
         Subscription, TypedPubSub,
     };
     pub use pti_transport::{
-        CodeRegistry, Delivery, DeliveryConfig, DeliveryStats, LiveSwarm, MembershipView,
-        MountedSwarm, Peer, ProtocolStats, QoS, ReactorHost, ReactorSwarm, RoutingTable,
-        ShardedHost, Signature, SimSwarm, Swarm, TransportError, ViewDelta,
+        CodeRegistry, Delivery, DeliveryConfig, DeliveryStats, MembershipView, MountedSwarm, Peer,
+        ProtocolStats, QoS, ReactorHost, ReactorSwarm, RoutingTable, ShardedHost, Signature,
+        SimSwarm, Swarm, TransportError, ViewDelta,
     };
 }

@@ -5,11 +5,11 @@
 //! cross a thread. When several reactors run on separate threads (one
 //! shard per core — the `ShardedHost` in `pti-transport`), traffic for a
 //! peer owned by *another* shard rides a [`BridgeLink`]: an mpsc channel
-//! pair in the `LiveBus` idiom, registered on the sending shard as a
-//! **local peer proxy**. A `Transport::send` that resolves to a proxy
-//! enqueues the message on the bridge; the owning shard drains it the
-//! next time the control thread has it pump. The bridge never wakes a
-//! thread: shards work only inside commands.
+//! pair, registered on the sending shard as a **local peer proxy**. A
+//! `Transport::send` that resolves to a proxy enqueues the message on
+//! the bridge; the owning shard drains it the next time the control
+//! thread has it pump. The bridge never wakes a thread: shards work
+//! only inside commands.
 //!
 //! Both endpoints share two atomic counters, crossings and drains, for
 //! the *drain barrier*: a sharded host is only quiescent when every
@@ -21,8 +21,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 
-use crate::bus::BusMessage;
 use crate::sim::NetError;
+use crate::transport::BusMessage;
 
 /// Counters shared by both endpoints of one bridge.
 #[derive(Debug, Default)]

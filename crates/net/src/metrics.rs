@@ -7,8 +7,8 @@
 //! on top.
 //!
 //! The fabric that accepts a send is the one writer of the traffic counters:
-//! both fabrics call [`NetMetrics::record_send`] once per accepted
-//! message, and it counts a batch from the batch's own bytes. Kind tags
+//! it calls [`NetMetrics::record_send`] once per accepted message, and
+//! it counts a batch from the batch's own bytes. Kind tags
 //! are `&'static str` constants, so recording a message allocates nothing
 //! on the send hot path; a batched frame's kind is read from the wire,
 //! and its key is allocated once, the first time that kind rides a batch.

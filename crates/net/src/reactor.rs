@@ -30,8 +30,9 @@
 //! fully deterministic: the same script of sends produces the same
 //! delivery order, clock values and fault draws, which is what lets
 //! `tests/transport_parity.rs` pin identical protocol decisions across
-//! fabrics. Reactors on separate threads link up through
-//! [`BridgeLink`](crate::BridgeLink) proxies.
+//! link models and hosts. Reactors on separate threads (the shards of
+//! `pti-transport`'s `ShardedHost`, the only place threads run) link up
+//! through [`BridgeLink`](crate::BridgeLink) proxies.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -39,12 +40,11 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::rc::Rc;
 
 use crate::bridge::BridgeTx;
-use crate::bus::BusMessage;
 use crate::fault::{FaultDecision, FaultPlan};
 use crate::metrics::NetMetrics;
 use crate::payload::Payload;
 use crate::sim::{Message, NetConfig, NetError, PeerId};
-use crate::transport::Transport;
+use crate::transport::{BusMessage, Transport};
 
 /// One session on a reactor: the unit of readiness and scheduling. Each
 /// swarm mounted on the fabric gets its own session; all endpoints the
@@ -465,9 +465,8 @@ impl ReactorNet {
     }
 
     /// Schedules a wakeup for `session` at `delay_us` of virtual time
-    /// from now — the timer half of `recv_deadline`-style waiting:
-    /// instead of blocking, a session parks and the timer makes it ready
-    /// when the clock reaches the deadline.
+    /// from now: instead of blocking on a wall-clock deadline, a session
+    /// parks and the timer makes it ready when the clock reaches it.
     pub fn schedule_wake(&self, session: SessionId, delay_us: u64) {
         let mut core = self.core.borrow_mut();
         let deadline = core.now_us.saturating_add(delay_us.max(1));
@@ -605,13 +604,14 @@ impl Transport for ReactorNet {
     /// # Panics
     /// If the id is already registered under *another* session of this
     /// fabric — silently rebinding would hijack the other swarm's
-    /// traffic (same contract as [`LiveBus`](crate::LiveBus)).
+    /// traffic. Give each swarm on a shared fabric its own ids (see
+    /// `Swarm::add_peer_as`).
     fn register(&mut self, peer: PeerId) {
         self.assert_owner_thread();
         let mut core = self.core.borrow_mut();
         match core.mailboxes.get(&peer) {
             Some(e) if e.session == self.session => return,
-            // pti-allow(panic-policy): peer-id collision across sessions is a wiring bug, same contract as LiveBus::attach
+            // pti-allow(panic-policy): peer-id collision across sessions is a wiring bug; rebinding would hijack the other swarm's traffic
             Some(_) => panic!("{peer} is already registered on this reactor fabric"),
             None => {}
         }
@@ -624,6 +624,22 @@ impl Transport for ReactorNet {
             ring: VecDeque::new(),
         };
         core.mailboxes.insert(peer, mailbox);
+    }
+
+    /// Drops `peer`'s ring only when this handle's session owns it, so
+    /// a swarm going away can never tear down a ring another session
+    /// re-registered under the same id. Tolerates a borrowed core (it
+    /// runs from `Swarm`'s `Drop`, possibly while unwinding) by doing
+    /// nothing.
+    fn unregister(&mut self, peer: PeerId) {
+        let owned = self.core.try_borrow().is_ok_and(|core| {
+            core.mailboxes
+                .get(&peer)
+                .is_some_and(|m| m.session == self.session)
+        });
+        if owned {
+            ReactorNet::unregister(self, peer);
+        }
     }
 
     fn send(
@@ -676,9 +692,8 @@ impl Transport for ReactorNet {
         ReactorNet::install_fault_plan(self, plan);
     }
 
-    fn advance_virtual_time(&mut self, deadline_us: u64) -> bool {
+    fn advance_virtual_time(&mut self, deadline_us: u64) {
         self.advance_clock_to(deadline_us);
-        true
     }
 }
 

@@ -23,7 +23,6 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use pti_conformance::{ConformanceBinding, Contract};
 use pti_metamodel::{Guid, ObjHandle, TypeDescription, TypeName, Value};
@@ -31,11 +30,6 @@ use pti_net::{BusMessage, PeerId, Transport};
 use pti_serialize::{from_soap, to_soap};
 use pti_transport::{Swarm, TransportError};
 use pti_xml::Element;
-
-/// How long a synchronous invocation tolerates wire silence on a
-/// concurrent fabric before reporting the call unanswered (ignored by
-/// virtual-time transports, whose quiet is definitive).
-const RPC_IDLE: Duration = Duration::from_secs(5);
 
 /// Message kinds added by the remoting layer.
 pub mod kinds {
@@ -222,26 +216,6 @@ impl RemotingFabric {
         }
     }
 
-    /// Drives transport + remoting until no message arrives for `idle` —
-    /// the concurrent-fabric counterpart of [`run`](Self::run).
-    ///
-    /// # Errors
-    /// Protocol violations in either layer.
-    pub fn run_for<T: Transport>(&mut self, swarm: &mut Swarm<T>, idle: Duration) -> Result<()> {
-        loop {
-            swarm.flush_wire();
-            let Some((at, msg)) = swarm.poll_deadline(Instant::now() + idle)? else {
-                return Ok(());
-            };
-            if pti_transport::kinds::is_protocol(msg.kind) {
-                swarm.dispatch(at, msg)?;
-            } else {
-                self.handle(swarm, at, msg)?;
-            }
-            self.settle_refs(swarm)?;
-        }
-    }
-
     /// Remote proxies that finished their conformance handshake at `peer`.
     pub fn take_proxies(&mut self, peer: PeerId) -> Vec<RemoteProxy> {
         self.arrived.remove(&peer).unwrap_or_default()
@@ -288,10 +262,8 @@ impl RemotingFabric {
             kinds::INVOKE_REQUEST,
             req.to_compact().into_bytes(),
         )?;
-        // Synchronously pump the network until our response arrives. The
-        // deadline only matters on concurrent fabrics (the owner may be
-        // served by another thread); a virtual-time transport answers in
-        // a single pass or is definitively quiet.
+        // Synchronously pump the network until our response arrives: the
+        // virtual-time fabric either answers or is definitively quiet.
         loop {
             if let Some(outcome) = self.responses.remove(&request_id) {
                 let xml = outcome.map_err(TransportError::Protocol)?;
@@ -301,7 +273,7 @@ impl RemotingFabric {
                 return Ok(from_soap(&mut swarm.peer_mut(caller).runtime, &el)?);
             }
             swarm.flush_wire();
-            match swarm.poll_deadline(Instant::now() + RPC_IDLE)? {
+            match swarm.poll_message()? {
                 Some((at, msg)) => {
                     if pti_transport::kinds::is_protocol(msg.kind) {
                         swarm.dispatch(at, msg)?;

@@ -23,10 +23,10 @@
 //! The session API is **typed handles**, not raw peers: [`Member`]s are
 //! obtained from the group, a [`Publisher`] builds-and-broadcasts events
 //! of one published type, and a [`Subscription`] yields the matched
-//! events — callers never touch a runtime or an envelope. The group is
-//! generic over the transport, so the same code runs deterministically
-//! on a [`SimNet`] and concurrently on a
-//! [`LiveBus`](pti_net::LiveBus).
+//! events — callers never touch a runtime or an envelope. The same group
+//! runs standalone on a [`SimNet`], on a session of a fabric it shares
+//! with sibling groups, mounted on a [`ReactorHost`], or on one shard of
+//! a [`ShardedHost`] (real threads, one reactor each).
 //!
 //! ## Example
 //!
@@ -76,7 +76,6 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
 
 use pti_conformance::ConformanceConfig;
 use pti_metamodel::{Assembly, Guid, ObjHandle, TypeDef, TypeDescription, TypeName, Value};
@@ -364,8 +363,7 @@ impl Builder {
     /// `publisher_for`, `subscribe` and `drain` all work unchanged; only
     /// the *driving* moves to [`ReactorHost::run_until_quiescent`] /
     /// [`ReactorHost::run_for`]. Use [`code_registry`](Self::code_registry)
-    /// and explicit peer ids to coexist with sibling groups, exactly as
-    /// on a shared `LiveBus`.
+    /// and explicit peer ids to coexist with sibling groups.
     pub fn mount_on(self, host: &mut ReactorHost) -> TypedPubSub<ReactorNet> {
         let mut handle = None;
         host.mount(|net| {
@@ -398,7 +396,8 @@ impl Builder {
     }
 
     /// Builds the group over an existing transport — e.g. a
-    /// [`LiveBus`](pti_net::LiveBus) handle for concurrent members.
+    /// [`session`](ReactorNet::session) of a fabric shared with sibling
+    /// groups.
     pub fn over<T: Transport>(self, transport: T) -> TypedPubSub<T> {
         let code = self.code.unwrap_or_default();
         let mut swarm = Swarm::with_code_registry(transport, code);
@@ -545,15 +544,6 @@ impl<T: Transport> TypedPubSub<T> {
     /// Protocol violations.
     pub fn run(&self) -> Result<()> {
         self.lock().swarm.run()
-    }
-
-    /// Drives the network until no message arrives for `idle`
-    /// (concurrent fabrics).
-    ///
-    /// # Errors
-    /// Protocol violations.
-    pub fn run_for(&self, idle: Duration) -> Result<()> {
-        self.lock().swarm.run_for(idle)
     }
 
     /// Like [`run`](Self::run), but additionally advances a

@@ -4,9 +4,10 @@
 //! the registry keeps a global `path → Assembly` map standing in for the
 //! actual code bytes, while the *sizes* of assembly transfers are charged
 //! to the network for accounting. It is cheaply cloneable and
-//! thread-safe so that concurrent swarms over a `LiveBus` — one per
-//! thread, each owning its own peers — resolve downloads from the same
-//! store, exactly like independent processes sharing a code server.
+//! thread-safe so that every swarm on a fabric — sibling sessions on one
+//! thread, or swarms on different shards of a `ShardedHost`, each owning
+//! its own peers — resolves downloads from the same store, exactly like
+//! independent processes sharing a code server.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};

@@ -16,14 +16,15 @@
 //! 5. **Receiving the code, object usable** — assembly installed, object
 //!    deserialized, wrapped in a dynamic proxy for the matched interest.
 //!
-//! A [`Swarm`] wires [`Peer`]s to any [`Transport`](pti_net::Transport)
+//! A [`Swarm`] wires [`Peer`]s to the [`Transport`](pti_net::Transport)
 //! fabric and drives this exchange: [`SimSwarm`] (= `Swarm<SimNet>`) is
-//! the deterministic virtual-time engine the experiments run on, and
-//! [`LiveSwarm`] (= `Swarm<LiveBus>`) runs the *identical* state machine
-//! over real threads, with a shared [`CodeRegistry`] standing in for a
-//! code server. [`Swarm::send_object_eager`] implements the
-//! ship-everything baseline the protocol is measured against
-//! (experiment F1).
+//! the deterministic virtual-time engine the experiments run on. Several
+//! swarms share one fabric through its sessions, a [`ReactorHost`] runs
+//! thousands of them on one thread, and a [`ShardedHost`] runs the
+//! *identical* state machine on real threads — one reactor per thread,
+//! bridged — with a shared [`CodeRegistry`] standing in for a code
+//! server. [`Swarm::send_object_eager`] implements the ship-everything
+//! baseline the protocol is measured against (experiment F1).
 //!
 //! ## Lint conventions
 //!
@@ -107,6 +108,6 @@ pub use reactor_host::{MountedSwarm, ReactorHost, DEFAULT_FAIRNESS_BUDGET};
 pub use routing::{RoutingTable, Signature};
 pub use sharded::ShardedHost;
 pub use swarm::{
-    kinds, FloodOutcome, LiveSwarm, ReactorSwarm, SimSwarm, Swarm, DEFAULT_WIRE_MAX_BYTES,
+    kinds, FloodOutcome, ReactorSwarm, SimSwarm, Swarm, DEFAULT_WIRE_MAX_BYTES,
     DEFAULT_WIRE_MAX_FRAMES,
 };

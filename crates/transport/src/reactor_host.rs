@@ -264,9 +264,9 @@ impl ReactorHost {
     }
 
     /// Schedules a timer wakeup for the swarm at `slot` after `delay_us`
-    /// of virtual time — the reactor-side replacement for a
-    /// `recv_deadline` timeout: the slot parks for free and
-    /// [`run_for`](Self::run_for) pumps it when the clock arrives.
+    /// of virtual time — a timeout without a blocking wait: the slot
+    /// parks for free and [`run_for`](Self::run_for) pumps it when the
+    /// clock arrives.
     pub fn wake_after(&self, slot: usize, delay_us: u64) {
         // pti-allow(panic-policy): documented `# Panics` contract — slot handles are caller-owned
         let s = self.slots[slot].as_ref().expect("slot is unmounted");
@@ -362,9 +362,8 @@ impl ReactorHost {
     /// Runs for `virtual_us` of virtual time: drains ready swarms, then
     /// parks — jumping the clock straight to the next timer deadline in
     /// the window and pumping whoever it wakes — until the window is
-    /// spent and the fabric is quiet. The reactor-host counterpart of
-    /// [`Swarm::run_for`], with clock jumps in place of idle sleeps. The
-    /// same three readiness sources as
+    /// spent and the fabric is quiet — clock jumps, never idle sleeps.
+    /// The same three readiness sources as
     /// [`run_until_quiescent`](Self::run_until_quiescent) decide who is
     /// pumped; a swarm that is never made ready is never pumped.
     ///
@@ -418,8 +417,8 @@ mod tests {
         let mut host = ReactorHost::new();
         let a = host.mount(Swarm::over);
         let b = host.mount(Swarm::over);
-        // Peer ids are global on a shared fabric, exactly like multiple
-        // swarms sharing one LiveBus.
+        // Peer ids are global on a shared fabric: each swarm picks its
+        // own.
         let pa = host.with_swarm(a, |s| {
             s.add_peer_as(PeerId(1), pti_conformance::ConformanceConfig::pragmatic())
         });

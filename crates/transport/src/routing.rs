@@ -234,23 +234,17 @@ impl RoutingTable {
     /// and an idempotent re-insert does not invalidate the route cache).
     pub fn insert(&mut self, subscriber: PeerId, interest: Guid, signature: Signature) -> bool {
         let key = (subscriber, interest);
-        let fresh = match self.entries.get(&key) {
-            // Identical re-announcement (at-least-once gossip): nothing
-            // changes, the route cache stays warm.
-            Some(old) if *old == signature => return false,
-            Some(_) => {
-                let old = self
-                    .entries
-                    .insert(key, signature.clone())
-                    // pti-allow(panic-policy): insert over a key that was just looked up returns the old value
-                    .expect("present");
+        // Identical re-announcement (at-least-once gossip): nothing
+        // changes, the route cache stays warm.
+        if self.entries.get(&key) == Some(&signature) {
+            return false;
+        }
+        let fresh = match self.entries.insert(key, signature.clone()) {
+            Some(old) => {
                 self.unindex(key, &old);
                 false
             }
-            None => {
-                self.entries.insert(key, signature.clone());
-                true
-            }
+            None => true,
         };
         if signature.is_catch_all() {
             self.catch_all.insert(key);

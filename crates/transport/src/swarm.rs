@@ -29,21 +29,19 @@
 //! keeps them and re-reads them at each stage above. An eager object
 //! installs its inline code and descriptions first, so it arrives warm.
 //!
-//! The engine is generic over [`Transport`], so the *same* state machine
-//! runs on the deterministic virtual-time [`SimNet`] (as [`SimSwarm`],
-//! for reproducible experiments) and on the threaded
-//! [`LiveBus`](pti_net::LiveBus) (as [`LiveSwarm`], one swarm per thread
-//! over a shared fabric, for genuinely concurrent load).
+//! The engine is generic over [`Transport`], whose one implementation is
+//! the deterministic virtual-time [`SimNet`] (alias of [`ReactorNet`]):
+//! the *same* state machine runs as a standalone [`SimSwarm`], as one of
+//! several swarms on sessions of a shared fabric, and mounted on a
+//! `ReactorHost` or, for real threads, a `ShardedHost`.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
-use std::time::{Duration, Instant};
 
 use pti_conformance::ConformanceConfig;
 use pti_metamodel::{Assembly, Guid, TypeDescription, TypeName, Value};
 use pti_net::{
-    BusMessage, FrameBatch, LiveBus, NetConfig, NetError, Payload, PeerId, ReactorNet, SimNet,
-    Transport,
+    BusMessage, FrameBatch, NetConfig, NetError, Payload, PeerId, ReactorNet, SimNet, Transport,
 };
 use pti_serialize::{
     description_from_xml, description_to_xml, EnvelopeView, EnvelopeWireFormat, ObjectEnvelope,
@@ -150,11 +148,11 @@ pub struct FloodOutcome {
 /// A set of peers wired to one transport fabric, with the out-of-band
 /// code registry.
 ///
-/// On a [`SimNet`] one swarm owns every peer and drives the whole
-/// exchange deterministically. On a live fabric several swarms — one per
-/// thread, each owning *its* peers — share the fabric handle's clones
-/// and a [`CodeRegistry`], and the identical protocol code runs
-/// concurrently.
+/// One swarm may own every peer and drive the whole exchange alone, or
+/// several swarms — each owning *its* peers — share one fabric (a
+/// [`session`](ReactorNet::session) each) and a [`CodeRegistry`], and
+/// take turns running the identical protocol code. Dropping a swarm
+/// unregisters its peers from the fabric, so their ids can be reused.
 pub struct Swarm<T: Transport = SimNet> {
     net: T,
     peers: BTreeMap<PeerId, Peer>,
@@ -203,10 +201,6 @@ pub struct Swarm<T: Transport = SimNet> {
 /// The deterministic virtual-time swarm every experiment runs on.
 pub type SimSwarm = Swarm<SimNet>;
 
-/// A swarm over the threaded bus: genuinely concurrent peers, same
-/// protocol.
-pub type LiveSwarm = Swarm<LiveBus>;
-
 /// The same swarm type as [`SimSwarm`], named for its use under a
 /// [`ReactorHost`](crate::reactor_host::ReactorHost): thousands of these
 /// share one thread on one fabric, same protocol.
@@ -221,6 +215,18 @@ impl<T: Transport> std::fmt::Debug for Swarm<T> {
             .field("contacts", &self.contacts.len())
             .field("view", &self.membership.len())
             .finish()
+    }
+}
+
+impl<T: Transport> Drop for Swarm<T> {
+    /// Releases the owned peers' ids on the fabric, so a later swarm on
+    /// the same fabric can register them (a swarm sharing a fabric would
+    /// otherwise leave its rings registered forever). Never panics:
+    /// [`Transport::unregister`] tolerates being called while unwinding.
+    fn drop(&mut self) {
+        for &peer in self.peers.keys() {
+            self.net.unregister(peer);
+        }
     }
 }
 
@@ -240,8 +246,8 @@ impl<T: Transport> Swarm<T> {
     }
 
     /// Creates a swarm over an existing transport sharing a code
-    /// registry — the way concurrent swarms on one [`LiveBus`] resolve
-    /// each other's published assemblies.
+    /// registry — the way sibling swarms on one fabric resolve each
+    /// other's published assemblies.
     pub fn with_code_registry(transport: T, code: CodeRegistry) -> Swarm<T> {
         Swarm {
             net: transport,
@@ -496,8 +502,8 @@ impl<T: Transport> Swarm<T> {
     /// interests; the established swarm replies with its full view *and
     /// a re-announcement of every live interest in its routing table*,
     /// and relays the announcement to the rest of the group. Once both
-    /// sides pump ([`run`](Self::run)/[`run_for`](Self::run_for)), a
-    /// late joiner resolves the same subscriber set as a founding swarm.
+    /// sides pump ([`run`](Self::run)), a late joiner resolves the same
+    /// subscriber set as a founding swarm.
     ///
     /// # Errors
     /// No owned peer to speak with, joining through an owned peer, or an
@@ -871,7 +877,7 @@ impl<T: Transport> Swarm<T> {
     /// matches the object's type — the interest-indexed replacement for
     /// publisher-side broadcast. Frames are queued per `(from, to)` link
     /// and coalesced into one wire message each at the next pump
-    /// ([`run`](Self::run)/[`run_for`](Self::run_for) flush implicitly,
+    /// ([`run`](Self::run) and [`pump`](Self::pump) flush implicitly,
     /// or call [`flush_wire`](Self::flush_wire)). Returns how many
     /// subscribers the object was routed to (the sender itself is never
     /// one).
@@ -1136,10 +1142,6 @@ impl<T: Transport> Swarm<T> {
     /// swarm's peers: delivers every message, advancing pending exchanges
     /// through their description / conformance / code stages.
     ///
-    /// On a live fabric "nothing queued" is a transient condition — use
-    /// [`run_for`](Self::run_for) there to keep serving until an idle
-    /// period passes.
-    ///
     /// Per-message failures — malformed frames, unknown kinds, runtime
     /// errors inside one exchange — are *isolated*: the offending
     /// message is recorded in
@@ -1161,9 +1163,7 @@ impl<T: Transport> Swarm<T> {
     /// lossy [`SimNet`](pti_net::SimNet) workload reaches 100% delivery
     /// without wall-clock sleeps. Returns once every link is settled or
     /// shed (unreachable peers surface through
-    /// [`take_dispatch_errors`](Self::take_dispatch_errors)); on a
-    /// wall-clock fabric (which cannot jump time) it behaves like
-    /// [`run`](Self::run).
+    /// [`take_dispatch_errors`](Self::take_dispatch_errors)).
     ///
     /// # Errors
     /// Budget exhaustion.
@@ -1173,29 +1173,7 @@ impl<T: Transport> Swarm<T> {
             let Some(deadline) = self.delivery.next_deadline_us() else {
                 return Ok(());
             };
-            if !self.net.advance_virtual_time(deadline) {
-                return Ok(());
-            }
-        }
-    }
-
-    /// Runs the protocol until no message has arrived for `idle` — the
-    /// live-fabric counterpart of [`run`](Self::run), where concurrent
-    /// senders may take real time to produce the next message.
-    ///
-    /// # Errors
-    /// Same conditions as [`run`](Self::run) — per-message failures are
-    /// isolated into [`take_dispatch_errors`](Self::take_dispatch_errors).
-    pub fn run_for(&mut self, idle: Duration) -> Result<()> {
-        loop {
-            self.flush_wire();
-            let Some((at, msg)) = self.poll_deadline(Instant::now() + idle)? else {
-                return Ok(());
-            };
-            if let Err(e) = self.dispatch_required(at, msg) {
-                // pti-allow(unbounded-queue): drained by take_dispatch_errors; growth is bounded by messages handled this pump
-                self.dispatch_errors.push((at, e));
-            }
+            self.net.advance_virtual_time(deadline);
         }
     }
 
@@ -1261,24 +1239,6 @@ impl<T: Transport> Swarm<T> {
             }
         }
         Ok(None)
-    }
-
-    /// Like [`poll_message`](Self::poll_message), but waits until
-    /// `deadline` for a message to arrive — the polling primitive for
-    /// concurrent fabrics.
-    ///
-    /// # Errors
-    /// Budget exhaustion.
-    pub fn poll_deadline(&mut self, deadline: Instant) -> Result<Option<(PeerId, BusMessage)>> {
-        self.check_budget()?;
-        let ids: Vec<PeerId> = self.peers.keys().copied().collect();
-        match self.net.recv_deadline(&ids, deadline) {
-            Some(m) => {
-                self.budget -= 1;
-                Ok(Some((m.to, m)))
-            }
-            None => Ok(None),
-        }
     }
 
     /// Replaces the message budget — the hard bound that converts
@@ -1817,6 +1777,30 @@ mod tests {
     use super::*;
     use pti_metamodel::{bodies, primitives, TypeDef};
     use pti_proxy::DynamicProxy;
+
+    #[test]
+    fn dropping_a_swarm_releases_its_peer_ids() {
+        let hub = SimNet::new(NetConfig::ideal());
+        let mut neighbour = Swarm::over(hub.session());
+        let ear = neighbour.add_peer_as(PeerId(1), ConformanceConfig::pragmatic());
+        {
+            let mut driver = Swarm::over(hub.session());
+            driver.add_peer_as(PeerId(7), ConformanceConfig::pragmatic());
+        }
+        // The id is free again once the owning swarm is gone: a send to
+        // it fails, and a new swarm on another session can claim it.
+        assert!(neighbour
+            .send_raw(ear, PeerId(7), kinds::SUBSCRIBE, Vec::new())
+            .is_err());
+        let mut next = Swarm::over(hub.session());
+        let seven = next.add_peer_as(PeerId(7), ConformanceConfig::pragmatic());
+        neighbour.send_raw(ear, seven, "loop", vec![1]).unwrap();
+        let (at, msg) = next.poll_message().unwrap().expect("delivered");
+        assert_eq!((at, msg.payload.as_ref()), (seven, &[1u8][..]));
+        // A handle never releases an id another session owns.
+        Transport::unregister(&mut hub.session(), seven);
+        assert_eq!(hub.registered_peers(), vec![ear, seven]);
+    }
 
     /// Sends one `def` object from `from` to `to` and returns the
     /// delivery's proxy.

@@ -12,14 +12,23 @@
 //! is neither `PTIE` nor UTF-8 or one listing unpublished code, and XML
 //! `object` frames that fail to decode.
 //!
+//! So does the control traffic: well-formed `subscribe`, `unsubscribe`,
+//! `join`, `leave`, `view`, description and assembly requests and
+//! responses, `ack` and `batch` payloads are recorded from a real
+//! two-swarm exchange, then fed to the warm receiver empty, truncated,
+//! byte-flipped and replaced by random bytes. Dispatch must return
+//! without panicking, and an object sent afterwards must still deliver.
+//!
 //! The random cases are drawn from a SplitMix64 stream, so a failure
 //! names the case that reproduces it.
 
+use std::collections::BTreeMap;
+
 use pti_conformance::ConformanceConfig;
 use pti_metamodel::{bodies, primitives, Assembly, TypeDef, TypeDescription, Value};
-use pti_net::{NetConfig, PeerId};
+use pti_net::{FrameBatch, NetConfig, PeerId, SharedSimNet};
 use pti_serialize::{EnvelopeView, ObjectEnvelope, PayloadFormat};
-use pti_transport::{kinds, Delivery, Swarm, TransportError, RELIABLE_HEADER_LEN};
+use pti_transport::{kinds, Delivery, QoS, Swarm, TransportError, RELIABLE_HEADER_LEN};
 
 const FLIP_CASES: u64 = 64;
 
@@ -321,4 +330,162 @@ fn hostile_eager_and_xml_frames_surface_as_errors_and_the_traffic_behind_them_de
         (1, 1, 0),
         "hostile frames opened no exchange"
     );
+}
+
+/// The control kinds the hostile-control test feeds through dispatch.
+const CONTROL_KINDS: [&str; 11] = [
+    kinds::SUBSCRIBE,
+    kinds::UNSUBSCRIBE,
+    kinds::JOIN,
+    kinds::LEAVE,
+    kinds::VIEW,
+    kinds::DESC_REQUEST,
+    kinds::DESC_RESPONSE,
+    kinds::ASM_REQUEST,
+    kinds::ASM_RESPONSE,
+    kinds::ACK,
+    kinds::BATCH,
+];
+
+/// Pumps `swarms` to quiescence by hand, keeping the first payload of
+/// every kind that crosses the fabric, batched frames included.
+fn record(swarms: &mut [Swarm<SharedSimNet>], seen: &mut BTreeMap<&'static str, Vec<u8>>) {
+    loop {
+        swarms.iter_mut().for_each(Swarm::flush_wire);
+        let mut moved = false;
+        for swarm in swarms.iter_mut() {
+            while let Some((at, msg)) = swarm.poll_message().unwrap() {
+                moved = true;
+                if msg.kind == kinds::BATCH {
+                    for frame in FrameBatch::decode(&msg.payload).unwrap().frames {
+                        let kind = kinds::intern(&frame.kind).unwrap();
+                        seen.entry(kind).or_insert_with(|| frame.payload.to_vec());
+                    }
+                }
+                seen.entry(msg.kind).or_insert_with(|| msg.payload.to_vec());
+                swarm.dispatch(at, msg).unwrap();
+            }
+        }
+        if !moved {
+            return;
+        }
+    }
+}
+
+/// One well-formed payload of each control kind, recorded from two
+/// at-least-once swarms: a join, interest gossip, a routed burst with
+/// its description and code fetches, a retraction and a leave.
+fn control_exemplars() -> BTreeMap<&'static str, Vec<u8>> {
+    let fabric = SharedSimNet::new(NetConfig::ideal());
+    let mut publisher = Swarm::over(fabric.session());
+    let mut subscriber = Swarm::with_code_registry(fabric.session(), publisher.code_registry());
+    for swarm in [&mut publisher, &mut subscriber] {
+        swarm.set_qos(QoS::AtLeastOnce);
+    }
+    let alice = publisher.add_peer_as(PeerId(1), ConformanceConfig::pragmatic());
+    let bob = subscriber.add_peer_as(PeerId(2), ConformanceConfig::pragmatic());
+    let def = TypeDef::class("Reading", "alice")
+        .field("value", primitives::FLOAT64)
+        .ctor(vec![])
+        .build();
+    publisher
+        .publish(
+            alice,
+            Assembly::builder("reading")
+                .ty(def.clone())
+                .ctor_body(def.guid, 0, bodies::ctor_assign(&[]))
+                .build(),
+        )
+        .unwrap();
+    let interest = TypeDescription::from_def(
+        &TypeDef::class("Reading", "bob")
+            .field("value", primitives::FLOAT64)
+            .build(),
+    );
+    let guid = interest.guid;
+    subscriber.join(alice).unwrap();
+    subscriber.subscribe(bob, interest);
+    let mut swarms = [publisher, subscriber];
+    let mut seen = BTreeMap::new();
+    record(&mut swarms, &mut seen);
+    for _ in 0..3 {
+        let h = swarms[0]
+            .peer_mut(alice)
+            .runtime
+            .instantiate_def(&def, &[])
+            .unwrap();
+        swarms[0]
+            .route_object(alice, &Value::Obj(h), PayloadFormat::Binary)
+            .unwrap();
+    }
+    record(&mut swarms, &mut seen);
+    assert!(swarms[1].unsubscribe(bob, guid));
+    swarms[1].leave();
+    record(&mut swarms, &mut seen);
+    for kind in CONTROL_KINDS {
+        assert!(seen.contains_key(kind), "no {kind} frame recorded");
+    }
+    seen
+}
+
+/// Hostile variants of `good`: empty, truncated (every cut of a short
+/// payload, seeded cuts of a long one), single-bit flips, and random
+/// bytes of random length.
+fn hostile_control(good: &[u8], rng: &mut SplitMix64) -> Vec<(String, Vec<u8>)> {
+    let mut out = vec![("empty".to_string(), Vec::new())];
+    let cuts: Vec<usize> = if good.len() <= 64 {
+        (1..good.len()).collect()
+    } else {
+        (0..32)
+            .map(|_| 1 + rng.below(good.len() as u64 - 1) as usize)
+            .collect()
+    };
+    for cut in cuts {
+        out.push((format!("cut at {cut}"), good[..cut].to_vec()));
+    }
+    for case in 0..32 {
+        let mut bytes = good.to_vec();
+        let at = rng.below(bytes.len() as u64) as usize;
+        bytes[at] ^= 1 << rng.below(8);
+        out.push((format!("flip case {case} at {at}"), bytes));
+    }
+    for case in 0..16 {
+        let len = rng.below(64) as usize + 1;
+        let bytes = (0..len).map(|_| rng.next_u64() as u8).collect();
+        out.push((format!("random case {case}"), bytes));
+    }
+    out
+}
+
+#[test]
+fn hostile_control_frames_never_panic_and_the_traffic_behind_them_delivers() {
+    let exemplars = control_exemplars();
+    let mut w = warm();
+    let mut rng = SplitMix64(0xC0_47_20_1F);
+    let mut marker = 0.0;
+    for kind in CONTROL_KINDS {
+        let mut errors = 0;
+        for (name, bytes) in hostile_control(&exemplars[kind], &mut rng) {
+            w.swarm.send_raw(w.alice, w.bob, kind, bytes).unwrap();
+            w.swarm.run().unwrap();
+            // The frame surfaced as an error or was absorbed (an
+            // unsolicited response, an ACK for no link); either way an
+            // object sent after it still delivers.
+            errors += w.swarm.take_dispatch_errors().len();
+            marker += 1.0;
+            let rt = &mut w.swarm.peer_mut(w.alice).runtime;
+            let h = rt.instantiate(&"Reading".into(), &[]).unwrap();
+            rt.set_field(h, "value", Value::F64(marker)).unwrap();
+            let v = Value::Obj(h);
+            w.swarm
+                .send_object(w.alice, w.bob, &v, PayloadFormat::Binary)
+                .unwrap();
+            w.swarm.run().unwrap();
+            assert!(
+                w.take_values().contains(&marker),
+                "{kind} {name}: the object behind it was lost"
+            );
+        }
+        assert!(errors > 0, "no hostile {kind} frame reached a decoder");
+    }
 }

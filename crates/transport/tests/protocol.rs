@@ -710,23 +710,22 @@ fn message_budget_delivers_exactly_n() {
 
 #[test]
 fn departed_remote_subscriber_is_retired_from_routes() {
-    use pti_net::{LiveBus, PeerId};
-    use std::time::Duration;
+    use pti_net::{PeerId, SharedSimNet};
 
-    let hub = LiveBus::new();
-    let mut publisher_swarm: Swarm<LiveBus> = Swarm::over(hub.clone());
+    let hub = SharedSimNet::new(NetConfig::ideal());
+    let mut publisher_swarm = Swarm::over(hub.session());
     let publisher = publisher_swarm.add_peer_as(PeerId(1), ConformanceConfig::pragmatic());
     let (asm, def) = person_assembly("pub", "getName", "setName");
     publisher_swarm.publish(publisher, asm).unwrap();
 
     // A remote subscriber on a sibling swarm gossips its interest over.
     {
-        let mut subscriber_swarm: Swarm<LiveBus> =
-            Swarm::with_code_registry(hub.clone(), publisher_swarm.code_registry());
+        let mut subscriber_swarm =
+            Swarm::with_code_registry(hub.session(), publisher_swarm.code_registry());
         let sub = subscriber_swarm.add_peer_as(PeerId(2), ConformanceConfig::pragmatic());
         subscriber_swarm.add_contact(publisher);
         subscriber_swarm.subscribe(sub, TypeDescription::from_def(&def));
-        publisher_swarm.run_for(Duration::from_millis(50)).unwrap();
+        publisher_swarm.run().unwrap();
         assert_eq!(publisher_swarm.routes().len(), 1, "gossip landed");
         // The subscriber's swarm drops here, unregistering peer 2.
     }
@@ -782,14 +781,13 @@ fn owning_a_former_contact_does_not_double_deliver() {
 
 #[test]
 fn unroutable_interest_names_stay_local_and_benign() {
-    use pti_net::{LiveBus, PeerId};
-    use std::time::Duration;
+    use pti_net::{PeerId, SharedSimNet};
 
-    let hub = LiveBus::new();
-    let mut listener: Swarm<LiveBus> = Swarm::over(hub.clone());
+    let hub = SharedSimNet::new(NetConfig::ideal());
+    let mut listener = Swarm::over(hub.session());
     let ear = listener.add_peer_as(PeerId(1), ConformanceConfig::pragmatic());
 
-    let mut subscriber_swarm: Swarm<LiveBus> = Swarm::over(hub.clone());
+    let mut subscriber_swarm = Swarm::over(hub.session());
     let sub = subscriber_swarm.add_peer_as(PeerId(2), ConformanceConfig::pragmatic());
     subscriber_swarm.add_contact(ear);
 
@@ -798,11 +796,7 @@ fn unroutable_interest_names_stay_local_and_benign() {
     let odd = TypeDescription::from_def(&TypeDef::class("_", "odd").build());
     subscriber_swarm.subscribe(sub, odd);
     assert!(subscriber_swarm.routes().is_empty());
-    assert_eq!(
-        pti_net::LiveBus::metrics(&hub).messages,
-        0,
-        "no gossip sent"
-    );
+    assert_eq!(hub.metrics().messages, 0, "no gossip sent");
     assert_eq!(subscriber_swarm.peer(sub).interests().len(), 1);
 
     // And a foreign peer gossiping an empty signature must not poison
@@ -815,7 +809,7 @@ fn unroutable_interest_names_stay_local_and_benign() {
             b"00000000-0000-0000-0000-000000000001\n".to_vec(),
         )
         .unwrap();
-    listener.run_for(Duration::from_millis(20)).unwrap();
+    listener.run().unwrap();
     assert!(listener.routes().is_empty());
 }
 

@@ -432,10 +432,13 @@ fn crashed_subscriber_resumes_into_retained_ring_replay() {
         sub_swarm = s;
     }
 
-    // Crash: the subscriber's swarm vanishes without a LEAVE. Events
-    // published meanwhile go unacknowledged until the publisher's retry
-    // budget surfaces the dead peer instead of hanging.
-    drop(sub_swarm);
+    // Crash: the subscriber's swarm stops without a LEAVE and is never
+    // pumped again. It stays alive rather than dropped, because a crash
+    // does not unregister anything (a dropped swarm would): peer 2's
+    // ring stays registered and events published meanwhile go
+    // unacknowledged until the publisher's retry budget surfaces the
+    // dead peer instead of hanging.
+    let _crashed = sub_swarm;
     for i in 0..2 {
         let v = samples::make_person(
             &mut pub_swarm.peer_mut(alice).runtime,

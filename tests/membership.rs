@@ -1,22 +1,21 @@
 //! Membership acceptance: a swarm that joins *after* interests were
 //! gossiped must resolve the identical subscriber set a founding swarm
-//! resolves — with zero manual `add_contact` wiring — on both fabrics
-//! (`SharedSimNet` virtual-time, `LiveBus` threads); and a burst beyond
-//! the wire-batch cap must ship as multiple bounded batches with no
-//! frame loss.
-
-use std::time::Duration;
+//! resolves — with zero manual `add_contact` wiring — on both fabric
+//! shapes (a LAN-model `SharedSimNet` whose swarms share its root
+//! session, and an ideal-link one with a session per swarm); and a burst
+//! beyond the wire-batch cap must ship as multiple bounded batches with
+//! no frame loss.
 
 use pti_core::prelude::*;
 use pti_core::samples;
 
 /// Drives every swarm in turn until one full sweep moves no traffic on
-/// the shared fabric — the multi-swarm pump both fabrics accept.
-fn pump<T: Transport>(swarms: &mut [&mut Swarm<T>]) {
+/// the shared fabric.
+fn pump(swarms: &mut [&mut Swarm<SharedSimNet>]) {
     let mut last = u64::MAX;
     loop {
         for s in swarms.iter_mut() {
-            s.run_for(Duration::from_millis(20)).unwrap();
+            s.run().unwrap();
         }
         let now = swarms[0].metrics().messages;
         if now == last {
@@ -53,12 +52,12 @@ struct LateJoinOutcome {
 /// * swarm C (peer 4) — joins *after* all interest gossip settled, then
 ///   publishes. The VIEW reply's interest re-announcement is the only
 ///   way C can learn who subscribes.
-fn run_late_join<T: Transport>(fabrics: (T, T, T)) -> LateJoinOutcome {
-    let (fa, fb, fc) = fabrics;
+fn run_late_join(fabrics: [SharedSimNet; 3]) -> LateJoinOutcome {
+    let [fa, fb, fc] = fabrics;
     let code = CodeRegistry::new();
-    let mut a: Swarm<T> = Swarm::with_code_registry(fa, code.clone());
-    let mut b: Swarm<T> = Swarm::with_code_registry(fb, code.clone());
-    let mut c: Swarm<T> = Swarm::with_code_registry(fc, code);
+    let mut a = Swarm::with_code_registry(fa, code.clone());
+    let mut b = Swarm::with_code_registry(fb, code.clone());
+    let mut c = Swarm::with_code_registry(fc, code);
 
     let p1 = a.add_peer_as(PeerId(1), ConformanceConfig::pragmatic());
     let p2 = a.add_peer_as(PeerId(2), ConformanceConfig::pragmatic());
@@ -128,14 +127,14 @@ fn run_late_join<T: Transport>(fabrics: (T, T, T)) -> LateJoinOutcome {
 
 #[test]
 fn late_joiner_resolves_the_founders_subscriber_set_on_both_fabrics() {
-    let sim_fabric = SharedSimNet::new(NetConfig::default());
-    let sim = run_late_join((sim_fabric.clone(), sim_fabric.clone(), sim_fabric));
-    let live_fabric = LiveBus::new();
-    let live = run_late_join((live_fabric.clone(), live_fabric.clone(), live_fabric));
+    let lan = SharedSimNet::new(NetConfig::default());
+    let sim = run_late_join([lan.clone(), lan.clone(), lan]);
+    let ideal = SharedSimNet::new(NetConfig::ideal());
+    let sessions = run_late_join([ideal.session(), ideal.session(), ideal.session()]);
 
     assert_eq!(
-        sim, live,
-        "membership convergence must agree across fabrics"
+        sim, sessions,
+        "membership convergence must agree across fabric shapes"
     );
     // The late joiner converged to the founders' routing decision...
     assert_eq!(sim.founder_resolves, vec![PeerId(2), PeerId(3)]);
@@ -156,14 +155,13 @@ fn late_joiner_resolves_the_founders_subscriber_set_on_both_fabrics() {
 
 /// Alternates the groups until one full sweep moves no fabric traffic —
 /// the request/response ping-pong needs several rounds per exchange.
-fn pump_groups(groups: &[&TypedPubSub<LiveBus>], bus: &LiveBus) {
-    let idle = Duration::from_millis(20);
+fn pump_groups(groups: &[&TypedPubSub<SharedSimNet>], fabric: &SharedSimNet) {
     let mut last = u64::MAX;
     loop {
         for g in groups {
-            g.run_for(idle).unwrap();
+            g.run().unwrap();
         }
-        let now = LiveBus::metrics(bus).messages;
+        let now = fabric.metrics().messages;
         if now == last {
             return;
         }
@@ -173,30 +171,31 @@ fn pump_groups(groups: &[&TypedPubSub<LiveBus>], bus: &LiveBus) {
 
 #[test]
 fn tps_groups_join_and_migrate_without_manual_wiring() {
-    // Session-level: two TypedPubSub shards share one LiveBus + code
-    // registry; the second joins through the first's member, a
-    // subscriber migrates across shards, and its interest follows.
-    let bus = LiveBus::new();
+    // Session-level: two TypedPubSub shards share one fabric (a session
+    // each) and a code registry; the second joins through the first's
+    // member, a subscriber migrates across shards, and its interest
+    // follows.
+    let fabric = SharedSimNet::new(NetConfig::ideal());
     let code = CodeRegistry::new();
 
-    let founders: TypedPubSub<LiveBus> = TypedPubSub::builder()
+    let founders: TypedPubSub<SharedSimNet> = TypedPubSub::builder()
         .code_registry(code.clone())
-        .over(bus.clone());
+        .over(fabric.session());
     let publisher = founders.add_member_as(PeerId(1));
     let events = publisher
         .publisher_for(samples::topic_event_assembly(0))
         .unwrap();
 
-    let joiners: TypedPubSub<LiveBus> = TypedPubSub::builder()
+    let joiners: TypedPubSub<SharedSimNet> = TypedPubSub::builder()
         .code_registry(code)
         .join(PeerId(1))
-        .over(bus.clone());
+        .over(fabric.session());
     let subscriber = joiners.add_member_as(PeerId(2));
     let sub = subscriber.subscribe(TypeDescription::from_def(&samples::topic_event_def(
         0, "sub",
     )));
     // Converge the handshake, then publish across the shard boundary.
-    pump_groups(&[&founders, &joiners], &bus);
+    pump_groups(&[&founders, &joiners], &fabric);
 
     events
         .publish_with(|e| {
@@ -204,14 +203,14 @@ fn tps_groups_join_and_migrate_without_manual_wiring() {
             Ok(())
         })
         .unwrap();
-    pump_groups(&[&founders, &joiners], &bus);
+    pump_groups(&[&founders, &joiners], &fabric);
     assert_eq!(sub.drain().len(), 1, "joined shard receives routed events");
 
     // Migrate the subscriber into the founders' shard: the old id
     // departs everywhere, the interest re-routes from the new home.
     let (migrated, subs) = subscriber.migrate_to(&founders, PeerId(3));
     assert_eq!(subs.len(), 1);
-    pump_groups(&[&founders, &joiners], &bus);
+    pump_groups(&[&founders, &joiners], &fabric);
 
     events
         .publish_with(|e| {
@@ -219,7 +218,7 @@ fn tps_groups_join_and_migrate_without_manual_wiring() {
             Ok(())
         })
         .unwrap();
-    pump_groups(&[&founders, &joiners], &bus);
+    pump_groups(&[&founders, &joiners], &fabric);
     assert_eq!(subs[0].drain().len(), 1, "migrated interest still routes");
     assert_eq!(migrated.stats().accepted, 1);
     founders.with_swarm(|s| {

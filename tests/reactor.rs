@@ -2,7 +2,7 @@
 //! instances on one thread through the full optimistic protocol —
 //! readiness-driven stepping (no polling of idle swarms), a fairness
 //! budget that round-robins busy swarms, timer-heap parking in place of
-//! `recv_deadline` sleeps, and the `pti-tps` `mount_on` hook for session
+//! wall-clock sleeps, and the `pti-tps` `mount_on` hook for session
 //! groups.
 
 use pti_core::prelude::*;

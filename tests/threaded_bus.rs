@@ -1,50 +1,54 @@
-//! Concurrency integration: real threads running the *shared* optimistic
-//! protocol over the crossbeam-free [`LiveBus`] fabric.
+//! Threaded integration: the shared optimistic protocol on real threads.
 //!
-//! Each thread owns a `Swarm<LiveBus>` — the exact state machine the
-//! virtual-time experiments run — wired to a clone of one bus handle and
-//! a shared [`CodeRegistry`]. No hand-built envelopes, no re-implemented
-//! description dance: the protocol code is identical to the SimNet
-//! path, only the fabric differs.
-
-use std::thread;
-use std::time::{Duration, Instant};
+//! Every swarm is mounted on a shard of a `ShardedHost` — one reactor
+//! per worker thread, cross-shard traffic riding the bridges — and the
+//! control thread drives each exchange with `run_until_quiescent`. The
+//! protocol code is identical to the single-fabric path; only the
+//! placement differs. Shards work only inside the barrier's rounds, so
+//! cross-shard arrival order is a function of the round order and every
+//! count below is exact.
 
 use pti_core::prelude::*;
 use pti_core::samples;
 
-/// How long a serving loop tolerates silence before deciding the
-/// exchange is over (generous: CI machines stall).
-const IDLE: Duration = Duration::from_secs(5);
+/// Mounts a swarm sharing `code` on `shard`, owning the one peer `id`.
+fn mount_peer(host: &mut ShardedHost, shard: usize, code: &CodeRegistry, id: PeerId) -> usize {
+    let code = code.clone();
+    host.mount_pinned(shard, move |net| {
+        let mut swarm = Swarm::with_code_registry(net, code);
+        swarm.add_peer_as(id, ConformanceConfig::pragmatic());
+        swarm
+    })
+}
 
 #[test]
 fn two_threads_exchange_conformant_objects() {
-    let bus = LiveBus::new();
+    let mut host = ShardedHost::new(2);
     let code = CodeRegistry::new();
     const N: usize = 50;
 
     let producer_id = PeerId(1);
     let consumer_id = PeerId(2);
+    let producer = mount_peer(&mut host, 0, &code, producer_id);
+    let consumer = mount_peer(&mut host, 1, &code, consumer_id);
+    assert_eq!(host.owner_of(producer_id), Some(0));
+    assert_eq!(host.owner_of(consumer_id), Some(1));
 
-    // Register both inboxes on their threads' handles *before* spawning
-    // so neither side can send into a not-yet-registered peer.
-    let mut producer_bus = bus.clone();
-    producer_bus.register(producer_id);
-    let mut consumer_bus = bus.clone();
-    consumer_bus.register(consumer_id);
-
-    // Producer thread: publishes vendor-a Person, sends N objects, then
-    // serves description/assembly fetches until the consumer says done.
-    let producer_code = code.clone();
-    // pti-allow(thread-confinement): LiveBus integration test — one swarm per OS thread is the workload under test
-    let producer = thread::spawn(move || {
-        let mut swarm: Swarm<LiveBus> = Swarm::with_code_registry(producer_bus, producer_code);
-        swarm.add_peer_as(producer_id, ConformanceConfig::pragmatic());
+    // Consumer: vendor-b interest; its shard's protocol engine fetches
+    // the description, checks conformance, downloads the code from the
+    // shared registry, and delivers proxied events.
+    host.with_swarm(consumer, move |swarm| {
+        swarm
+            .peer_mut(consumer_id)
+            .subscribe(TypeDescription::from_def(&samples::person_vendor_b()));
+    });
+    // Producer: publishes vendor-a Person and sends N objects across
+    // the bridge; its shard serves the description/assembly fetches.
+    host.with_swarm(producer, move |swarm| {
         let a_def = samples::person_vendor_a();
         swarm
             .publish(producer_id, samples::person_assembly(&a_def))
             .unwrap();
-
         for i in 0..N {
             let v =
                 samples::make_person(&mut swarm.peer_mut(producer_id).runtime, &format!("p{i}"));
@@ -52,53 +56,12 @@ fn two_threads_exchange_conformant_objects() {
                 .send_object(producer_id, consumer_id, &v, PayloadFormat::Binary)
                 .unwrap();
         }
-        // Serve protocol requests until the consumer's `done` arrives.
-        loop {
-            let Some((at, msg)) = swarm.poll_deadline(Instant::now() + IDLE).unwrap() else {
-                panic!("producer idled out before the consumer finished");
-            };
-            if msg.kind == "done" {
-                break;
-            }
-            assert!(
-                swarm.dispatch(at, msg).unwrap(),
-                "only protocol traffic expected"
-            );
-        }
     });
+    host.run_until_quiescent().unwrap();
 
-    // Consumer thread: vendor-b interest; the swarm's protocol engine
-    // fetches the description, checks conformance, downloads the code
-    // from the shared registry, and delivers proxied events.
-    let consumer_code = code.clone();
-    // pti-allow(thread-confinement): LiveBus integration test — one swarm per OS thread is the workload under test
-    let consumer = thread::spawn(move || {
-        let mut swarm: Swarm<LiveBus> = Swarm::with_code_registry(consumer_bus, consumer_code);
-        swarm.add_peer_as(consumer_id, ConformanceConfig::pragmatic());
-        let b_def = samples::person_vendor_b();
-        swarm
-            .peer_mut(consumer_id)
-            .subscribe(TypeDescription::from_def(&b_def));
-
-        let mut deliveries = Vec::new();
-        while deliveries.len() < N {
-            let Some((at, msg)) = swarm.poll_deadline(Instant::now() + IDLE).unwrap() else {
-                panic!(
-                    "consumer idled out with {}/{N} deliveries",
-                    deliveries.len()
-                );
-            };
-            assert!(
-                swarm.dispatch(at, msg).unwrap(),
-                "only protocol traffic expected"
-            );
-            deliveries.extend(swarm.peer_mut(consumer_id).take_deliveries());
-        }
-        swarm
-            .send_raw(consumer_id, producer_id, "done", vec![])
-            .unwrap();
-
-        // Read every event through the consumer's own contract.
+    // Read every event through the consumer's own contract, on its shard.
+    let (names, stats) = host.with_swarm(consumer, move |swarm| {
+        let deliveries = swarm.peer_mut(consumer_id).take_deliveries();
         let mut names = Vec::new();
         for d in deliveries {
             let Delivery::Accepted {
@@ -120,14 +83,10 @@ fn two_threads_exchange_conformant_objects() {
                     .to_string(),
             );
         }
-        let stats = swarm.peer(consumer_id).stats;
-        (names, stats)
+        (names, swarm.peer(consumer_id).stats)
     });
-
-    producer.join().unwrap();
-    let (names, stats) = consumer.join().unwrap();
     assert_eq!(names.len(), N);
-    // Per-link FIFO on the bus: names arrive in publication order.
+    // Per-link FIFO across the bridge: names arrive in publication order.
     for (i, n) in names.iter().enumerate() {
         assert_eq!(n, &format!("p{i}"));
     }
@@ -135,36 +94,36 @@ fn two_threads_exchange_conformant_objects() {
     assert_eq!(stats.desc_requests, 1);
     assert_eq!(stats.asm_requests, 1);
     assert_eq!(stats.accepted as usize, N);
-    let m = bus.metrics();
+    let m = host.metrics();
     assert_eq!(m.kind("object").messages as usize, N);
     assert_eq!(m.kind("desc-request").messages, 1);
     assert_eq!(m.kind("desc-response").messages, 1);
     assert_eq!(m.kind("asm-request").messages, 1);
     assert_eq!(m.kind("asm-response").messages, 1);
+    // Every message crossed between the two shard threads.
+    assert_eq!(m.bridge_crossings as usize, N + 4);
 }
 
 #[test]
 fn many_concurrent_publishers_fan_into_one_consumer() {
-    let bus = LiveBus::new();
-    let code = CodeRegistry::new();
     const PUBS: usize = 4;
     const PER_PUB: usize = 25;
+    // One shard per publisher plus the consumer's.
+    let mut host = ShardedHost::new(PUBS + 1);
+    let code = CodeRegistry::new();
 
     let consumer_id = PeerId(100);
+    let consumer = mount_peer(&mut host, PUBS, &code, consumer_id);
+    host.with_swarm(consumer, move |swarm| {
+        swarm
+            .peer_mut(consumer_id)
+            .subscribe(TypeDescription::from_def(&samples::person_vendor_b()));
+    });
 
-    // The consumer's inbox must exist before any publisher sends.
-    let mut consumer_bus = bus.clone();
-    consumer_bus.register(consumer_id);
-
-    let mut handles = Vec::new();
     for p in 0..PUBS {
-        let pub_bus = bus.clone();
-        let pub_code = code.clone();
-        // pti-allow(thread-confinement): LiveBus integration test — one swarm per OS thread is the workload under test
-        handles.push(thread::spawn(move || {
-            let id = PeerId(p as u32 + 1);
-            let mut swarm: Swarm<LiveBus> = Swarm::with_code_registry(pub_bus, pub_code);
-            swarm.add_peer_as(id, ConformanceConfig::pragmatic());
+        let id = PeerId(p as u32 + 1);
+        let slot = mount_peer(&mut host, p, &code, id);
+        host.with_swarm(slot, move |swarm| {
             let def = samples::person_vendor_a();
             swarm.publish(id, samples::person_assembly(&def)).unwrap();
             for i in 0..PER_PUB {
@@ -174,78 +133,41 @@ fn many_concurrent_publishers_fan_into_one_consumer() {
                     .send_object(id, consumer_id, &v, PayloadFormat::Binary)
                     .unwrap();
             }
-            // Serve desc/asm fetches until the consumer broadcasts done.
-            loop {
-                let Some((at, msg)) = swarm.poll_deadline(Instant::now() + IDLE).unwrap() else {
-                    panic!("publisher {p} idled out");
-                };
-                if msg.kind == "done" {
-                    break;
-                }
-                assert!(swarm.dispatch(at, msg).unwrap());
-            }
-        }));
+        });
     }
-
-    // Consumer on the main thread, same protocol engine.
-    let mut swarm: Swarm<LiveBus> = Swarm::with_code_registry(consumer_bus, code);
-    swarm.add_peer_as(consumer_id, ConformanceConfig::pragmatic());
-    let b_def = samples::person_vendor_b();
-    swarm
-        .peer_mut(consumer_id)
-        .subscribe(TypeDescription::from_def(&b_def));
-
-    let mut accepted = Vec::new();
-    while accepted.len() < PUBS * PER_PUB {
-        let Some((at, msg)) = swarm.poll_deadline(Instant::now() + IDLE).unwrap() else {
-            panic!(
-                "consumer idled out with {}/{} events",
-                accepted.len(),
-                PUBS * PER_PUB
-            );
-        };
-        assert!(swarm.dispatch(at, msg).unwrap());
-        accepted.extend(swarm.peer_mut(consumer_id).take_deliveries());
-    }
-    for p in 0..PUBS {
-        swarm
-            .send_raw(consumer_id, PeerId(p as u32 + 1), "done", vec![])
-            .unwrap();
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
+    host.run_until_quiescent().unwrap();
 
     // Every publisher's full stream arrived and materialized.
-    let mut per_pub = vec![0usize; PUBS];
-    for d in accepted {
-        let Delivery::Accepted { value, .. } = d else {
-            panic!("{d:?}")
-        };
-        let h = value.as_obj().unwrap();
-        let name = swarm
-            .peer_mut(consumer_id)
-            .runtime
-            .get_field(h, "name")
-            .unwrap()
-            .as_str()
-            .unwrap()
-            .to_string();
-        let pub_idx: usize = name[3..name.find('-').unwrap()].parse().unwrap();
-        per_pub[pub_idx] += 1;
-    }
+    let (per_pub, stats) = host.with_swarm(consumer, move |swarm| {
+        let mut per_pub = vec![0usize; PUBS];
+        for d in swarm.peer_mut(consumer_id).take_deliveries() {
+            let Delivery::Accepted { value, .. } = d else {
+                panic!("{d:?}")
+            };
+            let h = value.as_obj().unwrap();
+            let name = swarm
+                .peer_mut(consumer_id)
+                .runtime
+                .get_field(h, "name")
+                .unwrap()
+                .as_str()
+                .unwrap()
+                .to_string();
+            let pub_idx: usize = name[3..name.find('-').unwrap()].parse().unwrap();
+            per_pub[pub_idx] += 1;
+        }
+        (per_pub, swarm.peer(consumer_id).stats)
+    });
     assert!(per_pub.iter().all(|&c| c == PER_PUB), "{per_pub:?}");
+    assert_eq!(stats.accepted as usize, PUBS * PER_PUB);
     assert_eq!(
-        bus.metrics().kind("object").messages as usize,
+        host.metrics().kind("object").messages as usize,
         PUBS * PER_PUB
     );
-    // The same logical assembly is fetched at most once per distinct
-    // download path (timing decides how many paths are in flight before
-    // content-hash identity starts deduplicating).
-    let stats = swarm.peer(consumer_id).stats;
-    assert!((1..=PUBS as u64).contains(&stats.asm_requests), "{stats:?}");
-    assert!(
-        (1..=PUBS as u64).contains(&stats.desc_requests),
-        "{stats:?}"
-    );
+    // Every stream reaches the consumer's shard in the barrier's first
+    // round, before any description or code has come back, so each
+    // publisher's first object opens its own fetch: one description
+    // and one assembly request per publisher, never more.
+    assert_eq!(stats.desc_requests, PUBS as u64, "{stats:?}");
+    assert_eq!(stats.asm_requests, PUBS as u64, "{stats:?}");
 }

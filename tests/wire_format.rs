@@ -281,13 +281,13 @@ fn hostile_eager_length_prefix_is_rejected() {
 }
 
 #[test]
-fn live_fabric_parity_with_binary_wire_format() {
-    // The same routed scenario over LiveBus: binary envelopes, shared
-    // fan-out, identical delivery decisions.
-    use std::time::Duration;
-    let bus = LiveBus::new();
+fn session_fabric_parity_with_binary_wire_format() {
+    // The same routed scenario over two swarms on sessions of one
+    // shared fabric: binary envelopes, shared fan-out, identical
+    // delivery decisions.
+    let fabric = SharedSimNet::new(NetConfig::ideal());
     let code = CodeRegistry::new();
-    let mut pub_swarm = Swarm::with_code_registry(bus.clone(), code.clone());
+    let mut pub_swarm = Swarm::with_code_registry(fabric.session(), code.clone());
     let publisher = pub_swarm.add_peer_as(PeerId(1), ConformanceConfig::pragmatic());
     pub_swarm
         .publish(
@@ -295,7 +295,7 @@ fn live_fabric_parity_with_binary_wire_format() {
             samples::person_assembly(&samples::person_vendor_a()),
         )
         .unwrap();
-    let mut sub_swarm = Swarm::with_code_registry(bus.clone(), code);
+    let mut sub_swarm = Swarm::with_code_registry(fabric.session(), code);
     let subscriber = sub_swarm.add_peer_as(PeerId(2), ConformanceConfig::pragmatic());
     sub_swarm.join(publisher).unwrap();
     sub_swarm.subscribe(
@@ -303,10 +303,10 @@ fn live_fabric_parity_with_binary_wire_format() {
         TypeDescription::from_def(&samples::person_vendor_b()),
     );
     for _ in 0..4 {
-        pub_swarm.run_for(Duration::from_millis(5)).unwrap();
-        sub_swarm.run_for(Duration::from_millis(5)).unwrap();
+        pub_swarm.run().unwrap();
+        sub_swarm.run().unwrap();
     }
-    let v = samples::make_person(&mut pub_swarm.peer_mut(publisher).runtime, "live-binary");
+    let v = samples::make_person(&mut pub_swarm.peer_mut(publisher).runtime, "session-binary");
     assert_eq!(
         pub_swarm
             .route_object(publisher, &v, PayloadFormat::Binary)
@@ -314,9 +314,9 @@ fn live_fabric_parity_with_binary_wire_format() {
         1
     );
     for _ in 0..4 {
-        pub_swarm.run_for(Duration::from_millis(5)).unwrap();
-        sub_swarm.run_for(Duration::from_millis(5)).unwrap();
+        pub_swarm.run().unwrap();
+        sub_swarm.run().unwrap();
     }
     assert_eq!(sub_swarm.peer(subscriber).stats.accepted, 1);
-    assert_eq!(LiveBus::metrics(&bus).payload_encodes, 1);
+    assert_eq!(fabric.metrics().payload_encodes, 1);
 }
