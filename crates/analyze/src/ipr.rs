@@ -84,7 +84,7 @@ impl IprContext<'_> {
 const REACTOR_ROOTS: &[(&str, &str)] = &[
     ("reactor_host.rs", "pump_slot"),
     ("reactor_host.rs", "run_until_quiescent"),
-    ("reactor_host.rs", "run_for"),
+    ("reactor_host.rs", "run_durable"),
     ("sharded.rs", "worker"),
 ];
 

@@ -74,7 +74,7 @@ fn reactor_blocking_allow_suppresses_and_is_used() {
 fn reactor_blocking_ignores_test_code() {
     let a = run(&[(
         "crates/fx/src/reactor_host.rs",
-        "pub fn run_for() { helper(); }\nfn helper() {}\n\
+        "pub fn run_durable() { helper(); }\nfn helper() {}\n\
          #[cfg(test)]\nmod tests {\n    fn helper() { std::thread::sleep(d); }\n}\n",
     )]);
     assert!(

@@ -852,21 +852,27 @@ impl ConformanceChecker {
         candidates: &'c [C],
         name_of: impl Fn(&C) -> String,
     ) -> Pick<'c, C> {
-        match candidates.len() {
-            0 => Pick::None,
-            1 => Pick::One(&candidates[0]),
-            _ => match self.config.ambiguity {
-                Ambiguity::First => Pick::One(&candidates[0]),
+        match candidates {
+            [] => Pick::None,
+            [only] => Pick::One(only),
+            [first, rest @ ..] => match self.config.ambiguity {
+                Ambiguity::First => Pick::One(first),
                 Ambiguity::Error => Pick::Ambiguous(candidates.iter().map(&name_of).collect()),
                 Ambiguity::BestName => {
-                    let best = candidates
-                        .iter()
-                        .min_by_key(|c| {
-                            self.config
-                                .member_names
-                                .distance(expected_name, &name_of(c))
-                        })
-                        .expect("non-empty");
+                    let distance = |c: &C| {
+                        self.config
+                            .member_names
+                            .distance(expected_name, &name_of(c))
+                    };
+                    // The first candidate at the smallest distance wins.
+                    let (best, _) = rest.iter().fold((first, distance(first)), |best, c| {
+                        let d = distance(c);
+                        if d < best.1 {
+                            (c, d)
+                        } else {
+                            best
+                        }
+                    });
                     Pick::One(best)
                 }
             },

@@ -107,8 +107,7 @@ pub mod prelude {
         to_soap_string, EnvelopeWireFormat, ObjectEnvelope, PayloadFormat,
     };
     pub use pti_tps::{
-        DeliveryMode, EventBuilder, EventNotification, Member, Publisher, ShardedGroup,
-        Subscription, TypedPubSub,
+        EventBuilder, EventNotification, Member, Publisher, ShardedGroup, Subscription, TypedPubSub,
     };
     pub use pti_transport::{
         CodeRegistry, Delivery, DeliveryConfig, DeliveryStats, MembershipView, MountedSwarm, Peer,

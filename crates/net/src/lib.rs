@@ -7,7 +7,7 @@
 //! with its delivery time, and all protocol experiments (optimistic vs
 //! eager, Figure 1) run on it so results are reproducible and expressed
 //! in bytes + virtual microseconds. The same core is readiness-driven
-//! (inbound rings, a wakeup queue and a timer heap), which lets one
+//! (inbound rings and a wakeup queue), which lets one
 //! thread drive thousands of swarms; see the [`reactor`] module docs.
 //! [`SimNet`] and [`SharedSimNet`] are its historical names, and
 //! several swarms share one fabric by taking a

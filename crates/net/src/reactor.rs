@@ -19,12 +19,10 @@
 //! the clock to that message's `deliver_at`. [`NetConfig::ideal`] has
 //! no link model: every message is due the instant it is sent, so a
 //! receive never moves the clock — the configuration `ReactorHost`
-//! uses, where time moves only by idle parking.
-//!
-//! **Timers.** Deadlines sit on a min-heap in virtual time: when no
-//! session is ready, the loop jumps the clock straight to the next timer
-//! deadline and fires it (idle *parking*, never a busy-wait or an OS
-//! sleep).
+//! uses, where time moves only through
+//! [`advance_clock_to`](ReactorNet::advance_clock_to), which a durable
+//! driver calls to reach its next retransmit deadline. The fabric keeps
+//! no timers of its own.
 //!
 //! The fabric is single-threaded by design (`Rc`, hence `!Send`) and
 //! fully deterministic: the same script of sends produces the same
@@ -35,8 +33,7 @@
 //! through [`BridgeLink`](crate::BridgeLink) proxies.
 
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 use crate::bridge::BridgeTx;
@@ -69,11 +66,6 @@ pub struct ReactorStats {
     pub recvs: u64,
     /// Sessions popped from the ready queue (host wakeups).
     pub wakeups: u64,
-    /// Timers fired.
-    pub timer_fires: u64,
-    /// Idle clock jumps straight to the next timer deadline — each one
-    /// replaces what a polling loop would spend spinning.
-    pub idle_advances: u64,
 }
 
 /// Scheduling state of one session; the core keeps one per session id
@@ -85,8 +77,8 @@ struct SessionState {
     backlog: usize,
     /// Whether it sits on the ready queue — at most one entry each.
     enqueued: bool,
-    /// Whether its queue entry is an *explicit* signal (timer fire, host
-    /// mark, or outbound frames noted by the session's own swarm) rather
+    /// Whether its queue entry is an *explicit* signal (a host mark, or
+    /// outbound frames noted by the session's own swarm) rather
     /// than inbound traffic. Explicit signals always wake; traffic
     /// signals are skipped once the ring is already dry — the
     /// burst-coalescing rule that keeps traffic a pump already drained
@@ -118,9 +110,6 @@ struct Core {
     sessions: Vec<SessionState>,
     /// The wakeup queue: sessions with work, in readiness order.
     ready: VecDeque<SessionId>,
-    /// Scheduled wakeups, earliest `(deadline, session)` on top. A
-    /// session scheduled twice has two entries, and each fires.
-    timers: BinaryHeap<Reverse<(u64, SessionId)>>,
     now_us: u64,
     metrics: NetMetrics,
     stats: ReactorStats,
@@ -307,7 +296,6 @@ impl ReactorNet {
                 proxies: HashMap::new(),
                 sessions: vec![SessionState::default()],
                 ready: VecDeque::new(),
-                timers: BinaryHeap::new(),
                 now_us: 0,
                 metrics: NetMetrics::default(),
                 stats: ReactorStats::default(),
@@ -364,7 +352,7 @@ impl ReactorNet {
     }
 
     /// The fabric's virtual clock in microseconds. It moves forward only:
-    /// to a received message's delivery time, by idle parking, and by
+    /// to a received message's delivery time, and by
     /// [`advance_clock_to`](Self::advance_clock_to).
     pub fn now_us(&self) -> u64 {
         self.core.borrow().now_us
@@ -407,7 +395,7 @@ impl ReactorNet {
         self.core.borrow().metrics.clone()
     }
 
-    /// Scheduling counters (wakeups, timer fires, idle jumps).
+    /// Scheduling counters (sends, receives, wakeups).
     pub fn stats(&self) -> ReactorStats {
         self.core.borrow().stats
     }
@@ -430,9 +418,9 @@ impl ReactorNet {
     /// burst absorbed by an earlier pump of the same session) is *stale*:
     /// it is discarded without counting a wakeup, so a 1k-session burst
     /// costs each session at most one real wakeup. **Explicit** signals
-    /// ([`mark_ready`](Self::mark_ready), timer fires,
+    /// ([`mark_ready`](Self::mark_ready),
     /// [`note_outbound`](Transport::note_outbound)) always wake — a
-    /// parked session expects its turn even with an empty ring.
+    /// marked session expects its turn even with an empty ring.
     pub fn next_ready(&self) -> Option<SessionId> {
         self.assert_owner_thread();
         let mut core = self.core.borrow_mut();
@@ -462,53 +450,6 @@ impl ReactorNet {
     /// [`next_ready`](Self::next_ready)).
     pub fn mark_ready(&self, session: SessionId) {
         self.core.borrow_mut().mark_ready_explicit(session);
-    }
-
-    /// Schedules a wakeup for `session` at `delay_us` of virtual time
-    /// from now: instead of blocking on a wall-clock deadline, a session
-    /// parks and the timer makes it ready when the clock reaches it.
-    pub fn schedule_wake(&self, session: SessionId, delay_us: u64) {
-        let mut core = self.core.borrow_mut();
-        let deadline = core.now_us.saturating_add(delay_us.max(1));
-        core.timers.push(Reverse((deadline, session)));
-    }
-
-    /// Whether any timer is pending.
-    pub fn timers_pending(&self) -> bool {
-        !self.core.borrow().timers.is_empty()
-    }
-
-    /// Idle parking: with nothing ready, jump the clock to the next
-    /// timer deadline at or before `deadline_us` and fire every timer
-    /// that came due (their sessions join the wakeup queue). Returns
-    /// `true` if timers fired; `false` when no timer lies within the
-    /// window — the clock then rests at `deadline_us` and the caller's
-    /// loop is done waiting. Never spins: one call, one jump.
-    ///
-    /// Timers fire in `(deadline, session)` order. A timer the clock
-    /// already passed (it moved by receives) is dropped unfired when no
-    /// timer lies within the window.
-    pub fn advance_idle_until(&self, deadline_us: u64) -> bool {
-        let core = &mut *self.core.borrow_mut();
-        let next = core
-            .timers
-            .peek()
-            .map(|&Reverse((d, _))| d)
-            .filter(|&d| d <= deadline_us);
-        let fires = next.is_some();
-        core.now_us = core.now_us.max(next.unwrap_or(deadline_us));
-        while let Some(&Reverse((d, session))) = core.timers.peek() {
-            if d > core.now_us {
-                break;
-            }
-            core.timers.pop();
-            if fires {
-                core.stats.timer_fires += 1;
-                core.mark_ready_explicit(session);
-            }
-        }
-        core.stats.idle_advances += u64::from(fires);
-        fires
     }
 
     /// Registers `peer` as a **remote-shard proxy**: sends to it succeed
@@ -773,8 +714,8 @@ mod tests {
         while b.try_recv(PeerId(2)).is_some() {}
         assert_eq!(hub.next_ready(), None, "stale traffic signal skipped");
         assert_eq!(hub.stats().wakeups, 0, "no wakeup for a drained burst");
-        // Explicit marks still fire on an empty ring — the timer path
-        // and host re-marks depend on that.
+        // Explicit marks still fire on an empty ring — host re-marks
+        // (a durable driver's retransmit round) depend on that.
         hub.mark_ready(b.session_id());
         assert_eq!(hub.next_ready(), Some(b.session_id()));
         assert_eq!(hub.stats().wakeups, 1);
@@ -929,57 +870,6 @@ mod tests {
         assert_eq!(a.clone().session_id(), a.session_id());
         assert_ne!(hub.session().session_id(), a.session_id());
         assert_ne!(hub.session_id(), a.session_id());
-    }
-
-    #[test]
-    fn idle_parking_jumps_to_deadlines_and_fires_in_order() {
-        let hub = ReactorNet::new(NetConfig::ideal());
-        let a = hub.session();
-        let b = hub.session();
-        let c = hub.session();
-        // Out-of-order scheduling; timers fire by deadline.
-        hub.schedule_wake(c.session_id(), 50_000);
-        hub.schedule_wake(a.session_id(), 10_000);
-        hub.schedule_wake(b.session_id(), 30_000);
-        let mut fired = Vec::new();
-        while hub.advance_idle_until(100_000) {
-            while let Some(s) = hub.next_ready() {
-                fired.push(s);
-            }
-        }
-        assert_eq!(fired, vec![a.session_id(), b.session_id(), c.session_id()]);
-        assert_eq!(hub.now_us(), 100_000, "clock rests at the window end");
-        let stats = hub.stats();
-        assert_eq!(stats.timer_fires, 3);
-        assert_eq!(
-            stats.idle_advances, 3,
-            "one jump per deadline, never a spin"
-        );
-        assert!(!hub.timers_pending());
-    }
-
-    #[test]
-    fn far_future_timers_survive_full_wheel_laps() {
-        let hub = ReactorNet::new(NetConfig::ideal());
-        let a = hub.session();
-        let b = hub.session();
-        // b's deadline is 256 * 1024 us after a's: far enough that a
-        // hashed wheel of that many 1.024 ms slots would put both in one
-        // slot, laps apart.
-        let lap_us = 262_144;
-        hub.schedule_wake(a.session_id(), 5_000);
-        hub.schedule_wake(b.session_id(), 5_000 + lap_us);
-        assert!(hub.advance_idle_until(u64::MAX));
-        assert_eq!(hub.next_ready(), Some(a.session_id()));
-        assert_eq!(hub.next_ready(), None, "b's lap has not come");
-        assert!(hub.timers_pending());
-        assert!(hub.advance_idle_until(u64::MAX));
-        assert_eq!(hub.next_ready(), Some(b.session_id()));
-        assert_eq!(hub.now_us(), 5_000 + lap_us);
-        // A window that ends before the next deadline does not fire it.
-        hub.schedule_wake(a.session_id(), 10_000);
-        assert!(!hub.advance_idle_until(hub.now_us() + 1_000));
-        assert!(hub.timers_pending());
     }
 
     #[test]

@@ -16,9 +16,8 @@
 //! of O(members) per event. Each receiver's own conformance check still
 //! decides final delivery, and rejected events never cost an assembly
 //! download (Figure 1's saving, amortized over the whole group). The
-//! pre-routing broadcast behaviour survives as an explicit escape hatch
-//! ([`DeliveryMode::Flood`]) for interest-less sniffing and as the
-//! baseline the routing experiment measures against.
+//! O(members) broadcast the routing experiment measures against is
+//! `Swarm::flood_object`, reachable through [`TypedPubSub::with_swarm`].
 //!
 //! The session API is **typed handles**, not raw peers: [`Member`]s are
 //! obtained from the group, a [`Publisher`] builds-and-broadcasts events
@@ -89,21 +88,6 @@ use pti_transport::{
 
 pub use pti_transport::QoS;
 
-/// How published events reach the other members.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DeliveryMode {
-    /// Route through the interest index: an event goes only to members
-    /// whose subscription signatures match its type, one coalesced wire
-    /// message per link per pump. The default.
-    #[default]
-    Routed,
-    /// Broadcast to every other member regardless of interest — the
-    /// pre-routing behaviour, kept as an explicit escape hatch (e.g. for
-    /// measuring what routing saves, or for members that inspect
-    /// everything without subscribing).
-    Flood,
-}
-
 /// A matched event delivered to a subscriber.
 #[derive(Debug, Clone)]
 pub struct EventNotification {
@@ -127,7 +111,6 @@ struct Group<T: Transport> {
     members: Vec<PeerId>,
     default_conformance: ConformanceConfig,
     format: PayloadFormat,
-    mode: DeliveryMode,
     /// A seed peer to `join` through once the first member exists (a
     /// JOIN needs a speaker) — set by [`Builder::join`], consumed on the
     /// first `add_member*`.
@@ -138,38 +121,12 @@ struct Group<T: Transport> {
 }
 
 impl<T: Transport> Group<T> {
-    /// Ships one event according to the group's delivery mode.
+    /// Routes one event through the interest index: it goes only to
+    /// members whose subscription signatures match its type. Frames
+    /// queue per link and flush at the next pump.
     fn publish(&mut self, from: PeerId, event: &Value, format: PayloadFormat) -> Result<()> {
-        match self.mode {
-            DeliveryMode::Routed => {
-                // Frames queue per link and flush at the next pump.
-                self.swarm.route_object(from, event, format)?;
-                Ok(())
-            }
-            DeliveryMode::Flood => self.flood(from, event, format),
-        }
-    }
-
-    /// Broadcast to every other member (the group's members are exactly
-    /// the swarm's owned peers). A member whose fabric registration is
-    /// gone (departed endpoint) is pruned from future broadcasts instead
-    /// of failing the publish.
-    fn flood(&mut self, from: PeerId, event: &Value, format: PayloadFormat) -> Result<()> {
-        let outcome = self.swarm.flood_object(from, event, format)?;
-        for p in outcome.departed {
-            self.prune_member(p);
-        }
+        self.swarm.route_object(from, event, format)?;
         Ok(())
-    }
-
-    /// Forgets a departed member: no more broadcast or routing traffic
-    /// targets it. Its local protocol state is kept so outstanding
-    /// `Member`/`Publisher`/`Subscription` handles stay valid (already
-    /// collected events remain drainable; operations simply find an
-    /// unreachable peer, not a panic).
-    fn prune_member(&mut self, peer: PeerId) {
-        self.members.retain(|m| *m != peer);
-        self.swarm.forget_peer(peer);
     }
 
     /// Moves a member's finished matched deliveries into the mailbox.
@@ -237,7 +194,6 @@ pub struct Builder {
     net: NetConfig,
     conformance: ConformanceConfig,
     format: PayloadFormat,
-    mode: DeliveryMode,
     join_seed: Option<PeerId>,
     code: Option<CodeRegistry>,
     delivery: DeliveryConfig,
@@ -249,7 +205,6 @@ impl Default for Builder {
             net: NetConfig::default(),
             conformance: ConformanceConfig::pragmatic(),
             format: PayloadFormat::Binary,
-            mode: DeliveryMode::Routed,
             join_seed: None,
             code: None,
             delivery: DeliveryConfig::default(),
@@ -278,14 +233,6 @@ impl Builder {
         self
     }
 
-    /// How events reach the other members. Defaults to
-    /// [`DeliveryMode::Routed`] (interest-indexed);
-    /// [`DeliveryMode::Flood`] restores the broadcast behaviour.
-    pub fn delivery_mode(mut self, mode: DeliveryMode) -> Builder {
-        self.mode = mode;
-        self
-    }
-
     /// Joins an existing group on the shared fabric through `seed` (any
     /// member of an established group) instead of wiring contacts by
     /// hand. The JOIN handshake fires when the first member is added (a
@@ -309,9 +256,10 @@ impl Builder {
     /// [`QoS::FireAndForget`], ships each event once and trusts the
     /// fabric; [`QoS::AtLeastOnce`] adds per-link sequencing, cumulative
     /// acknowledgements, bounded retransmission and duplicate
-    /// suppression — pair it with `Swarm::run_durable` (via
-    /// [`TypedPubSub::run_durable`]) on virtual-time fabrics so the
-    /// clock reaches the retransmit deadlines.
+    /// suppression — drive the group with [`TypedPubSub::run_durable`]
+    /// (standalone or on a shared fabric) or, once mounted,
+    /// [`ReactorHost::run_durable`], so the virtual clock reaches the
+    /// retransmit deadlines.
     pub fn qos(mut self, qos: QoS) -> Builder {
         self.delivery.qos = qos;
         self
@@ -362,7 +310,7 @@ impl Builder {
     /// usual cheaply-cloneable session handle — `add_member_as`,
     /// `publisher_for`, `subscribe` and `drain` all work unchanged; only
     /// the *driving* moves to [`ReactorHost::run_until_quiescent`] /
-    /// [`ReactorHost::run_for`]. Use [`code_registry`](Self::code_registry)
+    /// [`ReactorHost::run_durable`]. Use [`code_registry`](Self::code_registry)
     /// and explicit peer ids to coexist with sibling groups.
     pub fn mount_on(self, host: &mut ReactorHost) -> TypedPubSub<ReactorNet> {
         let mut handle = None;
@@ -411,7 +359,6 @@ impl Builder {
                 members: Vec::new(),
                 default_conformance: self.conformance,
                 format: self.format,
-                mode: self.mode,
                 join_seed: self.join_seed,
                 mailbox: HashMap::new(),
             })),
@@ -514,9 +461,10 @@ impl<T: Transport> TypedPubSub<T> {
     }
 
     /// Detaches one member for migration to another shard: its departure
-    /// is announced to the group (receivers retire its routes with it)
-    /// and its interests are returned so the caller can re-subscribe
-    /// them at the member's new home — see [`Member::migrate_to`].
+    /// is announced to the group (receivers retire its routes with it),
+    /// its fabric ring is released, and its interests are returned so
+    /// the caller can re-subscribe them at the member's new home — see
+    /// [`Member::migrate_to`].
     pub fn detach_member(&self, member: PeerId) -> Vec<TypeDescription> {
         let mut g = self.lock();
         if !g.swarm.has_peer(member) {
@@ -671,21 +619,10 @@ impl ShardedGroup {
         target: &ShardedGroup,
         new_id: PeerId,
     ) -> usize {
-        let interests = host.with_mounted::<TypedPubSub<ReactorNet>, Vec<TypeDescription>>(
-            self.slot,
-            move |tps| {
-                let interests = tps.detach_member(member);
-                // Unlike a same-fabric `migrate_to`, the sharded
-                // path also drops the departed id's fabric ring:
-                // the directory then revokes its proxies on every
-                // shard, and stray in-flight traffic is dropped
-                // instead of piling into a ring nobody reads.
-                tps.with_swarm(|s| {
-                    s.net_mut().unregister(member);
-                });
-                interests
-            },
-        );
+        let interests = host
+            .with_mounted::<TypedPubSub<ReactorNet>, Vec<TypeDescription>>(self.slot, move |tps| {
+                tps.detach_member(member)
+            });
         let moved = interests.len();
         host.with_mounted::<TypedPubSub<ReactorNet>, ()>(target.slot, move |tps| {
             let m = tps.add_member_as(new_id);
@@ -790,9 +727,9 @@ impl<T: Transport> Member<T> {
     /// member plus one subscription per migrated interest, in the
     /// original subscription order.
     ///
-    /// `new_id` must not collide with any id live on the shared fabric:
-    /// the old registration survives until the old shard's fabric handle
-    /// is dropped, so even a same-shard migration needs a fresh id.
+    /// `new_id` must not collide with any id live on the shared fabric.
+    /// The old id's fabric ring is released when it departs, so a later
+    /// member may claim it again.
     ///
     /// This handle is consumed. Handles left over at the old home stay
     /// *safe* but inert: an old `Subscription` drains what it collected
@@ -1108,40 +1045,6 @@ mod tests {
         assert_eq!(news_fan.stats().rejected, 0);
         assert_eq!(news_fan.stats().asm_requests, 0, "no code for non-matches");
         assert_eq!(tps.metrics().kind("object").messages, 1, "one link used");
-    }
-
-    #[test]
-    fn flood_mode_still_reaches_non_matching_members() {
-        // The broadcast escape hatch: everyone receives, conformance
-        // rejects locally — the pre-routing behaviour.
-        let tps = TypedPubSub::builder()
-            .delivery_mode(DeliveryMode::Flood)
-            .build();
-        let publisher = tps.add_member();
-        let quote_fan = tps.add_member();
-        let news_fan = tps.add_member();
-
-        let (asm, _) = quote_assembly("pub");
-        let quotes = publisher.publisher_for(asm).unwrap();
-        let (_, sub_quote) = quote_assembly("quote-fan");
-        let quote_sub = quote_fan.subscribe(TypeDescription::from_def(&sub_quote));
-        let (_, sub_news) = news_assembly("news-fan");
-        let news_sub = news_fan.subscribe(TypeDescription::from_def(&sub_news));
-
-        quotes
-            .publish_with(|e| {
-                e.set("symbol", "ACME")?;
-                Ok(())
-            })
-            .unwrap();
-        tps.run().unwrap();
-
-        assert_eq!(quote_sub.drain().len(), 1);
-        assert!(news_sub.drain().is_empty());
-        assert_eq!(news_fan.stats().objects_received, 1);
-        assert_eq!(news_fan.stats().rejected, 1);
-        assert_eq!(news_fan.stats().asm_requests, 0, "no code for non-matches");
-        assert_eq!(tps.metrics().kind("object").messages, 2, "every link used");
     }
 
     #[test]
@@ -1524,6 +1427,44 @@ mod tests {
         assert_eq!(st.delivered, 21, "each event surfaced exactly once");
         assert!(st.max_inflight <= 8, "credit window bounds queue depth");
         assert!(tps.metrics().faults_dropped > 0, "the plan did drop frames");
+    }
+
+    #[test]
+    fn a_detached_member_releases_its_ring_and_its_id() {
+        use pti_net::{NetError, Payload};
+        let tps = group();
+        let publisher = tps.add_member();
+        let leaver = tps.add_member();
+        let (asm, _) = quote_assembly("pub");
+        let quotes = publisher.publisher_for(asm).unwrap();
+        let (_, sub_def) = quote_assembly("sub");
+        let interest = TypeDescription::from_def(&sub_def);
+        leaver.subscribe(interest.clone());
+        tps.run().unwrap();
+
+        let gone = leaver.id();
+        assert_eq!(tps.detach_member(gone), vec![interest.clone()]);
+        let (registered, send) = tps.with_swarm(|s| {
+            let registered = s.net().registered_peers();
+            let send = s
+                .net_mut()
+                .send(publisher.id(), gone, "object", Payload::empty());
+            (registered, send)
+        });
+        assert_eq!(registered, vec![publisher.id()], "the ring is gone");
+        assert_eq!(send, Err(NetError::UnknownPeer(gone)));
+
+        // The id can rejoin the same group, and events reach it again.
+        let back = tps.add_member_as(gone);
+        let sub = back.subscribe(interest);
+        quotes
+            .publish_with(|e| {
+                e.set("symbol", "BACK")?;
+                Ok(())
+            })
+            .unwrap();
+        tps.run().unwrap();
+        assert_eq!(sub.drain().len(), 1);
     }
 
     #[test]

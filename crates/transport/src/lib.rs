@@ -108,6 +108,5 @@ pub use reactor_host::{MountedSwarm, ReactorHost, DEFAULT_FAIRNESS_BUDGET};
 pub use routing::{RoutingTable, Signature};
 pub use sharded::ShardedHost;
 pub use swarm::{
-    kinds, FloodOutcome, ReactorSwarm, SimSwarm, Swarm, DEFAULT_WIRE_MAX_BYTES,
-    DEFAULT_WIRE_MAX_FRAMES,
+    kinds, ReactorSwarm, SimSwarm, Swarm, DEFAULT_WIRE_MAX_BYTES, DEFAULT_WIRE_MAX_FRAMES,
 };

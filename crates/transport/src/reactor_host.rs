@@ -10,22 +10,26 @@
 //!    swarm with leftover backlog goes to the *back* of the queue, so a
 //!    chatty swarm round-robins with its neighbours instead of
 //!    monopolising the thread.
-//! 2. **Park** — with nothing ready, jump the virtual clock to the next
-//!    timer deadline and fire it ([`run_for`](ReactorHost::run_for));
-//!    or, if no timers are in scope, stop
-//!    ([`run_until_quiescent`](ReactorHost::run_until_quiescent)).
-//!    There is no busy-wait and no OS sleep anywhere in the loop.
+//! 2. **Stop** — with nothing ready,
+//!    [`run_until_quiescent`](ReactorHost::run_until_quiescent) returns.
+//!    [`run_durable`](ReactorHost::run_durable) first looks for the
+//!    earliest retransmit deadline over the mounted swarms; if there is
+//!    one, it moves the virtual clock there, marks the swarms now due
+//!    and drains again. There is no busy-wait and no OS sleep anywhere
+//!    in the loop.
 //!
-//! A swarm is pumped only through the wakeup queue, and three things
-//! put its session there:
+//! A swarm is pumped only through the wakeup queue, and two things put
+//! its session there:
 //!
 //! - **inbound traffic** — a send to any of its endpoints (bridged
 //!   traffic included, once the injector is drained);
-//! - **a timer** — [`wake_after`](ReactorHost::wake_after), or the
-//!   retransmit deadline the host schedules after each pump;
 //! - **outbound frames queued outside a pump** — a publish made through
 //!   a session handle queues frames that only a pump ships, so the swarm
 //!   signals it with [`Transport::note_outbound`](pti_net::Transport::note_outbound).
+//!
+//! The only other mark is the host's own: between rounds,
+//! [`run_durable`](ReactorHost::run_durable) marks the swarms whose
+//! retransmit deadline came due.
 //!
 //! Mounting, and reading a swarm through
 //! [`with_swarm`](ReactorHost::with_swarm), mark nothing: a mutation
@@ -116,7 +120,8 @@ impl Default for ReactorHost {
 impl ReactorHost {
     /// Creates a host over a fresh reactor fabric with the ideal link
     /// ([`NetConfig::ideal`]): every message is due when sent, so the
-    /// clock moves only by idle parking.
+    /// clock moves only when [`run_durable`](Self::run_durable) reaches
+    /// a retransmit deadline.
     pub fn new() -> ReactorHost {
         ReactorHost {
             hub: ReactorNet::new(NetConfig::ideal()),
@@ -263,16 +268,6 @@ impl ReactorHost {
         f(m)
     }
 
-    /// Schedules a timer wakeup for the swarm at `slot` after `delay_us`
-    /// of virtual time — a timeout without a blocking wait: the slot
-    /// parks for free and [`run_for`](Self::run_for) pumps it when the
-    /// clock arrives.
-    pub fn wake_after(&self, slot: usize, delay_us: u64) {
-        // pti-allow(panic-policy): documented `# Panics` contract — slot handles are caller-owned
-        let s = self.slots[slot].as_ref().expect("slot is unmounted");
-        self.hub.schedule_wake(s.session, delay_us);
-    }
-
     /// Starts recording `(slot, handled)` per pump — how tests assert
     /// fairness and wakeup order.
     pub fn set_pump_trace(&mut self, on: bool) {
@@ -300,10 +295,7 @@ impl ReactorHost {
     /// budget; if backlog remains it rejoins the queue at the back.
     fn pump_slot(&mut self, idx: usize) -> Result<()> {
         let budget = self.budget;
-        let (handled, retransmit_deadline) = self.with_swarm(idx, |swarm| -> Result<_> {
-            let handled = swarm.pump(budget)?;
-            Ok((handled, swarm.next_delivery_deadline_us()))
-        })?;
+        let handled = self.with_swarm(idx, |swarm| swarm.pump(budget))?;
         if let Some(trace) = self.trace.as_mut() {
             trace.push((idx, handled));
         }
@@ -314,13 +306,6 @@ impl ReactorHost {
             .session;
         if self.hub.backlog(session) > 0 {
             self.hub.mark_ready(session);
-        }
-        // A swarm with unacknowledged reliable traffic parks on the
-        // timer heap until its earliest retransmit deadline, so
-        // run_for's clock jumps land exactly on the backoff schedule.
-        if let Some(deadline) = retransmit_deadline {
-            let delay = deadline.saturating_sub(self.hub.now_us());
-            self.hub.schedule_wake(session, delay);
         }
         Ok(())
     }
@@ -338,11 +323,12 @@ impl ReactorHost {
 
     /// Drains the ready queue until no swarm has pending work: the
     /// reactor-host counterpart of [`Swarm::run`]. Only ready swarms are
-    /// pumped — those with inbound traffic, a fired timer, or frames
-    /// queued outside a pump (see the [module docs](self)) — so a call
-    /// costs O(active) swarms however many are mounted. Timers are *not*
-    /// serviced: a parked slot stays parked (use
-    /// [`run_for`](Self::run_for) to advance the clock).
+    /// pumped — those with inbound traffic or frames queued outside a
+    /// pump (see the [module docs](self)) — so a call costs O(active)
+    /// swarms however many are mounted. The clock does not move: a
+    /// reliable frame the fabric lost stays unacknowledged until
+    /// [`run_durable`](Self::run_durable) reaches its retransmit
+    /// deadline.
     ///
     /// # Errors
     /// Protocol violations or runtime failures inside any swarm.
@@ -359,26 +345,42 @@ impl ReactorHost {
         }
     }
 
-    /// Runs for `virtual_us` of virtual time: drains ready swarms, then
-    /// parks — jumping the clock straight to the next timer deadline in
-    /// the window and pumping whoever it wakes — until the window is
-    /// spent and the fabric is quiet — clock jumps, never idle sleeps.
-    /// The same three readiness sources as
-    /// [`run_until_quiescent`](Self::run_until_quiescent) decide who is
-    /// pumped; a swarm that is never made ready is never pumped.
+    /// Runs to quiescence *and through every pending retransmit* — the
+    /// host form of [`Swarm::run_durable`]. Each round drains the host
+    /// with [`run_until_quiescent`](Self::run_until_quiescent), then
+    /// takes the earliest retransmit deadline over the mounted swarms:
+    /// with none, every reliable link is settled or shed and the call
+    /// returns; otherwise the fabric clock moves to that deadline, every
+    /// swarm now due is marked ready, and the next round pumps them
+    /// (their pumps resend the overdue frames).
+    ///
+    /// The deadline scan is one pass over the mounted slots per
+    /// retransmit round, made only while the host is quiet: O(mounted),
+    /// where a round of traffic costs O(active).
     ///
     /// # Errors
     /// Same conditions as [`run_until_quiescent`](Self::run_until_quiescent).
-    pub fn run_for(&mut self, virtual_us: u64) -> Result<()> {
-        let deadline = self.hub.now_us().saturating_add(virtual_us);
-        self.drain_injector();
+    pub fn run_durable(&mut self) -> Result<()> {
         loop {
-            self.drain_ready()?;
-            if self.drain_injector() > 0 {
-                continue;
+            self.run_until_quiescent()?;
+            let mut armed = Vec::new();
+            for slot in self.slots.iter_mut().flatten() {
+                let session = slot.session;
+                slot.member.with_swarm_mut(&mut |swarm| {
+                    if let Some(deadline) = swarm.next_delivery_deadline_us() {
+                        armed.push((session, deadline));
+                    }
+                });
             }
-            if !self.hub.advance_idle_until(deadline) {
+            let Some(next) = armed.iter().map(|&(_, deadline)| deadline).min() else {
                 return Ok(());
+            };
+            self.hub.advance_clock_to(next);
+            let now = self.hub.now_us();
+            for (session, deadline) in armed {
+                if deadline <= now {
+                    self.hub.mark_ready(session);
+                }
             }
         }
     }

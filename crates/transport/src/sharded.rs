@@ -319,6 +319,12 @@ impl ShardedHost {
     /// because no shard runs between the round's commands. Cross-shard
     /// arrival order is therefore a function of the round order alone.
     ///
+    /// No round moves a shard's virtual clock, so the sharded host
+    /// drives no at-least-once retransmit deadlines: a reliable frame a
+    /// fault plan dropped stays unacknowledged (mount such groups on a
+    /// single [`ReactorHost`] and drive them with
+    /// [`ReactorHost::run_durable`]).
+    ///
     /// # Errors
     /// The first protocol error any shard's swarm raises.
     pub fn run_until_quiescent(&mut self) -> Result<()> {

@@ -135,16 +135,6 @@ pub const DEFAULT_WIRE_MAX_FRAMES: usize = 32;
 /// Default per-link wire-batch cap: payload bytes per batch message.
 pub const DEFAULT_WIRE_MAX_BYTES: usize = 64 * 1024;
 
-/// What a [`Swarm::flood_object`] broadcast accomplished.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FloodOutcome {
-    /// Peers the object was delivered to.
-    pub sent: usize,
-    /// Peers found unreachable (retired from routing/contacts; owned
-    /// protocol state preserved) — the caller prunes its membership.
-    pub departed: Vec<PeerId>,
-}
-
 /// A set of peers wired to one transport fabric, with the out-of-band
 /// code registry.
 ///
@@ -446,16 +436,11 @@ impl<T: Transport> Swarm<T> {
     }
 
     /// The earliest armed retransmit deadline (fabric microseconds), if
-    /// any reliable link is waiting on an ACK — what a host schedules
-    /// its timer heap by.
+    /// any reliable link is waiting on an ACK — what
+    /// [`ReactorHost::run_durable`](crate::reactor_host::ReactorHost::run_durable)
+    /// moves the host's clock to.
     pub fn next_delivery_deadline_us(&self) -> Option<u64> {
         self.delivery.next_deadline_us()
-    }
-
-    /// Whether any reliable link still has unacknowledged or
-    /// credit-blocked traffic.
-    pub fn delivery_unsettled(&self) -> bool {
-        self.delivery.has_unsettled()
     }
 
     /// Drains the per-message dispatch failures the pump loops isolated
@@ -860,12 +845,16 @@ impl<T: Transport> Swarm<T> {
         self.delivery.shed_peer(peer);
     }
 
-    /// Removes an *owned* peer entirely: its protocol state is dropped
-    /// and its interests leave the routing table — what a layer above
-    /// does when it learns the peer's fabric registration vanished.
+    /// Removes an *owned* peer entirely: its protocol state is dropped,
+    /// its interests leave the routing table and its fabric ring is
+    /// released (undelivered traffic to it is discarded, later sends to
+    /// it fail with `UnknownPeer`, and the id can be registered again).
     /// Returns the removed peer, if it was owned.
     pub fn remove_peer(&mut self, peer: PeerId) -> Option<Peer> {
         let removed = self.peers.remove(&peer);
+        if removed.is_some() {
+            self.net.unregister(peer);
+        }
         self.contacts.remove(&peer);
         self.routes.remove_peer(peer);
         self.membership.forget(peer);
@@ -937,10 +926,10 @@ impl<T: Transport> Swarm<T> {
     /// Sends an object to *every* peer on the fabric this swarm can name
     /// (owned peers and contacts) regardless of interest — the broadcast
     /// escape hatch routed delivery replaces, kept as the baseline the
-    /// routing experiment measures against. Unreachable peers are
-    /// retired from the routing table and contact list (an owned peer's
-    /// protocol state is preserved) and reported in the outcome so the
-    /// caller can prune its own membership.
+    /// routing experiment measures against. Returns how many peers the
+    /// object was sent to. Unreachable peers are retired from the
+    /// routing table and contact list (an owned peer's protocol state is
+    /// preserved).
     ///
     /// # Errors
     /// Missing provenance or serialization failures.
@@ -949,7 +938,7 @@ impl<T: Transport> Swarm<T> {
         from: PeerId,
         root: &Value,
         format: PayloadFormat,
-    ) -> Result<FloodOutcome> {
+    ) -> Result<usize> {
         let sender = self
             .peers
             .get(&from)
@@ -963,17 +952,14 @@ impl<T: Transport> Swarm<T> {
             .chain(self.contacts.iter().copied())
             .filter(|p| *p != from)
             .collect();
-        let mut outcome = FloodOutcome::default();
+        let mut sent = 0;
         for to in targets {
             match self.net.send(from, to, kinds::OBJECT, payload.clone()) {
-                Ok(()) => outcome.sent += 1,
-                Err(NetError::UnknownPeer(p)) => {
-                    self.forget_peer(p);
-                    outcome.departed.push(p);
-                }
+                Ok(()) => sent += 1,
+                Err(NetError::UnknownPeer(p)) => self.forget_peer(p),
             }
         }
-        Ok(outcome)
+        Ok(sent)
     }
 
     /// Queues a frame on the `(from, to)` link; the next

@@ -770,11 +770,10 @@ fn owning_a_former_contact_does_not_double_deliver() {
         .runtime
         .instantiate(&"Person".into(), &[])
         .unwrap();
-    let outcome = swarm
+    let sent = swarm
         .flood_object(publisher, &Value::Obj(h), PayloadFormat::Binary)
         .unwrap();
-    assert_eq!(outcome.sent, 1, "one copy per member");
-    assert!(outcome.departed.is_empty());
+    assert_eq!(sent, 1, "one copy per member");
     swarm.run().unwrap();
     assert_eq!(swarm.peer(adopted).stats.objects_received, 1);
 }

@@ -259,10 +259,10 @@ fn peers_added_after_join_are_announced_to_the_group() {
         .runtime
         .instantiate_def(&event.def, &[])
         .unwrap();
-    let outcome = a
+    let sent = a
         .flood_object(p1, &Value::Obj(h), PayloadFormat::Binary)
         .unwrap();
-    assert_eq!(outcome.sent, 2, "flood covers the late-added peer");
+    assert_eq!(sent, 2, "flood covers the late-added peer");
 }
 
 #[test]

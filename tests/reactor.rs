@@ -1,9 +1,9 @@
 //! Reactor acceptance: a `ReactorHost` drives many `Swarm<ReactorNet>`
 //! instances on one thread through the full optimistic protocol —
 //! readiness-driven stepping (no polling of idle swarms), a fairness
-//! budget that round-robins busy swarms, timer-heap parking in place of
-//! wall-clock sleeps, and the `pti-tps` `mount_on` hook for session
-//! groups.
+//! budget that round-robins busy swarms, at-least-once repair through
+//! virtual-time retransmit deadlines in place of wall-clock sleeps, and
+//! the `pti-tps` `mount_on` hook for session groups.
 
 use pti_core::prelude::*;
 use pti_core::samples;
@@ -156,42 +156,146 @@ fn fairness_budget_round_robins_flooded_swarms() {
     assert_eq!(accepted, (9, 9), "warmup + 8 flooded events each");
 }
 
-/// Timer-heap parking: with nothing ready, `run_for` jumps the virtual
-/// clock straight to each deadline — firing parked slots in deadline
-/// order with exactly one idle advance per jump, never a spin — and a
-/// window that ends before the next deadline leaves it pending.
-#[test]
-fn run_for_parks_on_the_timer_wheel_instead_of_polling() {
+/// Events the hosted reliable script publishes after warm-up.
+const RELIABLE_EVENTS: usize = 64;
+
+/// What one subscriber of [`hosted_reliable_script`] ended up with.
+#[derive(Debug)]
+struct Received {
+    /// The `value` field of each event drained, in drain order.
+    values: Vec<f64>,
+    dispatch_errors: usize,
+    /// The subscriber group's at-least-once counters.
+    delivery: DeliveryStats,
+}
+
+/// Three `AtLeastOnce` groups mounted on one host — a publisher and two
+/// subscribers of its topic — warmed up losslessly; then a seeded plan
+/// drops 5% and duplicates 2% of every fabric send while the publisher
+/// publishes `RELIABLE_EVENTS` events, each followed by
+/// `run_until_quiescent` (one fabric send per event and link, so each
+/// is its own draw). The
+/// script ends with `ReactorHost::run_durable` when `durable`, else with
+/// one more `run_until_quiescent`. Returns each subscriber's events and
+/// the publisher's delivery counters.
+fn hosted_reliable_script(durable: bool) -> (Vec<Received>, DeliveryStats) {
+    use pti_core::samples::{topic_event_assembly, topic_event_def};
     let mut host = ReactorHost::new();
-    let a = host.mount(Swarm::over);
-    let b = host.mount(Swarm::over);
-    let c = host.mount(Swarm::over);
-    let hub = host.reactor();
-
-    host.wake_after(a, 30_000);
-    host.wake_after(b, 10_000);
-    host.wake_after(c, 20_000);
-    host.set_pump_trace(true);
-    host.run_for(50_000).unwrap();
-
-    // Every pump is a timer wakeup, in deadline order (b, c, a), not
-    // mount order: idle mounts are never swept.
-    let woken: Vec<usize> = host
-        .take_pump_trace()
-        .into_iter()
-        .map(|(slot, _)| slot)
+    let code = CodeRegistry::new();
+    let group = |seed: Option<PeerId>, host: &mut ReactorHost| {
+        let builder = TypedPubSub::builder()
+            .qos(QoS::AtLeastOnce)
+            .code_registry(code.clone());
+        match seed {
+            Some(seed) => builder.join(seed).mount_on(host),
+            None => builder.mount_on(host),
+        }
+    };
+    let publisher_group = group(None, &mut host);
+    let subscriber_groups = [
+        group(Some(PeerId(1)), &mut host),
+        group(Some(PeerId(1)), &mut host),
+    ];
+    let publisher = publisher_group.add_member_as(PeerId(1));
+    let subs: Vec<Subscription<ReactorNet>> = subscriber_groups
+        .iter()
+        .zip([PeerId(2), PeerId(3)])
+        .map(|(g, id)| {
+            g.add_member_as(id)
+                .subscribe(TypeDescription::from_def(&topic_event_def(0, "sub")))
+        })
         .collect();
-    assert_eq!(woken, vec![b, c, a]);
-    let stats = hub.stats();
-    assert_eq!(stats.timer_fires, 3);
-    assert_eq!(stats.idle_advances, 3, "one clock jump per deadline");
-    assert_eq!(hub.now_us(), 50_000, "window fully consumed");
+    let events = publisher.publisher_for(topic_event_assembly(0)).unwrap();
+    let publish = |value: f64| {
+        events
+            .publish_with(|e| {
+                e.set("value", value)?;
+                Ok(())
+            })
+            .unwrap();
+    };
+    host.run_until_quiescent().unwrap();
 
-    // A deadline beyond the window stays parked.
-    host.wake_after(a, 100_000);
-    host.run_for(10_000).unwrap();
-    assert_eq!(hub.now_us(), 60_000);
-    assert!(hub.timers_pending());
+    // Warm-up without loss: the desc/asm exchange is not retransmitted,
+    // so only the OBJECT_R/ACK repair path meets the faults below.
+    publish(-1.0);
+    host.run_durable().unwrap();
+    for sub in &subs {
+        assert_eq!(sub.drain().len(), 1, "warm-up delivered");
+    }
+
+    host.reactor()
+        .install_fault_plan(FaultPlan::new(11).with_loss(50).with_duplication(20));
+    for i in 0..RELIABLE_EVENTS {
+        publish(i as f64);
+        host.run_until_quiescent().unwrap();
+    }
+    if durable {
+        host.run_durable().unwrap();
+    } else {
+        host.run_until_quiescent().unwrap();
+    }
+    let received = subs
+        .iter()
+        .zip(&subscriber_groups)
+        .map(|(sub, g)| Received {
+            values: sub
+                .drain()
+                .iter()
+                .map(|ev| sub.get_field(ev, "value").unwrap().as_f64().unwrap())
+                .collect(),
+            dispatch_errors: g.take_dispatch_errors().len(),
+            delivery: g.delivery_stats(),
+        })
+        .collect();
+    assert!(publisher_group.take_dispatch_errors().is_empty());
+    (received, publisher_group.delivery_stats())
+}
+
+/// The host form of durable delivery: with 5% loss and 2% duplication
+/// on every send, `run_durable` moves the clock to each retransmit
+/// deadline and the publisher's resends deliver every event to both
+/// subscribers exactly once, in publish order. `run_until_quiescent`
+/// alone never moves the clock, so on the same script a lost frame
+/// stays lost.
+#[test]
+fn run_durable_repairs_a_lossy_hosted_fanout() {
+    let (received, stats) = hosted_reliable_script(true);
+    let in_order: Vec<f64> = (0..RELIABLE_EVENTS).map(|i| i as f64).collect();
+    for r in &received {
+        assert_eq!(r.values, in_order, "every event once, in publish order");
+        assert_eq!(r.dispatch_errors, 0);
+    }
+    assert!(stats.retransmits > 0, "losses were repaired by resends");
+    assert_eq!(
+        (stats.frames_sent, stats.retransmits, stats.unreachable),
+        (130, 64, 0),
+        "publisher counts"
+    );
+    let subscriber_counts: Vec<_> = received
+        .iter()
+        .map(|r| {
+            let d = r.delivery;
+            (
+                d.delivered,
+                d.link_duplicates,
+                d.gap_discards,
+                d.duplicates_suppressed,
+            )
+        })
+        .collect();
+    assert_eq!(
+        subscriber_counts,
+        vec![(65, 2, 31, 0), (65, 0, 28, 0)],
+        "subscriber counts (delivered, link duplicates, gap discards, suppressed)"
+    );
+
+    let (received, stats) = hosted_reliable_script(false);
+    assert!(
+        received.iter().any(|r| r.values.len() < RELIABLE_EVENTS),
+        "without run_durable a lost event stays undelivered: {received:?}"
+    );
+    assert_eq!(stats.retransmits, 0, "the clock never reached a deadline");
 }
 
 /// The `pti-tps` hook: two session groups mounted on one host, joined

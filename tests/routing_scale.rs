@@ -10,10 +10,13 @@ const MEMBERS: usize = 32;
 const TOPICS: usize = 8;
 const EVENTS: usize = 16;
 
-/// Runs the scenario in one delivery mode; returns (object messages on
-/// the wire — standalone plus batched frames —, events delivered).
-fn run(mode: DeliveryMode) -> (u64, usize) {
-    let tps = TypedPubSub::builder().delivery_mode(mode).build();
+/// Runs the scenario, publishing each event through the typed API
+/// (routed) or flooding it from the swarm underneath
+/// (`Swarm::flood_object`, the broadcast baseline); returns (object
+/// messages on the wire — standalone plus batched frames —, events
+/// delivered).
+fn run(flood: bool) -> (u64, usize) {
+    let tps = TypedPubSub::builder().build();
     let members: Vec<Member<_>> = (0..MEMBERS).map(|_| tps.add_member()).collect();
     let publisher = &members[0];
 
@@ -27,12 +30,24 @@ fn run(mode: DeliveryMode) -> (u64, usize) {
         .collect();
 
     for i in 0..EVENTS {
-        publishers[i % TOPICS]
-            .publish_with(|e| {
-                e.set("value", i as f64)?;
-                Ok(())
+        let topic = i % TOPICS;
+        if flood {
+            let from = publisher.id();
+            tps.with_swarm(|s| {
+                let rt = &mut s.peer_mut(from).runtime;
+                let h = rt.instantiate_def(&topic_event_def(topic, "pub"), &[])?;
+                rt.set_field(h, "value", Value::F64(i as f64))?;
+                s.flood_object(from, &Value::Obj(h), PayloadFormat::Binary)
             })
             .unwrap();
+        } else {
+            publishers[topic]
+                .publish_with(|e| {
+                    e.set("value", i as f64)?;
+                    Ok(())
+                })
+                .unwrap();
+        }
         // Pump per event so each burst ships immediately (batching across
         // a burst is measured elsewhere; here we compare per-event cost).
         tps.run().unwrap();
@@ -45,8 +60,8 @@ fn run(mode: DeliveryMode) -> (u64, usize) {
 
 #[test]
 fn routed_cuts_object_messages_at_least_4x_vs_flood() {
-    let (routed_objects, routed_delivered) = run(DeliveryMode::Routed);
-    let (flood_objects, flood_delivered) = run(DeliveryMode::Flood);
+    let (routed_objects, routed_delivered) = run(false);
+    let (flood_objects, flood_delivered) = run(true);
 
     // Both modes deliver the same events to the same subscribers...
     assert_eq!(routed_delivered, EVENTS);
