@@ -69,4 +69,4 @@ pub use runtime::{bodies, NativeFn, Runtime, CTOR_NAME};
 pub use types::{
     CtorSig, FieldDef, MethodSig, Modifiers, ParamDef, TypeDef, TypeDefBuilder, TypeKind,
 };
-pub use value::{DynObject, ObjHandle, Value};
+pub use value::{DynObject, FieldIter, Fields, ObjHandle, Value};

@@ -17,7 +17,7 @@ use crate::names::TypeName;
 use crate::primitives;
 use crate::registry::TypeRegistry;
 use crate::types::{TypeDef, TypeKind};
-use crate::value::{DynObject, ObjHandle, Value};
+use crate::value::{DynObject, Fields, ObjHandle, Value};
 
 /// A native method body.
 ///
@@ -30,36 +30,21 @@ pub type NativeFn = Arc<dyn Fn(&mut Runtime, Value, &[Value]) -> Result<Value> +
 /// Name under which constructor bodies are keyed.
 pub const CTOR_NAME: &str = "<ctor>";
 
-#[derive(Clone)]
-struct BodyKey(Guid, String, usize);
-
-impl std::hash::Hash for BodyKey {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.0.hash(state);
-        self.1.hash(state);
-        self.2.hash(state);
-    }
-}
-impl PartialEq for BodyKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.0 == other.0 && self.1 == other.1 && self.2 == other.2
-    }
-}
-impl Eq for BodyKey {}
-
 /// One peer's object runtime.
 pub struct Runtime {
     /// The types this runtime knows.
     pub registry: TypeRegistry,
     /// Live objects.
     pub heap: Heap,
-    bodies: HashMap<BodyKey, NativeFn>,
-    /// Cached flattened field layouts per type — the moral equivalent of
-    /// the CLR's cached (de)serialization plans; object allocation is a
-    /// hot path for deserializers.
-    layouts: HashMap<Guid, Arc<Vec<(String, TypeName)>>>,
-    /// Cached default-initialized instances per type: allocation clones
-    /// the template instead of re-deriving every field default.
+    /// Native bodies by `(type, arity)`, then by method name, so a
+    /// lookup borrows the name it is given.
+    bodies: HashMap<(Guid, usize), HashMap<Box<str>, NativeFn>>,
+    /// One default-initialized instance per `Class` type allocated so
+    /// far — the moral equivalent of the CLR's cached (de)serialization
+    /// plans. Allocation clones the template: its field names are shared
+    /// by reference count, so a blank object costs one allocation (its
+    /// values). Only `Class` types get a template (both allocation paths
+    /// check the kind before building one).
     templates: HashMap<Guid, DynObject>,
 }
 
@@ -68,7 +53,10 @@ impl std::fmt::Debug for Runtime {
         f.debug_struct("Runtime")
             .field("types", &self.registry.len())
             .field("objects", &self.heap.len())
-            .field("bodies", &self.bodies.len())
+            .field(
+                "bodies",
+                &self.bodies.values().map(HashMap::len).sum::<usize>(),
+            )
             .finish()
     }
 }
@@ -86,7 +74,6 @@ impl Runtime {
             registry: TypeRegistry::with_builtins(),
             heap: Heap::new(),
             bodies: HashMap::new(),
-            layouts: HashMap::new(),
             templates: HashMap::new(),
         }
     }
@@ -95,8 +82,7 @@ impl Runtime {
     pub fn register_type(&mut self, def: TypeDef) -> Result<()> {
         self.registry.register(def)?;
         // Field layouts of subclasses may change when a superclass
-        // becomes resolvable; recompute lazily.
-        self.layouts.clear();
+        // becomes resolvable; rebuild templates lazily.
         self.templates.clear();
         Ok(())
     }
@@ -106,22 +92,22 @@ impl Runtime {
         if let Some(t) = self.templates.get(&def.guid) {
             return Ok(t.clone());
         }
-        let mut obj = DynObject::new(def.guid);
-        for (fname, fty) in self.layout(def)?.iter() {
-            obj.set(fname.clone(), Self::default_value(fty));
-        }
+        let layout = self.flattened_fields(def)?;
+        let obj = DynObject {
+            type_guid: def.guid,
+            fields: Fields::declare(
+                layout
+                    .into_iter()
+                    .map(|(name, ty)| (name, Self::default_value(&ty))),
+            ),
+        };
         self.templates.insert(def.guid, obj.clone());
         Ok(obj)
     }
 
-    /// Cached flattened field layout for a type.
-    fn layout(&mut self, def: &TypeDef) -> Result<Arc<Vec<(String, TypeName)>>> {
-        if let Some(l) = self.layouts.get(&def.guid) {
-            return Ok(Arc::clone(l));
-        }
-        let layout = Arc::new(self.flattened_fields(def)?);
-        self.layouts.insert(def.guid, Arc::clone(&layout));
-        Ok(layout)
+    /// The body installed for `type_guid::method/arity`, if any.
+    fn body(&self, type_guid: Guid, method: &str, arity: usize) -> Option<&NativeFn> {
+        self.bodies.get(&(type_guid, arity))?.get(method)
     }
 
     /// Installs a native body for `type_guid::method/arity`.
@@ -133,13 +119,14 @@ impl Runtime {
         body: NativeFn,
     ) {
         self.bodies
-            .insert(BodyKey(type_guid, method.into(), arity), body);
+            .entry((type_guid, arity))
+            .or_default()
+            .insert(method.into().into_boxed_str(), body);
     }
 
     /// Whether a body is installed for the given method.
     pub fn has_body(&self, type_guid: Guid, method: &str, arity: usize) -> bool {
-        self.bodies
-            .contains_key(&BodyKey(type_guid, method.to_string(), arity))
+        self.body(type_guid, method, arity).is_some()
     }
 
     /// Resolves a method to its native body *once*, walking the
@@ -151,10 +138,7 @@ impl Runtime {
         let mut hops = 0;
         while let Some(d) = cur {
             if d.find_method(method, arity).is_some() {
-                return self
-                    .bodies
-                    .get(&BodyKey(d.guid, method.to_string(), arity))
-                    .cloned();
+                return self.body(d.guid, method, arity).cloned();
             }
             hops += 1;
             if hops > 64 {
@@ -250,8 +234,7 @@ impl Runtime {
         }
         let obj = self.blank_instance(def)?;
         let handle = self.heap.alloc(obj);
-        let key = BodyKey(def.guid, CTOR_NAME.to_string(), args.len());
-        if let Some(body) = self.bodies.get(&key).cloned() {
+        if let Some(body) = self.body(def.guid, CTOR_NAME, args.len()).cloned() {
             body(self, Value::Obj(handle), args)?;
         }
         Ok(handle)
@@ -265,6 +248,23 @@ impl Runtime {
         }
         let obj = self.blank_instance(def)?;
         Ok(self.heap.alloc(obj))
+    }
+
+    /// [`allocate_raw`](Self::allocate_raw) of the type registered under
+    /// `guid`: it succeeds exactly when `allocate_raw` of that type's
+    /// definition would. A type allocated before is cloned straight from
+    /// its template, with no registry lookup — the deserializers' path.
+    ///
+    /// # Errors
+    /// [`MetamodelError::UnknownTypeGuid`] if no type is registered under
+    /// `guid`; otherwise as [`allocate_raw`](Self::allocate_raw).
+    pub fn allocate_raw_guid(&mut self, guid: Guid) -> Result<ObjHandle> {
+        if let Some(template) = self.templates.get(&guid) {
+            let obj = template.clone();
+            return Ok(self.heap.alloc(obj));
+        }
+        let def = self.registry.require(guid)?;
+        self.allocate_raw(&def)
     }
 
     /// The definition of an object's type.
@@ -286,15 +286,13 @@ impl Runtime {
         let mut hops = 0;
         while let Some(d) = cur {
             if d.find_method(method, args.len()).is_some() {
-                let key = BodyKey(d.guid, method.to_string(), args.len());
-                let body =
-                    self.bodies
-                        .get(&key)
-                        .cloned()
-                        .ok_or_else(|| MetamodelError::MissingBody {
-                            ty: d.name.clone(),
-                            method: method.to_string(),
-                        })?;
+                let body = self
+                    .body(d.guid, method, args.len())
+                    .cloned()
+                    .ok_or_else(|| MetamodelError::MissingBody {
+                        ty: d.name.clone(),
+                        method: method.to_string(),
+                    })?;
                 return body(self, Value::Obj(handle), args);
             }
             hops += 1;

@@ -1,12 +1,18 @@
 //! Runtime values and dynamic objects.
 //!
 //! Rust has no runtime reflection, so objects exchanged between peers are
-//! *dynamic*: a [`DynObject`] is a bag of named field values tagged with
-//! the [`Guid`] of its type. This reproduces what the CLR gives the paper
-//! for free — the ability to inspect and reconstruct any object's state.
+//! *dynamic*: a [`DynObject`] is a table of named field values tagged
+//! with the [`Guid`] of its type. This reproduces what the CLR gives the
+//! paper for free — the ability to inspect and reconstruct any object's
+//! state. Like the CLR, which keeps a type's field layout once per type
+//! rather than once per instance, every instance of a type shares one
+//! list of its field names ([`Fields`]) and owns only the values.
 
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 use std::fmt;
+use std::iter::{Peekable, Zip};
+use std::slice;
+use std::sync::Arc;
 
 use crate::guid::Guid;
 
@@ -217,9 +223,10 @@ impl fmt::Display for Value {
 pub struct DynObject {
     /// Identity of the object's type.
     pub type_guid: Guid,
-    /// Field values, keyed by field name (flattened over the superclass
-    /// chain at instantiation time).
-    pub fields: BTreeMap<String, Value>,
+    /// Field values by name: the fields the type declares (flattened
+    /// over the superclass chain at instantiation time) and any the
+    /// object was given beyond them.
+    pub fields: Fields,
 }
 
 impl DynObject {
@@ -227,7 +234,7 @@ impl DynObject {
     pub fn new(type_guid: Guid) -> DynObject {
         DynObject {
             type_guid,
-            fields: BTreeMap::new(),
+            fields: Fields::default(),
         }
     }
 
@@ -237,10 +244,170 @@ impl DynObject {
     }
 
     /// Writes a field value, returning the previous one if present.
-    pub fn set(&mut self, field: impl Into<String>, value: Value) -> Option<Value> {
-        self.fields.insert(field.into(), value)
+    /// Replacing a value allocates nothing.
+    pub fn set(&mut self, field: &str, value: Value) -> Option<Value> {
+        self.fields.insert(field, value)
     }
 }
+
+/// The fields of a [`DynObject`], visited in name order.
+///
+/// The names a type declares are one sorted list shared, by reference
+/// count, with every instance cloned from the type's template, so an
+/// instance owns only its values: one `Vec` parallel to that list. A
+/// name the type does not declare (a shadowed field a deserializer
+/// restores, or one written through [`DynObject::set`]) goes into an
+/// ordered map the object owns, at logarithmic cost per name. Iteration
+/// merges the two and so visits exactly the order of a
+/// `BTreeMap<String, Value>` holding the same fields, which is the order
+/// the serializers write.
+#[derive(Clone)]
+pub struct Fields {
+    /// Sorted, shared by every instance of one type.
+    declared: Arc<[Box<str>]>,
+    /// `values[i]` belongs to `declared[i]`.
+    values: Vec<Value>,
+    /// Names outside `declared`.
+    undeclared: BTreeMap<Box<str>, Value>,
+}
+
+impl Fields {
+    /// A table declaring each `(name, initial value)` pair; a name given
+    /// twice keeps its last value. Clones of the result share its names.
+    pub fn declare(fields: impl IntoIterator<Item = (String, Value)>) -> Fields {
+        let sorted: BTreeMap<String, Value> = fields.into_iter().collect();
+        let (names, values): (Vec<Box<str>>, Vec<Value>) = sorted
+            .into_iter()
+            .map(|(name, value)| (name.into_boxed_str(), value))
+            .unzip();
+        Fields {
+            declared: names.into(),
+            values,
+            undeclared: BTreeMap::new(),
+        }
+    }
+
+    /// Number of fields, declared and undeclared.
+    pub fn len(&self) -> usize {
+        self.values.len() + self.undeclared.len()
+    }
+
+    /// Whether the table holds no field.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    fn slot(&self, name: &str) -> Option<usize> {
+        self.declared.binary_search_by(|n| (**n).cmp(name)).ok()
+    }
+
+    /// Reads a field value.
+    pub fn get(&self, name: &str) -> Option<&Value> {
+        match self.slot(name) {
+            Some(i) => self.values.get(i),
+            None => self.undeclared.get(name),
+        }
+    }
+
+    /// Mutably reads a field value.
+    pub fn get_mut(&mut self, name: &str) -> Option<&mut Value> {
+        match self.slot(name) {
+            Some(i) => self.values.get_mut(i),
+            None => self.undeclared.get_mut(name),
+        }
+    }
+
+    /// Writes a field value, returning the previous one if present. Only
+    /// a name new to the object allocates (a copy of the name).
+    pub fn insert(&mut self, name: &str, value: Value) -> Option<Value> {
+        match self.get_mut(name) {
+            Some(slot) => Some(std::mem::replace(slot, value)),
+            None => self.undeclared.insert(name.into(), value),
+        }
+    }
+
+    /// The fields as `(name, value)` pairs, in name order.
+    pub fn iter(&self) -> FieldIter<'_> {
+        FieldIter {
+            declared: self.declared.iter().zip(self.values.iter()).peekable(),
+            undeclared: self.undeclared.iter().peekable(),
+        }
+    }
+
+    /// The field names, in name order.
+    pub fn keys(&self) -> impl Iterator<Item = &str> {
+        self.iter().map(|(name, _)| name)
+    }
+
+    /// The field values, in name order.
+    pub fn values(&self) -> impl Iterator<Item = &Value> {
+        self.iter().map(|(_, value)| value)
+    }
+}
+
+impl Default for Fields {
+    /// An empty table.
+    fn default() -> Fields {
+        Fields::declare([])
+    }
+}
+
+impl PartialEq for Fields {
+    /// Equal when both hold the same names with equal values, however
+    /// each splits them between declared and undeclared.
+    fn eq(&self, other: &Fields) -> bool {
+        if Arc::ptr_eq(&self.declared, &other.declared) {
+            return self.values == other.values && self.undeclared == other.undeclared;
+        }
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for Fields {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a Fields {
+    type Item = (&'a str, &'a Value);
+    type IntoIter = FieldIter<'a>;
+
+    fn into_iter(self) -> FieldIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over a [`Fields`] table in name order: a merge of the
+/// declared and the undeclared names, which never overlap.
+pub struct FieldIter<'a> {
+    declared: Peekable<Zip<slice::Iter<'a, Box<str>>, slice::Iter<'a, Value>>>,
+    undeclared: Peekable<btree_map::Iter<'a, Box<str>, Value>>,
+}
+
+impl<'a> Iterator for FieldIter<'a> {
+    type Item = (&'a str, &'a Value);
+
+    fn next(&mut self) -> Option<(&'a str, &'a Value)> {
+        let declared_first = match (self.declared.peek(), self.undeclared.peek()) {
+            (Some((d, _)), Some((u, _))) => d < u,
+            (declared, _) => declared.is_some(),
+        };
+        let (name, value) = if declared_first {
+            self.declared.next()?
+        } else {
+            self.undeclared.next()?
+        };
+        Some((name, value))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.declared.len() + self.undeclared.len();
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for FieldIter<'_> {}
 
 #[cfg(test)]
 mod tests {

@@ -20,12 +20,11 @@
 //!   9 objref (id varint)
 //! ```
 
-use std::collections::HashMap;
-
 use crate::cursor::{GetBuf, PutBuf};
 use pti_metamodel::{Guid, ObjHandle, Runtime, TypeName, Value};
 
 use crate::error::{Result, SerializeError};
+use crate::objects::{allocate, IdTable};
 
 const MAGIC: &[u8; 4] = b"PTIB";
 const VERSION: u8 = 1;
@@ -107,7 +106,7 @@ pub fn to_binary(rt: &Runtime, value: &Value) -> Result<Vec<u8>> {
     buf.put_u8(VERSION);
     let mut enc = Encoder {
         rt,
-        ids: HashMap::new(),
+        ids: IdTable::new(),
         next_id: 1,
     };
     enc.encode(value, &mut buf)?;
@@ -116,11 +115,11 @@ pub fn to_binary(rt: &Runtime, value: &Value) -> Result<Vec<u8>> {
 
 struct Encoder<'r> {
     rt: &'r Runtime,
-    ids: HashMap<ObjHandle, u64>,
+    ids: IdTable<ObjHandle, u64>,
     next_id: u64,
 }
 
-impl Encoder<'_> {
+impl<'r> Encoder<'r> {
     fn encode(&mut self, value: &Value, buf: &mut PutBuf) -> Result<()> {
         match value {
             Value::Null => buf.put_u8(tag::NULL),
@@ -155,7 +154,7 @@ impl Encoder<'_> {
     }
 
     fn encode_object(&mut self, handle: ObjHandle, buf: &mut PutBuf) -> Result<()> {
-        if let Some(&id) = self.ids.get(&handle) {
+        if let Some(id) = self.ids.get(handle) {
             buf.put_u8(tag::OBJREF);
             put_varint(buf, id);
             return Ok(());
@@ -163,19 +162,15 @@ impl Encoder<'_> {
         let id = self.next_id;
         self.next_id += 1;
         self.ids.insert(handle, id);
-        let obj = self.rt.heap.get(handle)?;
+        // Borrowed for `'r`, not through `self`, so nested objects encode
+        // while the fields are read in place.
+        let rt: &'r Runtime = self.rt;
+        let obj = rt.heap.get(handle)?;
         buf.put_u8(tag::OBJDEF);
         put_varint(buf, id);
         buf.put_slice(&obj.type_guid.to_bytes());
         put_varint(buf, obj.fields.len() as u64);
-        // Clone field values first: encoding nested objects re-borrows
-        // the heap.
-        let fields: Vec<(String, Value)> = obj
-            .fields
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        for (name, value) in &fields {
+        for (name, value) in &obj.fields {
             put_str(buf, name);
             self.encode(value, buf)?;
         }
@@ -205,7 +200,7 @@ pub fn from_binary(rt: &mut Runtime, data: &[u8]) -> Result<Value> {
     }
     let mut dec = Decoder {
         rt,
-        by_id: HashMap::new(),
+        by_id: IdTable::new(),
     };
     let v = dec.decode(&mut buf)?;
     if buf.has_remaining() {
@@ -216,7 +211,7 @@ pub fn from_binary(rt: &mut Runtime, data: &[u8]) -> Result<Value> {
 
 struct Decoder<'r> {
     rt: &'r mut Runtime,
-    by_id: HashMap<u64, ObjHandle>,
+    by_id: IdTable<u64, ObjHandle>,
 }
 
 impl Decoder<'_> {
@@ -262,8 +257,7 @@ impl Decoder<'_> {
                 let id = get_varint(buf)?;
                 let handle = self
                     .by_id
-                    .get(&id)
-                    .copied()
+                    .get(id)
                     .ok_or(SerializeError::DanglingReference(id))?;
                 Value::Obj(handle)
             }
@@ -279,15 +273,7 @@ impl Decoder<'_> {
         let mut gb = [0u8; 16];
         buf.copy_to_slice(&mut gb);
         let guid = Guid::from_bytes(gb);
-        let def = self
-            .rt
-            .registry
-            .get(guid)
-            .ok_or_else(|| SerializeError::UnknownType {
-                name: TypeName::new("<binary>"),
-                guid,
-            })?;
-        let handle = self.rt.allocate_raw(&def)?;
+        let handle = allocate(self.rt, guid, || TypeName::new("<binary>"))?;
         self.by_id.insert(id, handle);
         let nfields = get_varint(buf)? as usize;
         if nfields > buf.remaining() {
@@ -296,15 +282,9 @@ impl Decoder<'_> {
         for _ in 0..nfields {
             let name = get_str_ref(buf)?;
             let value = self.decode(buf)?;
-            let obj = self.rt.heap.get_mut(handle)?;
             // The blank instance already holds every declared field, so
             // only a field the type does not declare allocates its name.
-            match obj.fields.get_mut(name) {
-                Some(slot) => *slot = value,
-                None => {
-                    obj.set(name, value);
-                }
-            }
+            self.rt.heap.get_mut(handle)?.set(name, value);
         }
         Ok(Value::Obj(handle))
     }

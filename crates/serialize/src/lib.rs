@@ -48,6 +48,7 @@ mod binary;
 mod cursor;
 mod envelope;
 mod error;
+mod objects;
 mod soap;
 mod typedesc;
 

@@ -9,12 +9,13 @@
 //! opposite", a shape our implementation reproduces since serialization
 //! walks the heap and builds/escapes the whole XML tree).
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 
 use pti_metamodel::{Guid, ObjHandle, Runtime, TypeName, Value};
 use pti_xml::Element;
 
 use crate::error::{Result, SerializeError};
+use crate::objects::{allocate, IdTable};
 
 /// Serializes a value (usually an object reference) into a SOAP envelope
 /// element.
@@ -24,7 +25,7 @@ use crate::error::{Result, SerializeError};
 pub fn to_soap(rt: &Runtime, value: &Value) -> Result<Element> {
     let mut enc = Encoder {
         rt,
-        ids: HashMap::new(),
+        ids: IdTable::new(),
         next_id: 1,
     };
     let body = enc.encode(value)?;
@@ -47,7 +48,7 @@ pub fn to_soap_string(rt: &Runtime, value: &Value) -> Result<String> {
 
 struct Encoder<'r> {
     rt: &'r Runtime,
-    ids: HashMap<ObjHandle, u64>,
+    ids: IdTable<ObjHandle, u64>,
     next_id: u64,
 }
 
@@ -82,7 +83,7 @@ impl Encoder<'_> {
     }
 
     fn encode_object(&mut self, handle: ObjHandle) -> Result<Element> {
-        if let Some(&id) = self.ids.get(&handle) {
+        if let Some(id) = self.ids.get(handle) {
             return Ok(Element::new("ref").attr("href", format!("#{id}")));
         }
         let id = self.next_id;
@@ -94,7 +95,8 @@ impl Encoder<'_> {
             .attr("id", id.to_string())
             .attr("type", def.name.full())
             .attr("guid", def.guid.to_string());
-        // BTreeMap iteration gives a stable field order on the wire.
+        // Fields iterate in name order, declared and undeclared merged,
+        // so the wire order is stable.
         for (name, value) in &obj.fields {
             el.push_child(
                 Element::new("field")
@@ -131,7 +133,7 @@ pub fn from_soap(rt: &mut Runtime, envelope: &Element) -> Result<Value> {
         .ok_or_else(|| SerializeError::Malformed("empty <Body>".into()))?;
     let mut dec = Decoder {
         rt,
-        by_id: HashMap::new(),
+        by_id: IdTable::new(),
     };
     dec.decode(root)
 }
@@ -150,7 +152,7 @@ pub fn from_soap_string(rt: &mut Runtime, xml: &str) -> Result<Value> {
 
 struct Decoder<'r> {
     rt: &'r mut Runtime,
-    by_id: HashMap<u64, ObjHandle>,
+    by_id: IdTable<u64, ObjHandle>,
 }
 
 impl Decoder<'_> {
@@ -193,8 +195,7 @@ impl Decoder<'_> {
                     .map_err(|_| SerializeError::Malformed("bad href id".into()))?;
                 let handle = self
                     .by_id
-                    .get(&id)
-                    .copied()
+                    .get(id)
                     .ok_or(SerializeError::DanglingReference(id))?;
                 Ok(Value::Obj(handle))
             }
@@ -210,27 +211,20 @@ impl Decoder<'_> {
             .get_attr("id")
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| SerializeError::Malformed("object missing id".into()))?;
-        let name = TypeName::new(
-            el.get_attr("type")
-                .ok_or_else(|| SerializeError::Malformed("object missing type".into()))?,
-        );
+        let ty = el
+            .get_attr("type")
+            .ok_or_else(|| SerializeError::Malformed("object missing type".into()))?;
         let guid: Guid = el
             .get_attr("guid")
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| SerializeError::Malformed("object missing guid".into()))?;
-        let def = self
-            .rt
-            .registry
-            .get(guid)
-            .ok_or(SerializeError::UnknownType { name, guid })?;
         // Allocate before decoding fields so cyclic references resolve.
-        let handle = self.rt.allocate_raw(&def)?;
+        let handle = allocate(self.rt, guid, || TypeName::new(ty))?;
         self.by_id.insert(id, handle);
         for f in el.find_all("field") {
             let fname = f
                 .get_attr("name")
-                .ok_or_else(|| SerializeError::Malformed("field missing name".into()))?
-                .to_string();
+                .ok_or_else(|| SerializeError::Malformed("field missing name".into()))?;
             let inner = f
                 .elements()
                 .next()
@@ -253,7 +247,7 @@ mod stream {
     pub(super) fn decode(rt: &mut Runtime, xml: &str) -> Result<Value> {
         let mut d = Decoder {
             rt,
-            by_id: HashMap::new(),
+            by_id: IdTable::new(),
             input: xml,
             bytes: xml.as_bytes(),
             pos: 0,
@@ -286,12 +280,12 @@ mod stream {
         guid: Option<Guid>,
         ty: Option<&'a str>,
         href: Option<&'a str>,
-        field_name: Option<String>,
+        field_name: Option<Cow<'a, str>>,
     }
 
     struct Decoder<'r, 'a> {
         rt: &'r mut Runtime,
-        by_id: HashMap<u64, ObjHandle>,
+        by_id: IdTable<u64, ObjHandle>,
         input: &'a str,
         bytes: &'a [u8],
         pos: usize,
@@ -429,7 +423,9 @@ mod stream {
             }
         }
 
-        fn attr_value(&mut self) -> Result<String> {
+        /// An attribute value, unescaped; borrowed from the input unless
+        /// it holds an entity reference.
+        fn attr_value(&mut self) -> Result<Cow<'a, str>> {
             let quote = match self.peek() {
                 Some(q @ (b'"' | b'\'')) => {
                     self.pos += 1;
@@ -437,19 +433,28 @@ mod stream {
                 }
                 _ => return Err(malformed("expected quoted attribute value")),
             };
-            let mut out = String::new();
+            let mut out: Option<String> = None;
             let mut run = self.pos;
             loop {
                 match self.peek() {
                     None => return Err(malformed("unterminated attribute value")),
                     Some(b) if b == quote => {
-                        out.push_str(&self.input[run..self.pos]);
+                        let tail = &self.input[run..self.pos];
                         self.pos += 1;
-                        return Ok(out);
+                        return Ok(match out {
+                            Some(mut out) => {
+                                out.push_str(tail);
+                                Cow::Owned(out)
+                            }
+                            None => Cow::Borrowed(tail),
+                        });
                     }
                     Some(b'&') => {
-                        out.push_str(&self.input[run..self.pos]);
-                        out.push(self.entity()?);
+                        let run_text = &self.input[run..self.pos];
+                        let c = self.entity()?;
+                        let out = out.get_or_insert_with(String::new);
+                        out.push_str(run_text);
+                        out.push(c);
                         run = self.pos;
                     }
                     Some(_) => self.pos += 1,
@@ -564,8 +569,7 @@ mod stream {
                         .ok_or_else(|| malformed("bad href"))?;
                     let handle = self
                         .by_id
-                        .get(&id)
-                        .copied()
+                        .get(id)
                         .ok_or(SerializeError::DanglingReference(id))?;
                     Ok(Value::Obj(handle))
                 }
@@ -586,13 +590,9 @@ mod stream {
         fn object(&mut self, tag: Tag<'_>) -> Result<Value> {
             let id = tag.id.ok_or_else(|| malformed("object missing id"))?;
             let guid = tag.guid.ok_or_else(|| malformed("object missing guid"))?;
-            let name = TypeName::new(tag.ty.unwrap_or_default().to_string());
-            let def = self
-                .rt
-                .registry
-                .get(guid)
-                .ok_or(SerializeError::UnknownType { name, guid })?;
-            let handle = self.rt.allocate_raw(&def)?;
+            let handle = allocate(self.rt, guid, || {
+                TypeName::new(tag.ty.unwrap_or_default().to_string())
+            })?;
             self.by_id.insert(id, handle);
             if tag.self_closing {
                 return Ok(Value::Obj(handle));
@@ -610,7 +610,7 @@ mod stream {
                 }
                 let value = self.value()?;
                 self.close_tag("field")?;
-                self.rt.heap.get_mut(handle)?.set(fname, value);
+                self.rt.heap.get_mut(handle)?.set(&fname, value);
             }
             self.close_tag("object")?;
             Ok(Value::Obj(handle))

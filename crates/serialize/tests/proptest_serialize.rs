@@ -165,7 +165,7 @@ fn deep_eq(
             if ox.type_guid != oy.type_guid || ox.fields.len() != oy.fields.len() {
                 return false;
             }
-            let fields: Vec<String> = ox.fields.keys().cloned().collect();
+            let fields: Vec<String> = ox.fields.keys().map(str::to_owned).collect();
             fields.iter().all(|k| {
                 let (va, vb) = (
                     rt.heap.get(*x).unwrap().get(k).cloned().unwrap(),

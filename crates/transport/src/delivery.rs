@@ -323,7 +323,7 @@ impl DeliveryEngine {
         &mut self,
         local: PeerId,
         sender: PeerId,
-        payload: &Payload,
+        payload: &[u8],
     ) -> (Inbound, Option<Payload>) {
         let Some((link_seq, publisher, event_seq)) = decode_reliable_header(payload) else {
             return (Inbound::Malformed, None);
@@ -370,7 +370,7 @@ impl DeliveryEngine {
         &mut self,
         local: PeerId,
         remote: PeerId,
-        payload: &Payload,
+        payload: &[u8],
         now_us: u64,
     ) -> Option<Vec<Payload>> {
         let cumulative = decode_ack(payload)?;
@@ -487,7 +487,7 @@ fn encode_reliable(
 
 /// Parses a reliable-frame header: (link_seq, publisher, event_seq).
 /// `None` when the payload is shorter than the header.
-pub fn decode_reliable_header(payload: &Payload) -> Option<(u64, PeerId, u64)> {
+pub fn decode_reliable_header(payload: &[u8]) -> Option<(u64, PeerId, u64)> {
     let (link_seq, rest) = payload.split_first_chunk::<8>()?;
     let (publisher, rest) = rest.split_first_chunk::<4>()?;
     let (event_seq, _) = rest.split_first_chunk::<8>()?;
@@ -504,9 +504,8 @@ fn encode_ack(cumulative: u64) -> Payload {
 }
 
 /// Parses an ACK payload. `None` when malformed.
-fn decode_ack(payload: &Payload) -> Option<u64> {
-    let bytes: &[u8] = payload.as_ref();
-    let arr: [u8; 8] = bytes.try_into().ok()?;
+fn decode_ack(payload: &[u8]) -> Option<u64> {
+    let arr: [u8; 8] = payload.try_into().ok()?;
     Some(u64::from_le_bytes(arr))
 }
 

@@ -41,7 +41,8 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 use pti_conformance::ConformanceConfig;
 use pti_metamodel::{Assembly, Guid, TypeDescription, TypeName, Value};
 use pti_net::{
-    BusMessage, FrameBatch, NetConfig, NetError, Payload, PeerId, ReactorNet, SimNet, Transport,
+    BusMessage, FrameBatch, FrameDecodeError, NetConfig, NetError, Payload, PeerId, ReactorNet,
+    SimNet, Transport,
 };
 use pti_serialize::{
     description_from_xml, description_to_xml, EnvelopeView, EnvelopeWireFormat, ObjectEnvelope,
@@ -728,18 +729,18 @@ impl<T: Transport> Swarm<T> {
     /// group so established swarms learn the newcomer without their own
     /// handshake. Replies and relays ride the wire queue, so a burst of
     /// joins batches per link.
-    fn on_join(&mut self, at: PeerId, msg: BusMessage) -> Result<()> {
-        let delta = ViewDelta::decode(&msg.payload)?;
+    fn on_join(&mut self, at: PeerId, from: PeerId, payload: &[u8]) -> Result<()> {
+        let delta = ViewDelta::decode(payload)?;
         self.apply_view_delta(&delta);
         let reply = self.full_view_delta();
-        self.queue_frame(at, msg.from, kinds::VIEW, reply.encode());
+        self.queue_frame(at, from, kinds::VIEW, reply.encode());
         let newcomers: BTreeSet<PeerId> = delta.live.iter().map(|&(p, _)| p).collect();
         let relay: Payload = delta.encode().into();
         let targets: Vec<PeerId> = self
             .contacts
             .iter()
             .copied()
-            .filter(|c| *c != msg.from && !newcomers.contains(c))
+            .filter(|c| *c != from && !newcomers.contains(c))
             .collect();
         for to in targets {
             self.queue_frame(at, to, kinds::VIEW, relay.clone());
@@ -750,8 +751,8 @@ impl<T: Transport> Swarm<T> {
     /// Handles a VIEW (state transfer or relay) or a LEAVE (departure
     /// announcement): merge, no reply — neither kind propagates further,
     /// so gossip storms cannot echo.
-    fn on_view_update(&mut self, _at: PeerId, msg: BusMessage) -> Result<()> {
-        let delta = ViewDelta::decode(&msg.payload)?;
+    fn on_view_update(&mut self, _at: PeerId, _from: PeerId, payload: &[u8]) -> Result<()> {
+        let delta = ViewDelta::decode(payload)?;
         self.apply_view_delta(&delta);
         Ok(())
     }
@@ -1276,84 +1277,89 @@ impl<T: Transport> Swarm<T> {
     /// # Errors
     /// Protocol violations or runtime failures.
     pub fn dispatch(&mut self, at: PeerId, msg: BusMessage) -> Result<bool> {
-        let handled = self.dispatch_inner(at, msg)?;
+        let handled = self.dispatch_inner(at, msg.from, msg.kind, &msg.payload)?;
         self.flush_wire();
         Ok(handled)
     }
 
-    /// [`dispatch`](Self::dispatch) minus the trailing flush — what
-    /// batch unpacking recurses through, so every frame of an inbound
-    /// batch contributes to one coalesced response flush.
-    fn dispatch_inner(&mut self, at: PeerId, msg: BusMessage) -> Result<bool> {
-        match msg.kind {
-            kinds::OBJECT => self.on_object(at, msg)?,
-            kinds::DESC_REQUEST => self.on_desc_request(at, msg)?,
-            kinds::DESC_RESPONSE => self.on_desc_response(at, msg)?,
-            kinds::ASM_REQUEST => self.on_asm_request(at, msg)?,
-            kinds::ASM_RESPONSE => self.on_asm_response(at, msg)?,
-            kinds::EAGER_OBJECT => self.on_eager_object(at, msg)?,
-            kinds::SUBSCRIBE => self.on_subscribe(at, msg)?,
-            kinds::UNSUBSCRIBE => self.on_unsubscribe(at, msg)?,
-            kinds::JOIN => self.on_join(at, msg)?,
-            kinds::LEAVE | kinds::VIEW => self.on_view_update(at, msg)?,
-            kinds::OBJECT_R => self.on_object_r(at, msg)?,
-            kinds::ACK => self.on_ack_frame(at, msg)?,
-            kinds::BATCH => self.on_batch(at, msg)?,
+    /// [`dispatch`](Self::dispatch) of a frame given by its parts, minus
+    /// the trailing flush — what batch unpacking recurses through, so
+    /// every frame of an inbound batch is read in place from the batch
+    /// buffer and contributes to one coalesced response flush.
+    fn dispatch_inner(
+        &mut self,
+        at: PeerId,
+        from: PeerId,
+        kind: &str,
+        payload: &[u8],
+    ) -> Result<bool> {
+        match kind {
+            kinds::OBJECT => self.on_object_bytes(at, from, payload)?,
+            kinds::DESC_REQUEST => self.on_desc_request(at, from, payload)?,
+            kinds::DESC_RESPONSE => self.on_desc_response(at, from, payload)?,
+            kinds::ASM_REQUEST => self.on_asm_request(at, from, payload)?,
+            kinds::ASM_RESPONSE => self.on_asm_response(at, from, payload)?,
+            kinds::EAGER_OBJECT => self.on_eager_object(at, from, payload)?,
+            kinds::SUBSCRIBE => self.on_subscribe(at, from, payload)?,
+            kinds::UNSUBSCRIBE => self.on_unsubscribe(at, from, payload)?,
+            kinds::JOIN => self.on_join(at, from, payload)?,
+            kinds::LEAVE | kinds::VIEW => self.on_view_update(at, from, payload)?,
+            kinds::OBJECT_R => self.on_object_r(at, from, payload)?,
+            kinds::ACK => self.on_ack_frame(at, from, payload)?,
+            kinds::BATCH => self.on_batch(at, from, payload)?,
             _ => return Ok(false),
         }
         Ok(true)
     }
 
-    /// Splits a coalesced wire batch back into its frames and dispatches
-    /// each in queue order.
-    fn on_batch(&mut self, at: PeerId, msg: BusMessage) -> Result<()> {
-        // Interned decode: every kind tag comes back as the receiver's
-        // `&'static str` constant — no per-frame String allocation —
-        // and an unknown kind fails the batch like it always did.
-        let batch = FrameBatch::decode_interned(&msg.payload, kinds::intern)
-            .map_err(|e| TransportError::Protocol(e.to_string()))?;
-        for frame in batch.frames {
-            // decode_interned yields borrowed protocol constants; the
-            // defensive arm keeps a future divergence a protocol error,
-            // not a panic, without rescanning the kind table.
-            let std::borrow::Cow::Borrowed(kind) = frame.kind else {
-                return Err(TransportError::Protocol(
-                    "batch decode yielded an uninterned kind".into(),
-                ));
-            };
-            self.dispatch_inner(
-                at,
-                BusMessage {
-                    from: msg.from,
-                    to: at,
-                    kind,
-                    payload: frame.payload,
-                },
-            )?;
+    /// Dispatches each frame of a coalesced wire batch in queue order,
+    /// borrowed from the batch buffer. The whole batch is checked first,
+    /// its framing and every kind, so a malformed batch fails before any
+    /// of its frames acts.
+    fn on_batch(&mut self, at: PeerId, from: PeerId, payload: &[u8]) -> Result<()> {
+        let malformed = |e: FrameDecodeError| TransportError::Protocol(e.to_string());
+        let mut unknown = None;
+        FrameBatch::walk(payload, |kind, _| {
+            if unknown.is_none() && kinds::intern(kind).is_none() {
+                unknown = Some(kind);
+            }
+            Ok(())
+        })
+        .map_err(malformed)?;
+        if let Some(kind) = unknown {
+            return Err(TransportError::Protocol(format!(
+                "malformed frame batch: unknown batched kind `{kind}`"
+            )));
         }
-        Ok(())
+        // The frames act in order and the first error stops the rest;
+        // the walk itself cannot fail a second time.
+        let mut outcome = Ok(());
+        FrameBatch::walk(payload, |kind, frame| {
+            if outcome.is_ok() {
+                outcome = self.dispatch_inner(at, from, kind, frame).map(drop);
+            }
+            Ok(())
+        })
+        .map_err(malformed)?;
+        outcome
     }
 
     /// Learns a remote subscription: `msg.from` declared an interest. An
     /// empty signature is ignored rather than rejected — one peer's
     /// unroutable type name must not poison the receiving swarm's pump.
-    fn on_subscribe(&mut self, _at: PeerId, msg: BusMessage) -> Result<()> {
-        let (guid, signature) = parse_interest_gossip(&msg.payload)?;
+    fn on_subscribe(&mut self, _at: PeerId, from: PeerId, payload: &[u8]) -> Result<()> {
+        let (guid, signature) = parse_interest_gossip(payload)?;
         if let Some(signature) = signature {
-            self.routes.insert(msg.from, guid, signature);
+            self.routes.insert(from, guid, signature);
         }
         Ok(())
     }
 
     /// Learns a remote retraction: `msg.from` withdrew an interest.
-    fn on_unsubscribe(&mut self, _at: PeerId, msg: BusMessage) -> Result<()> {
-        let (guid, _) = parse_interest_gossip(&msg.payload)?;
-        self.routes.remove(msg.from, guid);
+    fn on_unsubscribe(&mut self, _at: PeerId, from: PeerId, payload: &[u8]) -> Result<()> {
+        let (guid, _) = parse_interest_gossip(payload)?;
+        self.routes.remove(from, guid);
         Ok(())
-    }
-
-    fn on_object(&mut self, at: PeerId, msg: BusMessage) -> Result<()> {
-        self.on_object_bytes(at, msg.from, &msg.payload)
     }
 
     /// Handles one inbound reliable object frame: the engine adjudicates
@@ -1361,17 +1367,17 @@ impl<T: Transport> Swarm<T> {
     /// rides the wire queue back, and only in-order novel events reach
     /// the typed exchange — so retransmits and replays never
     /// double-deliver.
-    fn on_object_r(&mut self, at: PeerId, msg: BusMessage) -> Result<()> {
+    fn on_object_r(&mut self, at: PeerId, from: PeerId, payload: &[u8]) -> Result<()> {
         if !self.peers.contains_key(&at) {
             return Err(TransportError::UnknownPeer(at));
         }
-        let (verdict, ack) = self.delivery.on_object_r(at, msg.from, &msg.payload);
+        let (verdict, ack) = self.delivery.on_object_r(at, from, payload);
         if let Some(ack) = ack {
-            self.queue_frame(at, msg.from, kinds::ACK, ack);
+            self.queue_frame(at, from, kinds::ACK, ack);
         }
         match verdict {
             Inbound::Deliver { .. } => {
-                self.on_object_bytes(at, msg.from, &msg.payload[RELIABLE_HEADER_LEN..])
+                self.on_object_bytes(at, from, &payload[RELIABLE_HEADER_LEN..])
             }
             Inbound::Malformed => Err(TransportError::Protocol(
                 "reliable object frame shorter than its header".into(),
@@ -1383,21 +1389,20 @@ impl<T: Transport> Swarm<T> {
     /// Handles one cumulative ACK: settled frames leave the in-flight
     /// window and any events the replenished credit admits are framed
     /// and queued.
-    fn on_ack_frame(&mut self, at: PeerId, msg: BusMessage) -> Result<()> {
+    fn on_ack_frame(&mut self, at: PeerId, from: PeerId, payload: &[u8]) -> Result<()> {
         let now = self.net.now_us();
         let refilled = self
             .delivery
-            .on_ack(at, msg.from, &msg.payload, now)
+            .on_ack(at, from, payload, now)
             .ok_or_else(|| TransportError::Protocol("malformed ack payload".into()))?;
         for frame in refilled {
-            self.queue_frame(at, msg.from, kinds::OBJECT_R, frame);
+            self.queue_frame(at, from, kinds::OBJECT_R, frame);
         }
         Ok(())
     }
 
-    /// The one inbound path of an object envelope, shared by
-    /// [`on_object`](Self::on_object), the reliable path and the eager
-    /// baseline. An XML envelope is transcoded to `PTIE` once, here at
+    /// The one inbound path of an object envelope, shared by `object`
+    /// frames, the reliable path and the eager baseline. An XML envelope is transcoded to `PTIE` once, here at
     /// the edge; from then on the envelope is only read through an
     /// [`EnvelopeView`] of its bytes. When the receiver already holds
     /// its type's description and every listed assembly, it is matched
@@ -1567,8 +1572,8 @@ impl<T: Transport> Swarm<T> {
         Ok(())
     }
 
-    fn on_desc_request(&mut self, at: PeerId, msg: BusMessage) -> Result<()> {
-        let path = std::str::from_utf8(&msg.payload)
+    fn on_desc_request(&mut self, at: PeerId, from: PeerId, payload: &[u8]) -> Result<()> {
+        let path = std::str::from_utf8(payload)
             .map_err(|_| TransportError::Protocol("desc path not utf8".into()))?
             .to_string();
         let peer = self.peers.get(&at).ok_or(TransportError::UnknownPeer(at))?;
@@ -1580,15 +1585,15 @@ impl<T: Transport> Swarm<T> {
         // requests answers as one batched response per link.
         self.queue_frame(
             at,
-            msg.from,
+            from,
             kinds::DESC_RESPONSE,
             doc.to_compact().into_bytes(),
         );
         Ok(())
     }
 
-    fn on_desc_response(&mut self, at: PeerId, msg: BusMessage) -> Result<()> {
-        let text = std::str::from_utf8(&msg.payload)
+    fn on_desc_response(&mut self, at: PeerId, _from: PeerId, payload: &[u8]) -> Result<()> {
+        let text = std::str::from_utf8(payload)
             .map_err(|_| TransportError::Protocol("desc response not utf8".into()))?;
         let doc = pti_xml::parse(text).map_err(pti_serialize::SerializeError::from)?;
         let path = doc
@@ -1618,8 +1623,8 @@ impl<T: Transport> Swarm<T> {
         Ok(())
     }
 
-    fn on_asm_request(&mut self, at: PeerId, msg: BusMessage) -> Result<()> {
-        let path = std::str::from_utf8(&msg.payload)
+    fn on_asm_request(&mut self, at: PeerId, from: PeerId, payload: &[u8]) -> Result<()> {
+        let path = std::str::from_utf8(payload)
             .map_err(|_| TransportError::Protocol("asm path not utf8".into()))?
             .to_string();
         let peer = self.peers.get(&at).ok_or(TransportError::UnknownPeer(at))?;
@@ -1628,22 +1633,21 @@ impl<T: Transport> Swarm<T> {
             .ok_or_else(|| TransportError::UnknownPath(path.clone()))?;
         // Payload: path, newline, zero padding up to the simulated size.
         let size = published.assembly.byte_size();
-        let mut payload = path.clone().into_bytes();
-        payload.push(b'\n');
-        if payload.len() < size {
-            payload.resize(size, 0);
+        let mut response = path.clone().into_bytes();
+        response.push(b'\n');
+        if response.len() < size {
+            response.resize(size, 0);
         }
-        self.queue_frame(at, msg.from, kinds::ASM_RESPONSE, payload);
+        self.queue_frame(at, from, kinds::ASM_RESPONSE, response);
         Ok(())
     }
 
-    fn on_asm_response(&mut self, at: PeerId, msg: BusMessage) -> Result<()> {
-        let nl = msg
-            .payload
+    fn on_asm_response(&mut self, at: PeerId, _from: PeerId, payload: &[u8]) -> Result<()> {
+        let nl = payload
             .iter()
             .position(|&b| b == b'\n')
             .ok_or_else(|| TransportError::Protocol("asm response missing path".into()))?;
-        let path = String::from_utf8(msg.payload[..nl].to_vec())
+        let path = String::from_utf8(payload[..nl].to_vec())
             .map_err(|_| TransportError::Protocol("asm path not utf8".into()))?;
         // Install the code from the out-of-band registry (the wire bytes
         // were the simulated artifact).
@@ -1677,9 +1681,9 @@ impl<T: Transport> Swarm<T> {
     /// The eager baseline: the descriptions and code of every listed
     /// assembly came inline, so they are installed first; the envelope
     /// then takes the one inbound path, where it is now warm.
-    fn on_eager_object(&mut self, at: PeerId, msg: BusMessage) -> Result<()> {
+    fn on_eager_object(&mut self, at: PeerId, from: PeerId, payload: &[u8]) -> Result<()> {
         let missing = || TransportError::Protocol("eager payload missing envelope".into());
-        let (len, rest) = msg.payload.split_first_chunk::<4>().ok_or_else(missing)?;
+        let (len, rest) = payload.split_first_chunk::<4>().ok_or_else(missing)?;
         let envelope = rest
             .get(..u32::from_le_bytes(*len) as usize)
             .ok_or_else(missing)?;
@@ -1706,7 +1710,7 @@ impl<T: Transport> Swarm<T> {
                 peer.cache_description(TypeDescription::from_def(d));
             }
         }
-        self.on_object_bytes(at, msg.from, &envelope)
+        self.on_object_bytes(at, from, &envelope)
     }
 }
 
@@ -1821,6 +1825,54 @@ mod tests {
             .build();
         swarm.publish(alice, asm).unwrap();
         (swarm, alice, bob, def)
+    }
+
+    /// A batch acts only once it is checked whole: one whose last frame
+    /// has an unknown kind, or whose bytes are cut short, fails before
+    /// its good object frames count; the same frames alone are each
+    /// dispatched, read in place from the batch buffer.
+    #[test]
+    fn a_batch_is_checked_whole_before_any_frame_acts() {
+        let (mut swarm, alice, bob, def) = reading_pair();
+        let h = swarm
+            .peer_mut(alice)
+            .runtime
+            .instantiate_def(&def, &[])
+            .unwrap();
+        swarm
+            .send_object(alice, bob, &Value::Obj(h), PayloadFormat::Binary)
+            .unwrap();
+        swarm.flush_wire();
+        let envelope = swarm.net_mut().recv(bob).expect("one envelope");
+        assert_eq!(envelope.kind, kinds::OBJECT);
+        let batch = |tail: Option<&'static str>| {
+            let mut batch = FrameBatch::new();
+            batch.push(kinds::OBJECT, envelope.payload.clone());
+            batch.push(kinds::OBJECT, envelope.payload.clone());
+            if let Some(kind) = tail {
+                batch.push(kind, Vec::new());
+            }
+            batch.encode()
+        };
+        let message = |bytes: Vec<u8>| BusMessage {
+            from: alice,
+            to: bob,
+            kind: kinds::BATCH,
+            payload: bytes.into(),
+        };
+        let received = |swarm: &SimSwarm| swarm.peer(bob).stats.objects_received;
+        let unknown = swarm.dispatch(bob, message(batch(Some("bogus"))));
+        assert!(
+            matches!(&unknown, Err(TransportError::Protocol(e)) if e.contains("bogus")),
+            "{unknown:?}"
+        );
+        assert_eq!(received(&swarm), 0);
+        let mut cut = batch(None);
+        cut.pop();
+        assert!(swarm.dispatch(bob, message(cut)).is_err());
+        assert_eq!(received(&swarm), 0);
+        assert!(swarm.dispatch(bob, message(batch(None))).unwrap());
+        assert_eq!(received(&swarm), 2);
     }
 
     /// The verdict that picks a warm delivery's interest also binds its
