@@ -7,20 +7,22 @@
 //! by the name-conformance aspect, and a `[]` suffix denotes an array type.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// A (possibly namespace-qualified) type name, e.g. `Acme.Person` or
 /// `Int32[]`.
 ///
 /// `TypeName` is an immutable string wrapper with helpers for the pieces
 /// the conformance rules care about: the simple name, the namespace, and
-/// array element types.
+/// array element types. The string is shared by reference count, so a
+/// clone (one per delivered event's interest name) allocates nothing.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TypeName(String);
+pub struct TypeName(Arc<str>);
 
 impl TypeName {
     /// Creates a type name from its dotted full form.
-    pub fn new(full: impl Into<String>) -> TypeName {
-        TypeName(full.into())
+    pub fn new(full: impl AsRef<str>) -> TypeName {
+        TypeName(Arc::from(full.as_ref()))
     }
 
     /// The full dotted name, as given.
@@ -54,12 +56,12 @@ impl TypeName {
 
     /// For an array type `T[]`, the element type name `T`.
     pub fn element(&self) -> Option<TypeName> {
-        self.0.strip_suffix("[]").map(|e| TypeName(e.to_string()))
+        self.0.strip_suffix("[]").map(|e| TypeName(Arc::from(e)))
     }
 
     /// The array type whose elements are `self` (i.e. `self` + `[]`).
     pub fn array_of(&self) -> TypeName {
-        TypeName(format!("{}[]", self.0))
+        TypeName::new(format!("{}[]", self.0))
     }
 
     /// Case-insensitive equality of the *full* names — the basic form of

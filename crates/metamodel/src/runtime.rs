@@ -46,6 +46,10 @@ pub struct Runtime {
     /// values). Only `Class` types get a template (both allocation paths
     /// check the kind before building one).
     templates: HashMap<Guid, DynObject>,
+    /// The templates built over a superclass chain in which a name did
+    /// not resolve: a later registration may complete the chain, so
+    /// these are dropped when a new type is registered.
+    provisional: Vec<Guid>,
 }
 
 impl std::fmt::Debug for Runtime {
@@ -75,15 +79,26 @@ impl Runtime {
             heap: Heap::new(),
             bodies: HashMap::new(),
             templates: HashMap::new(),
+            provisional: Vec::new(),
         }
     }
 
     /// Registers a type definition (idempotent for identical defs).
     pub fn register_type(&mut self, def: TypeDef) -> Result<()> {
+        let guid = def.guid;
+        let known = self.registry.contains(guid);
         self.registry.register(def)?;
-        // Field layouts of subclasses may change when a superclass
-        // becomes resolvable; rebuild templates lazily.
-        self.templates.clear();
+        if !known {
+            // A new type can only complete a chain that had a name
+            // missing: a resolved name keeps resolving to the first type
+            // registered under it. Provisional templates are rebuilt
+            // lazily, as is one allocated from the def before it was
+            // registered.
+            for g in self.provisional.drain(..) {
+                self.templates.remove(&g);
+            }
+            self.templates.remove(&guid);
+        }
         Ok(())
     }
 
@@ -92,7 +107,7 @@ impl Runtime {
         if let Some(t) = self.templates.get(&def.guid) {
             return Ok(t.clone());
         }
-        let layout = self.flattened_fields(def)?;
+        let (layout, resolved) = self.chain_fields(def);
         let obj = DynObject {
             type_guid: def.guid,
             fields: Fields::declare(
@@ -102,6 +117,9 @@ impl Runtime {
             ),
         };
         self.templates.insert(def.guid, obj.clone());
+        if !resolved {
+            self.provisional.push(def.guid);
+        }
         Ok(obj)
     }
 
@@ -166,14 +184,23 @@ impl Runtime {
     /// All fields of a type, flattened over its superclass chain
     /// (subclass fields shadow superclass fields of the same name).
     pub fn flattened_fields(&self, def: &TypeDef) -> Result<Vec<(String, TypeName)>> {
+        Ok(self.chain_fields(def).0)
+    }
+
+    /// [`flattened_fields`](Self::flattened_fields), and whether every
+    /// superclass name on the chain resolved.
+    fn chain_fields(&self, def: &TypeDef) -> (Vec<(String, TypeName)>, bool) {
         let mut out: Vec<(String, TypeName)> = Vec::new();
-        // Collect the superclass chain (the leaf `def` itself is borrowed,
-        // not cloned — this path runs on every object allocation).
-        let mut supers: Vec<Arc<TypeDef>> = Vec::new();
-        let mut cur = match &def.superclass {
-            Some(s) => self.registry.resolve(s),
-            None => None,
+        let mut resolved = true;
+        let mut resolve = |name: &TypeName| {
+            let found = self.registry.resolve(name);
+            resolved &= found.is_some();
+            found
         };
+        // Collect the superclass chain (the leaf `def` itself is borrowed,
+        // not cloned).
+        let mut supers: Vec<Arc<TypeDef>> = Vec::new();
+        let mut cur = def.superclass.as_ref().and_then(&mut resolve);
         let mut hops = 0;
         while let Some(d) = cur {
             hops += 1;
@@ -182,7 +209,7 @@ impl Runtime {
                 break;
             }
             cur = match &d.superclass {
-                Some(s) if !supers.iter().any(|x| x.guid == d.guid) => self.registry.resolve(s),
+                Some(s) if !supers.iter().any(|x| x.guid == d.guid) => resolve(s),
                 _ => None,
             };
             supers.push(d);
@@ -202,7 +229,7 @@ impl Runtime {
                 }
             }
         }
-        Ok(out)
+        (out, resolved)
     }
 
     /// Instantiates a type by name with constructor arguments.
@@ -519,6 +546,40 @@ mod tests {
         rt.register_type(derived).unwrap();
         let h = rt.instantiate(&TypeName::new("D"), &[]).unwrap();
         assert_eq!(rt.get_field(h, "v").unwrap().as_str().unwrap(), "");
+    }
+
+    #[test]
+    fn a_template_built_before_its_superclass_is_rebuilt_with_the_inherited_field() {
+        let mut rt = Runtime::new();
+        let derived = TypeDef::class("Late", "v")
+            .extends("LateBase")
+            .field("y", primitives::INT32)
+            .ctor(vec![])
+            .build();
+        rt.register_type(derived).unwrap();
+        let early = rt.instantiate(&TypeName::new("Late"), &[]).unwrap();
+        assert!(rt.get_field(early, "x").is_err());
+        let base = TypeDef::class("LateBase", "v")
+            .field("x", primitives::INT32)
+            .ctor(vec![])
+            .build();
+        rt.register_type(base).unwrap();
+        let late = rt.instantiate(&TypeName::new("Late"), &[]).unwrap();
+        assert_eq!(rt.get_field(late, "x").unwrap(), Value::I32(0));
+        assert_eq!(rt.get_field(late, "y").unwrap(), Value::I32(0));
+    }
+
+    #[test]
+    fn an_unrelated_registration_keeps_a_resolved_template() {
+        let (mut rt, _) = runtime_with_person();
+        let first = rt.instantiate(&TypeName::new("Person"), &[]).unwrap();
+        let other = TypeDef::class("Unrelated", "v")
+            .field("z", primitives::INT32)
+            .build();
+        rt.register_type(other).unwrap();
+        let second = rt.instantiate(&TypeName::new("Person"), &[]).unwrap();
+        let names = |h| &rt.heap.get(h).unwrap().fields;
+        assert!(names(first).shares_names_with(names(second)));
     }
 
     #[test]

@@ -326,6 +326,12 @@ impl Fields {
         }
     }
 
+    /// Whether both tables share one declared-name list.
+    #[cfg(test)]
+    pub(crate) fn shares_names_with(&self, other: &Fields) -> bool {
+        Arc::ptr_eq(&self.declared, &other.declared)
+    }
+
     /// The fields as `(name, value)` pairs, in name order.
     pub fn iter(&self) -> FieldIter<'_> {
         FieldIter {

@@ -590,9 +590,7 @@ mod stream {
         fn object(&mut self, tag: Tag<'_>) -> Result<Value> {
             let id = tag.id.ok_or_else(|| malformed("object missing id"))?;
             let guid = tag.guid.ok_or_else(|| malformed("object missing guid"))?;
-            let handle = allocate(self.rt, guid, || {
-                TypeName::new(tag.ty.unwrap_or_default().to_string())
-            })?;
+            let handle = allocate(self.rt, guid, || TypeName::new(tag.ty.unwrap_or_default()))?;
             self.by_id.insert(id, handle);
             if tag.self_closing {
                 return Ok(Value::Obj(handle));

@@ -140,8 +140,7 @@ impl<T: Transport> Group<T> {
         let fresh = self
             .swarm
             .peer_mut(member)
-            .take_deliveries()
-            .into_iter()
+            .drain_deliveries()
             .filter_map(|d| match d {
                 Delivery::Accepted {
                     from,

@@ -1,4 +1,5 @@
-//! Allocation budget of one warm routed event.
+//! Allocation budget of one warm routed event, and the heap footprint
+//! of one mounted member.
 //!
 //! A publisher and 16 subscribers, each in its own group on one
 //! `ReactorHost`, exchange a type until every `(type, interest)` pair is
@@ -10,9 +11,13 @@
 //! description, a binding or a proxy that comes back shows up here as a
 //! count over the budget rather than as wall time.
 //!
+//! A second test counts the live heap bytes a one-member group adds to
+//! a `ReactorHost` when it is mounted: a member's state is what a host
+//! of thousands of idle members pays for, per member.
+//!
 //! Its own test binary, because the counting global allocator applies
-//! to the whole binary, and exactly one test, so no other test's
-//! allocations run while it counts (the counter is per thread anyway).
+//! to the whole binary; the counters are per thread, so each test
+//! counts only its own allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -27,11 +32,14 @@ use pti_transport::{CodeRegistry, ReactorHost};
 /// allocation (the values; the field names are shared with the type's
 /// template, found by guid without a registry lookup, and the decode's
 /// object-id table stays inline for a one-object payload), read each
-/// batched frame in place from the batch buffer, and the wire flush
-/// shipped each link's queue without copying it into chunk vectors (the
-/// fabric, not the sender, attributes batched frames): 100 for the
-/// publish, the drive and 16 × (`drain` + `get_field`), about 6 per
-/// delivery. While every object owned a `BTreeMap` of its fields, each
+/// batched frame in place from the batch buffer, shared its interest's
+/// name by reference count, and the peers' delivery buffers and the
+/// wire queue (one flat buffer, sorted by link at each flush) kept
+/// their capacity: 48 for the publish, the drive and 16 × (`drain` +
+/// `get_field`), 3 per delivery. While each delivery copied its
+/// interest's name it made 65; while the wire queue was a `BTreeMap` of
+/// per-link `Vec`s and each collect took the peer's delivery `Vec` it
+/// made 100. While every object owned a `BTreeMap` of its fields, each
 /// decode built an id map and each batched frame was copied out of its
 /// batch it made 138; while the flush built per-link chunk vectors and
 /// a list of the frames to attribute it made 170; while each declared
@@ -41,7 +49,13 @@ use pti_transport::{CodeRegistry, ReactorHost};
 /// copied its interest's description, binding and proxy it made 798.
 /// The margin of 8 is less than one allocation per delivery, so a
 /// single extra allocation in each delivery fails the test.
-const WARM_EVENT_BUDGET: u64 = 100 + 8;
+const WARM_EVENT_BUDGET: u64 = 48 + 8;
+
+/// Live heap bytes per mounted one-member group, averaged over 32
+/// mounts: 5018 measured, plus 10%. While every swarm kept its peer
+/// inline in a `BTreeMap` leaf sized for eleven peers, the same mount
+/// held 16,012 bytes.
+const MEMBER_FOOTPRINT_BOUND: i64 = 5520;
 
 const SUBSCRIBERS: u32 = 16;
 const PUBLISHER: PeerId = PeerId(1);
@@ -49,20 +63,31 @@ const PUBLISHER: PeerId = PeerId(1);
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-/// The system allocator, counting allocations and reallocations made on
-/// a thread while its `COUNTING` flag is set.
+/// The system allocator, counting the allocations and reallocations
+/// made on a thread, and the bytes they leave live, while its `COUNTING`
+/// flag is set.
 struct Counting;
 
-fn note_allocation() {
+/// Notes one allocation (`alloc` set), or a deallocation, that changed
+/// the live bytes by `bytes`.
+fn note(alloc: bool, bytes: i64) {
     // `try_with`: the allocator also runs while thread locals are torn
     // down.
     let _ = COUNTING.try_with(|on| {
         if on.get() {
-            let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+            if alloc {
+                let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+            }
+            let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + bytes));
         }
     });
+}
+
+fn size(bytes: usize) -> i64 {
+    i64::try_from(bytes).unwrap_or(i64::MAX)
 }
 
 // SAFETY: every call forwards unchanged to `System`; the bookkeeping
@@ -71,24 +96,25 @@ fn note_allocation() {
 #[allow(unsafe_code)]
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_allocation();
+        note(true, size(layout.size()));
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note_allocation();
+        note(true, size(layout.size()));
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_allocation();
+        note(true, size(new_size) - size(layout.size()));
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(false, -size(layout.size()));
         // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -99,11 +125,24 @@ static ALLOCATOR: Counting = Counting;
 
 /// Heap allocations this thread makes while running `f`.
 fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    counted(f).0
+}
+
+/// Heap bytes that running `f` leaves live on this thread.
+fn live_bytes_in(f: impl FnOnce()) -> i64 {
+    counted(f).1
+}
+
+fn counted<R>(f: impl FnOnce() -> R) -> ((u64, R), i64) {
     ALLOCATIONS.with(|n| n.set(0));
+    LIVE_BYTES.with(|n| n.set(0));
     COUNTING.with(|on| on.set(true));
     let out = f();
     COUNTING.with(|on| on.set(false));
-    (ALLOCATIONS.with(Cell::get), out)
+    (
+        (ALLOCATIONS.with(Cell::get), out),
+        LIVE_BYTES.with(Cell::get),
+    )
 }
 
 struct Subscriber {
@@ -211,5 +250,27 @@ fn a_warm_routed_event_to_16_subscribers_stays_within_its_allocation_budget() {
         allocations <= WARM_EVENT_BUDGET,
         "one warm event to {SUBSCRIBERS} subscribers made {allocations} heap allocations, \
          over the budget of {WARM_EVENT_BUDGET}: a per-delivery copy came back"
+    );
+}
+
+#[test]
+fn a_mounted_one_member_group_stays_within_its_footprint() {
+    const GROUPS: u32 = 32;
+    let mut host = ReactorHost::new();
+    let code = CodeRegistry::new();
+    let bytes = live_bytes_in(|| {
+        for i in 0..GROUPS {
+            TypedPubSub::builder()
+                .code_registry(code.clone())
+                .mount_on(&mut host)
+                .add_member_as(PeerId(1 + i));
+        }
+    });
+    let per_member = bytes / i64::from(GROUPS);
+    assert_eq!(host.len(), GROUPS as usize);
+    assert!(
+        per_member <= MEMBER_FOOTPRINT_BOUND,
+        "a mounted one-member group holds {per_member} live heap bytes, over the bound of \
+         {MEMBER_FOOTPRINT_BOUND}"
     );
 }

@@ -307,7 +307,13 @@ impl Peer {
 
     /// Takes all finished deliveries accumulated so far.
     pub fn take_deliveries(&mut self) -> Vec<Delivery> {
-        std::mem::take(&mut self.deliveries)
+        self.drain_deliveries().collect()
+    }
+
+    /// Drains all finished deliveries accumulated so far, in arrival
+    /// order; the peer keeps its buffer for the next ones.
+    pub fn drain_deliveries(&mut self) -> std::vec::Drain<'_, Delivery> {
+        self.deliveries.drain(..)
     }
 
     pub(crate) fn push_delivery(&mut self, d: Delivery) {

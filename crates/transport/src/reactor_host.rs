@@ -39,8 +39,6 @@
 //! experiment drive 1k+ members through the interest router on a
 //! single thread.
 
-use std::collections::HashMap;
-
 use pti_net::bridge::BridgeRx;
 use pti_net::{NetConfig, ReactorNet, SessionId};
 
@@ -89,9 +87,12 @@ pub struct ReactorHost {
     /// Tombstoned slot table: [`unmount`](Self::unmount) leaves a `None`
     /// behind so every other slot index stays stable.
     slots: Vec<Option<Slot>>,
-    /// Which slot each mounted session lives in — the ready queue names
-    /// sessions, the slot table is indexed by slot.
-    slot_by_session: HashMap<SessionId, usize>,
+    /// Which slot each mounted session lives in, indexed by session id
+    /// (the fabric hands ids out densely from 0) — the ready queue
+    /// names sessions, the slot table is indexed by slot.
+    slot_by_session: Vec<Option<usize>>,
+    /// Mounted swarm count.
+    mounted: usize,
     budget: usize,
     /// When tracing, every pump is recorded as `(slot, handled)`.
     trace: Option<Vec<(usize, usize)>>,
@@ -126,7 +127,8 @@ impl ReactorHost {
         ReactorHost {
             hub: ReactorNet::new(NetConfig::ideal()),
             slots: Vec::new(),
-            slot_by_session: HashMap::new(),
+            slot_by_session: Vec::new(),
+            mounted: 0,
             budget: DEFAULT_FAIRNESS_BUDGET,
             trace: None,
             injector: None,
@@ -142,7 +144,7 @@ impl ReactorHost {
 
     /// Mounted swarm count (tombstoned slots excluded).
     pub fn len(&self) -> usize {
-        self.slot_by_session.len()
+        self.mounted
     }
 
     /// Whether no swarm is mounted.
@@ -172,7 +174,12 @@ impl ReactorHost {
             session: id,
             member,
         }));
-        self.slot_by_session.insert(id, slot);
+        let index = id.0 as usize;
+        if self.slot_by_session.len() <= index {
+            self.slot_by_session.resize(index + 1, None);
+        }
+        self.slot_by_session[index] = Some(slot);
+        self.mounted += 1;
         slot
     }
 
@@ -197,7 +204,10 @@ impl ReactorHost {
             dropped += self.hub.unregister(peer);
         }
         self.hub.release_session(taken.session);
-        self.slot_by_session.remove(&taken.session);
+        if let Some(entry) = self.slot_by_session.get_mut(taken.session.0 as usize) {
+            *entry = None;
+        }
+        self.mounted -= 1;
         dropped
     }
 
@@ -314,7 +324,7 @@ impl ReactorHost {
     /// pumps themselves make ready, until the queue is empty.
     fn drain_ready(&mut self) -> Result<()> {
         while let Some(session) = self.hub.next_ready() {
-            if let Some(&idx) = self.slot_by_session.get(&session) {
+            if let Some(&Some(idx)) = self.slot_by_session.get(session.0 as usize) {
                 self.pump_slot(idx)?;
             }
         }
@@ -412,6 +422,38 @@ mod tests {
             swarm.peer_ids().len()
         });
         assert_eq!(n, 1);
+    }
+
+    #[test]
+    fn len_and_wakeups_follow_unmount_then_mount() {
+        let mut host = ReactorHost::new();
+        let mount_peer = |host: &mut ReactorHost, id: u32| {
+            let slot = host.mount(Swarm::over);
+            host.with_swarm(slot, |s| {
+                s.add_peer_as(PeerId(id), pti_conformance::ConformanceConfig::pragmatic())
+            });
+            slot
+        };
+        let a = mount_peer(&mut host, 1);
+        let b = mount_peer(&mut host, 2);
+        assert_eq!(host.unmount(a), 0);
+        assert_eq!(host.len(), 1);
+        let c = mount_peer(&mut host, 3);
+        assert_eq!((host.len(), c), (2, 2));
+        // Traffic to each mounted peer wakes exactly its own slot.
+        host.set_pump_trace(true);
+        host.with_swarm(b, |s| {
+            s.send_raw(PeerId(2), PeerId(3), "probe", vec![3]).unwrap();
+        });
+        host.run_until_quiescent().unwrap();
+        host.with_swarm(c, |s| {
+            s.send_raw(PeerId(3), PeerId(2), "probe", vec![2]).unwrap();
+        });
+        host.run_until_quiescent().unwrap();
+        assert_eq!(host.take_pump_trace(), vec![(c, 1), (b, 1)]);
+        assert_eq!(host.unmount(b), 0);
+        assert_eq!(host.unmount(c), 0);
+        assert!(host.is_empty());
     }
 
     #[test]

@@ -128,8 +128,9 @@ pub mod kinds {
     }
 }
 
-/// A queued wire frame: the kind tag plus its (shared) payload.
-type QueuedFrame = (&'static str, Payload);
+/// A queued wire frame: its link `(from, to)`, its position in the
+/// queue, its kind tag and its (shared) payload.
+type WireFrame = (PeerId, PeerId, usize, &'static str, Payload);
 
 /// Default per-link wire-batch cap: frames per batch message.
 pub const DEFAULT_WIRE_MAX_FRAMES: usize = 32;
@@ -146,7 +147,9 @@ pub const DEFAULT_WIRE_MAX_BYTES: usize = 64 * 1024;
 /// unregisters its peers from the fabric, so their ids can be reused.
 pub struct Swarm<T: Transport = SimNet> {
     net: T,
-    peers: BTreeMap<PeerId, Peer>,
+    /// Boxed, so a map leaf holds pointers: a one-peer swarm does not
+    /// pay for a leaf sized for eleven peers.
+    peers: BTreeMap<PeerId, Box<Peer>>,
     code: CodeRegistry,
     next_id: u32,
     budget: usize,
@@ -165,9 +168,10 @@ pub struct Swarm<T: Transport = SimNet> {
     membership: MembershipView,
     /// Generation counter for this swarm's own membership announcements.
     view_gen: u64,
-    /// Frames queued per `(from, to)` link, shipped in bounded batches
-    /// at the next [`flush_wire`](Self::flush_wire).
-    wire: BTreeMap<(PeerId, PeerId), Vec<QueuedFrame>>,
+    /// Frames queued for the wire, shipped per link in bounded batches
+    /// at the next [`flush_wire`](Self::flush_wire). The buffer keeps
+    /// its capacity across flushes.
+    wire: Vec<WireFrame>,
     /// Wire-batch cap: at most this many frames per batch message.
     wire_max_frames: usize,
     /// Wire-batch cap: at most this many payload bytes per batch message
@@ -250,7 +254,7 @@ impl<T: Transport> Swarm<T> {
             contacts: BTreeSet::new(),
             membership: MembershipView::new(),
             view_gen: 0,
-            wire: BTreeMap::new(),
+            wire: Vec::new(),
             wire_max_frames: DEFAULT_WIRE_MAX_FRAMES,
             wire_max_bytes: DEFAULT_WIRE_MAX_BYTES,
             wire_format: EnvelopeWireFormat::default(),
@@ -282,7 +286,7 @@ impl<T: Transport> Swarm<T> {
         // gossiped as a departure of our own member).
         self.contacts.remove(&id);
         self.membership.purge(id);
-        self.peers.insert(id, Peer::new(id, config));
+        self.peers.insert(id, Box::new(Peer::new(id, config)));
         if !self.contacts.is_empty() {
             self.view_gen += 1;
             let delta = ViewDelta {
@@ -557,7 +561,7 @@ impl<T: Transport> Swarm<T> {
     /// no further traffic targets it; the member re-announces its
     /// interests from its new home. Returns the removed peer's protocol
     /// state, or `None` if the peer was not owned.
-    pub fn depart_peer(&mut self, peer: PeerId) -> Option<Peer> {
+    pub fn depart_peer(&mut self, peer: PeerId) -> Option<Box<Peer>> {
         if !self.peers.contains_key(&peer) {
             return None;
         }
@@ -851,7 +855,7 @@ impl<T: Transport> Swarm<T> {
     /// released (undelivered traffic to it is discarded, later sends to
     /// it fail with `UnknownPeer`, and the id can be registered again).
     /// Returns the removed peer, if it was owned.
-    pub fn remove_peer(&mut self, peer: PeerId) -> Option<Peer> {
+    pub fn remove_peer(&mut self, peer: PeerId) -> Option<Box<Peer>> {
         let removed = self.peers.remove(&peer);
         if removed.is_some() {
             self.net.unregister(peer);
@@ -979,14 +983,11 @@ impl<T: Transport> Swarm<T> {
         kind: &'static str,
         payload: impl Into<Payload>,
     ) {
-        let first = self.wire.is_empty();
+        let (first, seq) = (self.wire.is_empty(), self.wire.len());
         // pti-allow(unbounded-queue): the wire queue drains fully at
         // every flush; sustained growth is bounded by the credit window
         // on reliable links and by the caller's publish rate otherwise.
-        self.wire
-            .entry((from, to))
-            .or_default()
-            .push((kind, payload.into()));
+        self.wire.push((from, to, seq, kind, payload.into()));
         if first && !self.pumping {
             self.net.note_outbound();
         }
@@ -994,7 +995,7 @@ impl<T: Transport> Swarm<T> {
 
     /// Number of frames currently queued for the wire.
     pub fn queued_frames(&self) -> usize {
-        self.wire.values().map(Vec::len).sum()
+        self.wire.len()
     }
 
     /// Replaces the per-link wire-batch cap (defaults
@@ -1016,11 +1017,24 @@ impl<T: Transport> Swarm<T> {
     /// dropped) instead of failing the flush.
     pub fn flush_wire(&mut self) {
         self.service_delivery();
-        for ((from, to), frames) in std::mem::take(&mut self.wire) {
-            if let Err(NetError::UnknownPeer(p)) = self.ship_link(from, to, frames) {
+        if self.wire.is_empty() {
+            return;
+        }
+        let mut queue = std::mem::take(&mut self.wire);
+        // Links in `(from, to)` order, each link's frames in queue order.
+        queue.sort_unstable_by_key(|&(from, to, seq, ..)| (from, to, seq));
+        for link in queue.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let &[(from, to, ..), ..] = link else {
+                continue;
+            };
+            if let Err(NetError::UnknownPeer(p)) = self.ship_link(from, to, link) {
                 self.forget_peer(p);
             }
         }
+        // Anything queued while shipping waits for the next flush.
+        queue.clear();
+        queue.append(&mut self.wire);
+        self.wire = queue;
     }
 
     /// Ships one link's queue: a lone queued frame is handed to the
@@ -1033,21 +1047,18 @@ impl<T: Transport> Swarm<T> {
         &mut self,
         from: PeerId,
         to: PeerId,
-        frames: Vec<QueuedFrame>,
+        frames: &[WireFrame],
     ) -> std::result::Result<(), NetError> {
-        let frames = match <[QueuedFrame; 1]>::try_from(frames) {
-            Ok([(kind, payload)]) => return self.net.send(from, to, kind, payload),
-            Err(frames) => frames,
-        };
-        let mut ship = |run: &[QueuedFrame]| match run {
-            [(kind, payload)] => self.net.send(from, to, kind, payload.clone()),
+        let mut ship = |run: &[WireFrame]| match run {
+            [(.., kind, payload)] => self.net.send(from, to, kind, payload.clone()),
             _ => {
-                let batch = FrameBatch::encode_frames(run.iter().map(|(k, p)| (*k, p.as_slice())));
+                let batch =
+                    FrameBatch::encode_frames(run.iter().map(|(.., k, p)| (*k, p.as_slice())));
                 self.net.send(from, to, kinds::BATCH, batch.into())
             }
         };
         let (mut start, mut bytes) = (0, 0);
-        for (i, (_, payload)) in frames.iter().enumerate() {
+        for (i, (.., payload)) in frames.iter().enumerate() {
             let over =
                 i - start >= self.wire_max_frames || bytes + payload.len() > self.wire_max_bytes;
             if i > start && over {
@@ -1182,20 +1193,24 @@ impl<T: Transport> Swarm<T> {
         handled
     }
 
+    /// One flush ships what was queued since the last pump; after that
+    /// every message ends with one: [`dispatch`](Self::dispatch) flushes
+    /// on success, and a failed dispatch is flushed here, so its queued
+    /// frames ship before the next message is polled.
     fn pump_messages(&mut self, max: usize) -> Result<usize> {
+        self.flush_wire();
         let mut handled = 0;
         while handled < max {
-            self.flush_wire();
             let Some((at, msg)) = self.poll_message()? else {
                 break;
             };
             if let Err(e) = self.dispatch_required(at, msg) {
                 // pti-allow(unbounded-queue): drained by take_dispatch_errors; growth is bounded by messages handled this pump
                 self.dispatch_errors.push((at, e));
+                self.flush_wire();
             }
             handled += 1;
         }
-        self.flush_wire();
         Ok(handled)
     }
 
