@@ -22,7 +22,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use pti_metamodel::{DescriptionProvider, Guid, MethodDesc, TypeDescription, TypeKind, TypeName};
+use pti_metamodel::{
+    intern_local, DescriptionProvider, Guid, MethodDesc, Pool, TypeDescription, TypeKind, TypeName,
+};
 
 use crate::binding::{ConformanceBinding, CtorBinding, FieldBinding, MethodBinding};
 use crate::config::{Ambiguity, ConformanceConfig, Unresolved, Variance};
@@ -78,14 +80,39 @@ pub struct CacheStats {
 /// One cached verdict: a successful one is bound to its expected type.
 type Verdict = Result<Arc<Contract>, NonConformance>;
 
+thread_local! {
+    /// The contracts every caching checker on this thread keeps, by
+    /// `(received guid, expected guid)`.
+    static CONTRACTS: Pool<(Guid, Guid), Contract> = Pool::new();
+}
+
+/// The contract `conformance` binds for the pair `key`, as the verdict
+/// cache keeps it: an equal contract alive on this thread is shared.
+fn cached_contract(
+    key: (Guid, Guid),
+    target: &TypeDescription,
+    conformance: Conformance,
+) -> Arc<Contract> {
+    intern_local(
+        &CONTRACTS,
+        key,
+        Arc::new(Contract::new(target.clone(), conformance)),
+    )
+}
+
 /// The conformance checker: rules + per-instance verdict cache.
 ///
 /// The cache holds one verdict per `(received guid, expected guid)`
 /// pair; a successful one is an `Arc<`[`Contract`]`>` that
 /// [`bind`](Self::bind) hands out, so every proxy for the pair shares
-/// the same contract. Create one checker per peer (its cache assumes a
-/// stable description environment); [`clear_cache`](Self::clear_cache)
-/// resets it if the environment changes.
+/// the same contract. The checker computes and counts its own verdicts,
+/// but the contract it caches comes from a per-thread pool keyed by the
+/// pair: if an equal contract is alive on this thread (another peer's
+/// checker on the same host bound it), the cache keeps that `Arc`, so
+/// every peer on a host reads one copy. Create one checker per peer
+/// (its cache assumes a stable description environment);
+/// [`clear_cache`](Self::clear_cache) resets it if the environment
+/// changes.
 pub struct ConformanceChecker {
     config: ConformanceConfig,
     cache: Mutex<HashMap<(Guid, Guid), Verdict>>,
@@ -163,7 +190,8 @@ impl ConformanceChecker {
     /// Empties the verdict cache, bound contracts included (use when the
     /// description environment changes, e.g. a new description for a
     /// previously unresolved name). Proxies already handed out keep
-    /// their contracts.
+    /// their contracts; the per-thread pool holds them only weakly, so a
+    /// contract no proxy or cache holds any more is freed.
     pub fn clear_cache(&self) {
         self.cache().clear();
     }
@@ -241,11 +269,12 @@ impl ConformanceChecker {
                 return Ok(Arc::clone(bound));
             }
         }
-        let bound = Arc::new(Contract::new(target.clone(), conformance));
         if self.caching && identical {
+            let bound = cached_contract(key, target, conformance);
             self.cache().insert(key, Ok(Arc::clone(&bound)));
+            return Ok(bound);
         }
-        Ok(bound)
+        Ok(Arc::new(Contract::new(target.clone(), conformance)))
     }
 
     /// Boolean convenience over [`check`](Self::check).
@@ -301,8 +330,7 @@ impl ConformanceChecker {
         if !self.caching || state.depth_exceeded {
             return result;
         }
-        let verdict =
-            result.map(|conformance| Arc::new(Contract::new(target.clone(), conformance)));
+        let verdict = result.map(|conformance| cached_contract(key, target, conformance));
         let answer = verdict
             .as_ref()
             .map(|bound| bound.conformance().clone())

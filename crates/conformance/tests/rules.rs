@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use pti_conformance::{
-    Ambiguity, Aspect, CacheStats, Conformance, ConformanceChecker, ConformanceConfig, NameMatcher,
-    Reason, Unresolved, Variance,
+    Ambiguity, Aspect, CacheStats, Conformance, ConformanceChecker, ConformanceConfig, Contract,
+    NameMatcher, Reason, Unresolved, Variance,
 };
 use pti_metamodel::{
     primitives, DescriptionProvider, ParamDef, TypeDef, TypeDescription, TypeRegistry,
@@ -777,6 +777,24 @@ fn bind_shares_one_contract_per_pair() {
     let verdict = checker.check(&desc(&b), &desc(&a), &r, &r).unwrap();
     assert_eq!(first.conformance(), &verdict, "check reads the same entry");
     assert_eq!(first.binding(), &verdict.binding(&desc(&a)));
+    let other = ConformanceChecker::new(ConformanceConfig::pragmatic());
+    let shared = other.bind(&desc(&b), &desc(&a), &r, &r).unwrap();
+    assert!(
+        Arc::ptr_eq(&first, &shared),
+        "another checker on this thread shares the equal contract"
+    );
+    assert_eq!(
+        other.stats().misses,
+        before.misses,
+        "and counts its own miss"
+    );
+    let uncached = ConformanceChecker::uncached(ConformanceConfig::pragmatic());
+    let fresh = uncached.bind(&desc(&b), &desc(&a), &r, &r).unwrap();
+    assert!(
+        !Arc::ptr_eq(&first, &fresh),
+        "an uncached checker builds its own"
+    );
+    assert_eq!(first, fresh);
 }
 
 #[test]
@@ -798,11 +816,16 @@ fn clear_cache_drops_bound_contracts() {
     let r = reg(&[&a, &b]);
     let checker = ConformanceChecker::new(ConformanceConfig::pragmatic());
     let before = checker.bind(&desc(&b), &desc(&a), &r, &r).unwrap();
+    let expected = Contract::clone(&before);
+    let weak = Arc::downgrade(&before);
     checker.clear_cache();
+    drop(before);
+    assert!(
+        weak.upgrade().is_none(),
+        "neither the cache nor the thread's contract pool holds it"
+    );
     let after = checker.bind(&desc(&b), &desc(&a), &r, &r).unwrap();
-    assert!(!Arc::ptr_eq(&before, &after), "rebound after the clear");
-    assert_eq!(before, after, "to an equal contract");
-    assert_eq!(Arc::strong_count(&before), 1, "the cache let go of it");
+    assert_eq!(*after, expected, "rebound to an equal contract");
 }
 
 #[test]

@@ -50,6 +50,7 @@ mod error;
 mod guid;
 mod heap;
 mod names;
+mod pool;
 pub mod primitives;
 mod registry;
 mod runtime;
@@ -64,6 +65,7 @@ pub use error::{MetamodelError, Result};
 pub use guid::{Guid, ParseGuidError};
 pub use heap::Heap;
 pub use names::{split_ident_tokens, TypeName};
+pub use pool::{intern_local, Pool};
 pub use registry::TypeRegistry;
 pub use runtime::{bodies, NativeFn, Runtime, CTOR_NAME};
 pub use types::{

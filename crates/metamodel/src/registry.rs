@@ -6,7 +6,7 @@
 //! all of them and exposes both "first registered" and "all" name lookups.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::descriptor::{DescriptionProvider, TypeDescription};
 use crate::error::{MetamodelError, Result};
@@ -16,11 +16,31 @@ use crate::primitives;
 use crate::types::TypeDef;
 
 /// Indexed storage of [`TypeDef`]s.
+///
+/// A registry made by [`with_builtins`](Self::with_builtins) layers its
+/// own types over one process-wide registry of the built-ins, so a
+/// thousand runtimes hold one copy of them. The base counts as
+/// registered first: every lookup answers as if the built-ins had been
+/// registered into this registry before anything else.
 #[derive(Debug, Clone, Default)]
 pub struct TypeRegistry {
+    /// The built-ins, shared by every registry that has them.
+    base: Option<&'static TypeRegistry>,
     by_guid: HashMap<Guid, Arc<TypeDef>>,
     // Lowercased full name -> guids in registration order.
     by_name: HashMap<String, Vec<Guid>>,
+}
+
+/// The built-ins, registered once per process.
+fn builtins() -> &'static TypeRegistry {
+    static BUILTINS: OnceLock<TypeRegistry> = OnceLock::new();
+    BUILTINS.get_or_init(|| {
+        let mut r = TypeRegistry::new();
+        for def in primitives::builtin_defs() {
+            r.register(def).expect("builtins are collision-free");
+        }
+        r
+    })
 }
 
 fn name_key(name: &TypeName) -> String {
@@ -37,11 +57,10 @@ impl TypeRegistry {
     /// Creates a registry pre-populated with the platform builtins
     /// (primitives and the root `Object`).
     pub fn with_builtins() -> TypeRegistry {
-        let mut r = TypeRegistry::new();
-        for def in primitives::builtin_defs() {
-            r.register(def).expect("builtins are collision-free");
+        TypeRegistry {
+            base: Some(builtins()),
+            ..TypeRegistry::default()
         }
-        r
     }
 
     /// Registers a type definition.
@@ -53,7 +72,7 @@ impl TypeRegistry {
     /// [`MetamodelError::DuplicateGuid`] if a *different* definition is
     /// already registered under the same GUID.
     pub fn register(&mut self, def: TypeDef) -> Result<()> {
-        if let Some(existing) = self.by_guid.get(&def.guid) {
+        if let Some(existing) = self.get_ref(def.guid) {
             if **existing == def {
                 return Ok(());
             }
@@ -67,7 +86,22 @@ impl TypeRegistry {
 
     /// Looks a type up by identity.
     pub fn get(&self, guid: Guid) -> Option<Arc<TypeDef>> {
-        self.by_guid.get(&guid).cloned()
+        self.get_ref(guid).cloned()
+    }
+
+    fn get_ref(&self, guid: Guid) -> Option<&Arc<TypeDef>> {
+        self.by_guid
+            .get(&guid)
+            .or_else(|| self.base?.by_guid.get(&guid))
+    }
+
+    /// The guids registered under a name, the base's first, in
+    /// registration order.
+    fn named(&self, name: &TypeName) -> impl Iterator<Item = Guid> + '_ {
+        let key = name_key(name);
+        let base = self.base.and_then(|b| b.by_name.get(&key));
+        let own = self.by_name.get(&key);
+        base.into_iter().chain(own).flatten().copied()
     }
 
     /// Looks a type up by identity, as an error-producing operation.
@@ -79,18 +113,12 @@ impl TypeRegistry {
     /// (case-insensitive). Array names resolve to their element type's
     /// existence — arrays themselves have no `TypeDef`.
     pub fn resolve(&self, name: &TypeName) -> Option<Arc<TypeDef>> {
-        self.by_name
-            .get(&name_key(name))
-            .and_then(|v| v.first())
-            .and_then(|g| self.get(*g))
+        self.named(name).next().and_then(|g| self.get(g))
     }
 
     /// Resolves a name to *every* registered type with that name.
     pub fn resolve_all(&self, name: &TypeName) -> Vec<Arc<TypeDef>> {
-        self.by_name
-            .get(&name_key(name))
-            .map(|v| v.iter().filter_map(|g| self.get(*g)).collect())
-            .unwrap_or_default()
+        self.named(name).filter_map(|g| self.get(g)).collect()
     }
 
     /// Resolves a name or errors with
@@ -102,27 +130,28 @@ impl TypeRegistry {
 
     /// Whether a type with this identity is registered.
     pub fn contains(&self, guid: Guid) -> bool {
-        self.by_guid.contains_key(&guid)
+        self.get_ref(guid).is_some()
     }
 
     /// Whether any type with this name is registered.
     pub fn contains_name(&self, name: &TypeName) -> bool {
-        self.by_name.contains_key(&name_key(name))
+        self.named(name).next().is_some()
     }
 
     /// Number of registered types (including builtins).
     pub fn len(&self) -> usize {
-        self.by_guid.len()
+        self.base.map_or(0, TypeRegistry::len) + self.by_guid.len()
     }
 
     /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
-        self.by_guid.is_empty()
+        self.len() == 0
     }
 
     /// Iterates over all registered definitions.
     pub fn iter(&self) -> impl Iterator<Item = &Arc<TypeDef>> {
-        self.by_guid.values()
+        let base = self.base.map(|b| b.by_guid.values());
+        base.into_iter().flatten().chain(self.by_guid.values())
     }
 
     /// Whether `sub` is an *explicit* (nominal) subtype of `sup`:
@@ -176,6 +205,54 @@ mod tests {
         assert!(r.contains_name(&TypeName::new(primitives::INT32)));
         assert!(r.contains_name(&TypeName::new(primitives::OBJECT)));
         assert_eq!(r.len(), primitives::ALL_PRIMITIVES.len() + 1);
+    }
+
+    #[test]
+    fn a_registry_over_the_shared_builtins_answers_as_a_flat_one() {
+        let mut flat = TypeRegistry::new();
+        for def in primitives::builtin_defs() {
+            flat.register(def).unwrap();
+        }
+        let mut layered = TypeRegistry::with_builtins();
+        let homonym = TypeDef::class(primitives::INT32, "vendor").build();
+        let person = TypeDef::class("Person", "vendor").build();
+        for r in [&mut flat, &mut layered] {
+            r.register(homonym.clone()).unwrap();
+            r.register(person.clone()).unwrap();
+            r.register(primitives::object_def()).unwrap();
+            let mut clash = TypeDef::class("Clash", "vendor").build();
+            clash.guid = primitives::object_def().guid;
+            assert!(matches!(
+                r.register(clash),
+                Err(MetamodelError::DuplicateGuid(_))
+            ));
+        }
+        assert_eq!(layered.len(), flat.len());
+        let guids = |r: &TypeRegistry| {
+            let mut g: Vec<Guid> = r.iter().map(|d| d.guid).collect();
+            g.sort();
+            g
+        };
+        assert_eq!(guids(&layered), guids(&flat));
+        for name in [primitives::INT32, primitives::OBJECT, "Person", "Nope"] {
+            let name = TypeName::new(name);
+            let all = |r: &TypeRegistry| -> Vec<Guid> {
+                r.resolve_all(&name).iter().map(|d| d.guid).collect()
+            };
+            assert_eq!(all(&layered), all(&flat), "{name:?} in registration order");
+            assert_eq!(layered.contains_name(&name), flat.contains_name(&name));
+        }
+        let int32 = layered.resolve(&TypeName::new(primitives::INT32)).unwrap();
+        assert_eq!(
+            int32.kind,
+            crate::types::TypeKind::Primitive,
+            "built-ins first"
+        );
+        assert!(layered.contains(homonym.guid) && layered.contains(int32.guid));
+        assert!(
+            !TypeRegistry::with_builtins().contains(person.guid),
+            "layers are private"
+        );
     }
 
     #[test]

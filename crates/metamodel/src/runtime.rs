@@ -14,6 +14,7 @@ use crate::error::{MetamodelError, Result};
 use crate::guid::Guid;
 use crate::heap::Heap;
 use crate::names::TypeName;
+use crate::pool::{intern_local, Pool};
 use crate::primitives;
 use crate::registry::TypeRegistry;
 use crate::types::{TypeDef, TypeKind};
@@ -30,6 +31,11 @@ pub type NativeFn = Arc<dyn Fn(&mut Runtime, Value, &[Value]) -> Result<Value> +
 /// Name under which constructor bodies are keyed.
 pub const CTOR_NAME: &str = "<ctor>";
 
+thread_local! {
+    /// The templates of every runtime on this thread, by type guid.
+    static TEMPLATES: Pool<Guid, DynObject> = Pool::new();
+}
+
 /// One peer's object runtime.
 pub struct Runtime {
     /// The types this runtime knows.
@@ -44,8 +50,10 @@ pub struct Runtime {
     /// plans. Allocation clones the template: its field names are shared
     /// by reference count, so a blank object costs one allocation (its
     /// values). Only `Class` types get a template (both allocation paths
-    /// check the kind before building one).
-    templates: HashMap<Guid, DynObject>,
+    /// check the kind before building one). A new template is interned
+    /// in this thread's [`TEMPLATES`] pool, so every runtime on a host
+    /// that builds an equal one shares it, names included.
+    templates: HashMap<Guid, Arc<DynObject>>,
     /// The templates built over a superclass chain in which a name did
     /// not resolve: a later registration may complete the chain, so
     /// these are dropped when a new type is registered.
@@ -105,18 +113,20 @@ impl Runtime {
     /// A default-initialized instance of `def`, from the template cache.
     fn blank_instance(&mut self, def: &TypeDef) -> Result<DynObject> {
         if let Some(t) = self.templates.get(&def.guid) {
-            return Ok(t.clone());
+            return Ok(DynObject::clone(t));
         }
         let (layout, resolved) = self.chain_fields(def);
-        let obj = DynObject {
+        let fresh = Arc::new(DynObject {
             type_guid: def.guid,
             fields: Fields::declare(
                 layout
                     .into_iter()
                     .map(|(name, ty)| (name, Self::default_value(&ty))),
             ),
-        };
-        self.templates.insert(def.guid, obj.clone());
+        });
+        let template = intern_local(&TEMPLATES, def.guid, fresh);
+        let obj = DynObject::clone(&template);
+        self.templates.insert(def.guid, template);
         if !resolved {
             self.provisional.push(def.guid);
         }
@@ -287,7 +297,7 @@ impl Runtime {
     /// `guid`; otherwise as [`allocate_raw`](Self::allocate_raw).
     pub fn allocate_raw_guid(&mut self, guid: Guid) -> Result<ObjHandle> {
         if let Some(template) = self.templates.get(&guid) {
-            let obj = template.clone();
+            let obj = DynObject::clone(template);
             return Ok(self.heap.alloc(obj));
         }
         let def = self.registry.require(guid)?;
@@ -580,6 +590,39 @@ mod tests {
         let second = rt.instantiate(&TypeName::new("Person"), &[]).unwrap();
         let names = |h| &rt.heap.get(h).unwrap().fields;
         assert!(names(first).shares_names_with(names(second)));
+    }
+
+    #[test]
+    fn runtimes_on_one_thread_share_a_template() {
+        let (mut a, _) = runtime_with_person();
+        let (mut b, _) = runtime_with_person();
+        let x = a.instantiate(&TypeName::new("Person"), &[]).unwrap();
+        let y = b.instantiate(&TypeName::new("Person"), &[]).unwrap();
+        let fields = |rt: &Runtime, h| rt.heap.get(h).unwrap().fields.clone();
+        assert!(fields(&a, x).shares_names_with(&fields(&b, y)));
+        let mut partial = Runtime::new();
+        let late = TypeDef::class("Late2", "v")
+            .extends("Missing")
+            .field("y", primitives::INT32)
+            .ctor(vec![])
+            .build();
+        partial.register_type(late.clone()).unwrap();
+        let mut whole = Runtime::new();
+        whole
+            .register_type(
+                TypeDef::class("Missing", "v")
+                    .field("x", primitives::INT32)
+                    .build(),
+            )
+            .unwrap();
+        whole.register_type(late).unwrap();
+        let p = partial.instantiate(&TypeName::new("Late2"), &[]).unwrap();
+        let w = whole.instantiate(&TypeName::new("Late2"), &[]).unwrap();
+        assert!(
+            !fields(&partial, p).shares_names_with(&fields(&whole, w)),
+            "an unequal template for the same type stays its own"
+        );
+        assert!(whole.get_field(w, "x").is_ok() && partial.get_field(p, "x").is_err());
     }
 
     #[test]

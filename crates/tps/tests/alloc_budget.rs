@@ -22,7 +22,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use pti_metamodel::{bodies, primitives, Assembly, TypeDef, TypeDescription, Value};
+use pti_metamodel::{bodies, primitives, Assembly, TypeDef, TypeDescription, TypeRegistry, Value};
 use pti_net::{PeerId, ReactorNet};
 use pti_tps::{Subscription, TypedPubSub};
 use pti_transport::{CodeRegistry, ReactorHost};
@@ -52,10 +52,11 @@ use pti_transport::{CodeRegistry, ReactorHost};
 const WARM_EVENT_BUDGET: u64 = 48 + 8;
 
 /// Live heap bytes per mounted one-member group, averaged over 32
-/// mounts: 5018 measured, plus 10%. While every swarm kept its peer
-/// inline in a `BTreeMap` leaf sized for eleven peers, the same mount
-/// held 16,012 bytes.
-const MEMBER_FOOTPRINT_BOUND: i64 = 5520;
+/// mounts: 2418 measured, plus 10%. While every runtime registered its
+/// own copy of the built-in types (2608 bytes) the same mount held
+/// 5018 bytes; while every swarm also kept its peer inline in a
+/// `BTreeMap` leaf sized for eleven peers it held 16,012.
+const MEMBER_FOOTPRINT_BOUND: i64 = 2660;
 
 const SUBSCRIBERS: u32 = 16;
 const PUBLISHER: PeerId = PeerId(1);
@@ -258,6 +259,9 @@ fn a_mounted_one_member_group_stays_within_its_footprint() {
     const GROUPS: u32 = 32;
     let mut host = ReactorHost::new();
     let code = CodeRegistry::new();
+    // The built-in types are built once per process, by whichever test
+    // mounts first: build them outside the count.
+    drop(TypeRegistry::with_builtins());
     let bytes = live_bytes_in(|| {
         for i in 0..GROUPS {
             TypedPubSub::builder()

@@ -5,6 +5,8 @@
 //! virtual-time retransmit deadlines in place of wall-clock sleeps, and
 //! the `pti-tps` `mount_on` hook for session groups.
 
+use std::sync::Arc;
+
 use pti_core::prelude::*;
 use pti_core::samples;
 
@@ -351,6 +353,85 @@ fn typed_pubsub_groups_mount_on_a_shared_reactor() {
     assert_eq!(events.len(), 1);
     assert_eq!(events[0].interest.full(), "StockQuote");
     assert_eq!(events[0].from, PeerId(1));
+}
+
+/// Members on one host share what they derive alike: two one-member
+/// groups with the same interest bind one contract for a publish, while
+/// a member with a different interest binds its own.
+#[test]
+fn members_on_one_host_share_a_contract_per_interest() {
+    let mut host = ReactorHost::new();
+    let code = CodeRegistry::new();
+    let publisher_group = TypedPubSub::builder()
+        .code_registry(code.clone())
+        .mount_on(&mut host);
+    let quote = TypeDef::class("StockQuote", "pub")
+        .field("symbol", primitives::STRING)
+        .field("price", primitives::FLOAT64)
+        .ctor(vec![])
+        .build();
+    let g = quote.guid;
+    let quotes = publisher_group
+        .add_member_as(PeerId(1))
+        .publisher_for(
+            Assembly::builder("quotes")
+                .ty(quote)
+                .ctor_body(g, 0, bodies::ctor_assign(&[]))
+                .build(),
+        )
+        .unwrap();
+    let full = TypeDef::class("StockQuote", "sub")
+        .field("symbol", primitives::STRING)
+        .field("price", primitives::FLOAT64)
+        .build();
+    let price_only = TypeDef::class("StockQuote", "other")
+        .field("price", primitives::FLOAT64)
+        .build();
+    let subs: Vec<_> = [&full, &full, &price_only]
+        .into_iter()
+        .zip(2..)
+        .map(|(interest, id)| {
+            let group = TypedPubSub::builder()
+                .code_registry(code.clone())
+                .join(PeerId(1))
+                .mount_on(&mut host);
+            let sub = group
+                .add_member_as(PeerId(id))
+                .subscribe(TypeDescription::from_def(interest));
+            (group, sub)
+        })
+        .collect();
+    host.run_until_quiescent().unwrap();
+
+    quotes
+        .publish_with(|e| {
+            e.set("symbol", "ACME")?.set("price", 42.5)?;
+            Ok(())
+        })
+        .unwrap();
+    host.run_until_quiescent().unwrap();
+
+    let contracts: Vec<_> = subs
+        .iter()
+        .map(|(_, sub)| {
+            let events = sub.drain();
+            assert_eq!(events.len(), 1);
+            assert_eq!(
+                sub.get_field(&events[0], "price").unwrap(),
+                Value::F64(42.5)
+            );
+            Arc::clone(events[0].proxy.as_ref().unwrap().contract())
+        })
+        .collect();
+    assert!(
+        Arc::ptr_eq(&contracts[0], &contracts[1]),
+        "one contract for the same interest"
+    );
+    assert!(!Arc::ptr_eq(&contracts[0], &contracts[2]));
+    assert_ne!(
+        contracts[0], contracts[2],
+        "a different interest binds its own"
+    );
 }
 
 /// Unmount tears a swarm down without leaking sessions: its endpoint
